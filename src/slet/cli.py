@@ -190,7 +190,6 @@ def breakdown_dict(sol: engine.SletSolution):
             "q_lbar_gap": sol.diagnostics.q_lbar_gap,
             "alpha1_closed_form": sol.diagnostics.alpha1_closed_form,
             "alpha1_path_gap": sol.diagnostics.alpha1_path_gap,
-            "pt_basis_size": sol.diagnostics.pt_basis_size,
         },
     }
 
@@ -422,15 +421,15 @@ _CONVERTERS = {
     "method": str, "format": str, "out": str, "potential": str,
     "nonrelativistic": _parse_bool, "breakdown": _parse_bool,
     "r0_bracket": _parse_bracket, "grid_points": int, "rmax": float,
-    "pt_basis": int, "table_id": int, "config": str,
+    "table_id": int, "config": str,
 }
 
 _DEFAULTS = {
     "potential": None, "m1": None, "m2": None, "n": None, "l": None,
     "n_range": None, "l_range": None, "method": "slet", "format": "text",
     "out": None, "nonrelativistic": False, "breakdown": False,
-    "r0_bracket": None, "grid_points": None, "rmax": None, "pt_basis": None,
-    "config": None, "table_id": None,
+    "r0_bracket": None, "grid_points": None, "rmax": None, "config": None,
+    "table_id": None,
 }
 
 
@@ -469,7 +468,6 @@ def _add_run_options(sp, single_level=False):
     sp.add_argument("--r0-bracket", type=_parse_bracket, metavar="LO:HI")
     sp.add_argument("--grid-points", type=int)
     sp.add_argument("--rmax", type=float)
-    sp.add_argument("--pt-basis", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,8 +537,6 @@ def manifest_from_options(options) -> RunManifest:
     settings_kwargs = {}
     if options.get("r0_bracket") is not None:
         settings_kwargs["r0_bracket"] = options["r0_bracket"]
-    if options.get("pt_basis") is not None:
-        settings_kwargs["pt_basis_size"] = options["pt_basis"]
     return RunManifest(
         potential=parse_potential(options["potential"]),
         m1=options["m1"], m2=options["m2"],

@@ -35,7 +35,6 @@ from .errors import (
     MultipleRootsWarning,
     NoHarmonicRegimeError,
     NonMonotonePointError,
-    SequencingError,
     SletError,
     UnphysicalCouplingError,
 )
@@ -58,13 +57,11 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Knobs for the r0 root search and the perturbation series."""
+    """Settings of the r0 root search: bracket, tolerance and iteration cap."""
 
     r0_bracket: tuple = (1e-3, 1e3)
     r0_tolerance: float = 1e-12
     max_iterations: int = 200
-    pt_basis_size: int | None = None
-    pt_enabled: bool = True
 
     def __post_init__(self):
         lo, hi = self.r0_bracket
@@ -89,19 +86,14 @@ class Geometry:
 class TaylorCoefficients:
     """Perturbation inputs eps1..4, delta1..6 and their scaled versions.
 
-    delta1 and delta2 need the second-order energy E2 and stay None
-    until it is supplied.  Bars divide eps_i by (2 mu omega)^(i/2) and
-    delta_j by (2 mu omega)^(j/2).
+    Bars divide eps_i by (2 mu omega)^(i/2) and delta_j by
+    (2 mu omega)^(j/2).
     """
 
     eps: tuple
     delta: tuple
     eps_bar: tuple
     delta_bar: tuple
-
-    @property
-    def complete(self) -> bool:
-        return self.delta[0] is not None
 
 
 @dataclass
@@ -116,7 +108,6 @@ class SolveDiagnostics:
     denominator_gap: float = math.nan
     alpha1_closed_form: float = math.nan
     alpha1_path_gap: float = math.nan
-    pt_basis_size: int | None = None
 
 
 @dataclass
@@ -311,21 +302,15 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
 
 def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
                         r0: float, Q: float, beta: float, E0: float,
-                        omega: float, e2: float | None = None,
-                        complete: bool | None = None) -> TaylorCoefficients:
-    """Perturbation coefficients from the derivative stacks at r0.
+                        omega: float, n: int) -> TaylorCoefficients:
+    """Perturbation coefficients of level n from the derivative stacks at r0.
 
-    delta1 and delta2 contain the second-order energy E2, so they are
-    only available in complete mode (``e2`` supplied); the partial mode
-    returns eps1..4 and delta3..6 with the two E2-dependent slots None.
+    delta1 and delta2 contain the second-order energy
+    E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D), with D from
+    :func:`energy_denominator`, so the eps are computed first, alpha1
+    follows from their order-2 series, and the delta set is completed
+    with the resulting E2.
     """
-    if complete is None:
-        complete = e2 is not None
-    if complete and e2 is None:
-        raise SequencingError(
-            "delta1/delta2 need the second-order energy; compute alpha1 "
-            "and E2 first or request the partial set")
-
     mu, eta = pair.mu, pair.eta
     inv_eta = 0.0 if math.isinf(eta) else 1.0 / eta
     two_b1 = 2.0 * beta + 1.0
@@ -338,15 +323,13 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
         -2.0 / mu + r0**5 / (6.0 * Q) * (g[3] + d[3] * E0 * inv_eta),
         5.0 / (2.0 * mu) + r0**6 / (24.0 * Q) * (g[4] + d[4] * E0 * inv_eta),
     )
-    if complete:
-        delta12 = (
-            -beta * (beta + 1.0) / mu + r0**3 * d[1] * e2 * inv_eta / Q,
-            3.0 * beta * (beta + 1.0) / (2.0 * mu)
-            + r0**4 * d[2] * e2 * inv_eta / (2.0 * Q),
-        )
-    else:
-        delta12 = (None, None)
-    delta = delta12 + (
+    alpha1, _ = _series_alpha(mu, omega, n, eps)
+    e2 = (Q * (alpha1 + beta * (beta + 1.0) / (2.0 * mu))
+          / (r0**2 * energy_denominator(pair, r0, Q)))
+    delta = (
+        -beta * (beta + 1.0) / mu + r0**3 * d[1] * e2 * inv_eta / Q,
+        3.0 * beta * (beta + 1.0) / (2.0 * mu)
+        + r0**4 * d[2] * e2 * inv_eta / (2.0 * Q),
         -2.0 * two_b1 / mu,
         5.0 * two_b1 / (2.0 * mu),
         -3.0 / mu + r0**7 / (120.0 * Q) * (g[5] + d[5] * E0 * inv_eta),
@@ -355,9 +338,8 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
 
     scale = 2.0 * mu * omega
     eps_bar = tuple(e / scale ** ((i + 1) / 2.0) for i, e in enumerate(eps))
-    delta_bar = tuple(
-        None if dj is None else dj / scale ** ((j + 1) / 2.0)
-        for j, dj in enumerate(delta))
+    delta_bar = tuple(dj / scale ** ((j + 1) / 2.0)
+                      for j, dj in enumerate(delta))
     return TaylorCoefficients(eps=eps, delta=delta,
                               eps_bar=eps_bar, delta_bar=delta_bar)
 
@@ -374,36 +356,16 @@ def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
                + (11 + 30 * n + 30 * n * n) * e3 * e3) / omega)
 
 
-def _series_alpha(pair, omega, n, coeffs: TaylorCoefficients, max_order,
-                  basis_size):
-    terms = {
-        1: ((1, coeffs.eps[0]), (3, coeffs.eps[2])),
-        2: ((2, coeffs.eps[1]), (4, coeffs.eps[3])),
-    }
-    if max_order == 4:
-        terms[3] = ((1, coeffs.delta[0]), (3, coeffs.delta[2]),
-                    (5, coeffs.delta[4]))
-        terms[4] = ((2, coeffs.delta[1]), (4, coeffs.delta[3]),
-                    (6, coeffs.delta[5]))
-    problem = pt.AnharmonicProblem(mu=pair.mu, omega=omega, level=n,
+def _series_alpha(mu: float, omega: float, n: int, eps, delta=()):
+    """(alpha1, alpha2) from the series; alpha2 is 0.0 without a delta set."""
+    terms = {1: ((1, eps[0]), (3, eps[2])), 2: ((2, eps[1]), (4, eps[3]))}
+    if delta:
+        terms[3] = ((1, delta[0]), (3, delta[2]), (5, delta[4]))
+        terms[4] = ((2, delta[1]), (4, delta[3]), (6, delta[5]))
+    problem = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
                                    terms_by_order=terms)
-    series = pt.rspt_coefficients(problem, max_order=max_order,
-                                  basis_size=basis_size)
-    return pt.alpha_from_series(series)
-
-
-def alpha_corrections(pair: ParticlePair, n: int, omega: float,
-                      coeffs: TaylorCoefficients,
-                      basis_size: int | None = None):
-    """(alpha1, alpha2) from the perturbation series.
-
-    Needs a complete coefficient set (delta1/delta2 filled in); alpha1
-    alone can be had from a partial set via the closed form or a
-    second-order series run.
-    """
-    if not coeffs.complete:
-        raise SequencingError("alpha2 needs the complete delta set")
-    return _series_alpha(pair, omega, n, coeffs, 4, basis_size)
+    return pt.alpha_from_series(
+        pt.rspt_coefficients(problem, max_order=len(terms)))
 
 
 def correction_energies(r0: float, Q: float, E0: float, v_at_r0: float,
@@ -435,9 +397,8 @@ def solve(potential: PotentialModel, pair: ParticlePair, qn: QuantumNumbers,
           settings: SolverSettings = SolverSettings()) -> SletSolution:
     """Run the full shifted-l expansion pipeline for one (n, l) level.
 
-    With ``settings.pt_enabled`` false the series is skipped: alpha1
-    comes from the closed form and the order-1/lbar correction (alpha2)
-    is dropped.
+    ``settings`` steers the r0 search; the perturbation series always
+    runs in its exact minimal basis.
     """
     n, l = qn.n, qn.l
     with _stage("solve_r0"):
@@ -448,31 +409,13 @@ def solve(potential: PotentialModel, pair: ParticlePair, qn: QuantumNumbers,
     with _stage("leading_energy"):
         e0 = leading_energy(potential, pair, r0, geo.Q)
     v0 = potential.evaluate(r0)
-    denom = energy_denominator(pair, r0, geo.Q)
 
-    with _stage("taylor_coefficients"):
-        partial = taylor_coefficients(potential, pair, r0, geo.Q, beta, e0,
-                                      geo.omega)
-    basis = settings.pt_basis_size
-    closed1 = alpha1_closed_form(n, geo.omega, partial.eps_bar)
-    if settings.pt_enabled:
-        with _stage("alpha1"):
-            alpha1, _ = _series_alpha(pair, geo.omega, n, partial, 2, basis)
-    else:
-        alpha1 = closed1
-
-    shift_const = beta * (beta + 1.0) / (2.0 * pair.mu)
-    e2 = geo.Q * (alpha1 + shift_const) / (r0**2 * denom)
     with _stage("taylor_coefficients"):
         coeffs = taylor_coefficients(potential, pair, r0, geo.Q, beta, e0,
-                                     geo.omega, e2=e2)
-    if settings.pt_enabled:
-        with _stage("alpha2"):
-            alpha1_full, alpha2 = alpha_corrections(pair, n, geo.omega,
-                                                    coeffs, basis)
-            alpha1 = alpha1_full
-    else:
-        alpha2 = 0.0
+                                     geo.omega, n)
+    with _stage("alpha2"):
+        alpha1, alpha2 = _series_alpha(pair.mu, geo.omega, n, coeffs.eps,
+                                        coeffs.delta)
 
     with _stage("correction_energies"):
         e2_term, e3_term = correction_energies(r0, geo.Q, e0, v0, pair.eta,
@@ -480,14 +423,14 @@ def solve(potential: PotentialModel, pair: ParticlePair, qn: QuantumNumbers,
                                                pair.mu, beta)
     binding = e0 + e2_term + e3_term
 
+    closed1 = alpha1_closed_form(n, geo.omega, coeffs.eps_bar)
     diag.q_lbar_gap = abs(math.sqrt(geo.Q) - lbar) / lbar
-    diag.denominator_gap = abs(denom - (1.0 if math.isinf(pair.eta)
-                                        else 1.0 + (e0 - v0) / pair.eta))
+    diag.denominator_gap = abs(energy_denominator(pair, r0, geo.Q)
+                               - (1.0 if math.isinf(pair.eta)
+                                  else 1.0 + (e0 - v0) / pair.eta))
     diag.alpha1_closed_form = closed1
     diag.alpha1_path_gap = (abs(alpha1 - closed1) / abs(alpha1)
                             if abs(alpha1) > 1e-12 else abs(alpha1 - closed1))
-    diag.pt_basis_size = (basis if basis is not None
-                          else n + pt.DEFAULT_BASIS_MARGIN)
 
     return SletSolution(
         n=n, l=l, r0=r0, omega=geo.omega, xi=geo.xi, Q=geo.Q, beta=beta,

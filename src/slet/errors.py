@@ -45,10 +45,6 @@ class BracketingError(ConvergenceError):
     """No sign change found while scanning for a root bracket."""
 
 
-class BasisConvergenceError(ConvergenceError):
-    """Perturbation coefficients still drift when the basis is doubled."""
-
-
 class WindowError(ConvergenceError):
     """The eigenvalue self-consistency scan found no sign change.
 
@@ -63,10 +59,6 @@ class WindowError(ConvergenceError):
 
 class LevelIdentificationError(ConvergenceError):
     """Converged eigenvector node count disagrees with the requested level."""
-
-
-class SequencingError(SletError):
-    """Pipeline stages were invoked out of their required order."""
 
 
 class InternalInconsistencyError(SletError):

@@ -14,10 +14,14 @@ expansion parameter lambda:
 The energy corrections alpha1 and alpha2 consumed by the radial solver
 are the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
 single level n.  They are computed here by the standard order-by-order
-recursion in a truncated oscillator matrix basis.  All perturbation
-matrices are banded (x^p couples states at most p quanta apart), so the
-recursion terminates exactly: once the basis extends a dozen states past
-the target level the coefficients are independent of its size.
+recursion in a truncated oscillator matrix basis, which is exact by
+construction.  x^p couples states at most p quanta apart, so the terms
+at order j = 1..4 reach at most j + 2 quanta (3, 4, 5 and 6).  The
+lambda^4 coefficient needs only psi_0..psi_3, and psi_k is built from
+chains of terms whose orders sum to k, so it lies within 3k quanta of
+n: psi_3 spans n - 9 .. n + 9.  The recursion therefore runs in the
+minimal basis of the lowest ``level + 10`` states, where every vector
+and matrix element it uses equals its untruncated value.
 """
 
 from __future__ import annotations
@@ -27,12 +31,13 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import BasisConvergenceError, ParityViolationError
+from .errors import ParityViolationError
 
 # powers of x allowed at each lambda order (parity fixed by the expansion)
 ALLOWED_POWERS = {1: (1, 3), 2: (2, 4), 3: (1, 3, 5), 4: (2, 4, 6)}
 
-DEFAULT_BASIS_MARGIN = 40
+# psi_3 reaches level + 9, the last state of the basis
+BASIS_MARGIN = 10
 
 
 def position_matrix(mu: float, omega: float, basis_size: int) -> np.ndarray:
@@ -143,52 +148,17 @@ def _run_recursion(problem: AnharmonicProblem, max_order: int, size: int):
     return energies
 
 
-def rspt_coefficients(problem: AnharmonicProblem, max_order: int = 4,
-                      basis_size: int | None = None,
-                      check_convergence: bool = True) -> SeriesCoefficients:
+def rspt_coefficients(problem: AnharmonicProblem,
+                      max_order: int = 4) -> SeriesCoefficients:
     """Eigenvalue series coefficients of level n through lambda^max_order.
 
-    Parameters
-    ----------
-    problem : AnharmonicProblem
-        The level and the perturbation terms grouped by lambda order.
-    max_order : int
-        Highest lambda order to evaluate (1..4); higher coefficients of
-        the returned record are zero.
-    basis_size : int, optional
-        Truncated basis dimension, default ``level + 40``.  Must be at
-        least ``level + 20``.
-    check_convergence : bool
-        Re-run with a doubled basis and require every coefficient to be
-        reproduced to 1e-9 relative; the doubled-basis values are the
-        ones returned.
-
-    Raises
-    ------
-    BasisConvergenceError
-        If doubling the basis still moves a coefficient.
+    Runs in the exact minimal basis of ``level + 10`` states (see the
+    module docstring).  Coefficients above ``max_order`` (1..4) are
+    returned as zero.
     """
     if max_order not in (1, 2, 3, 4):
         raise ValueError("max_order must be in 1..4")
-    if basis_size is None:
-        basis_size = problem.level + DEFAULT_BASIS_MARGIN
-    if basis_size < problem.level + 20:
-        raise ValueError("basis_size must be at least level + 20")
-
-    coeffs = _run_recursion(problem, max_order, basis_size)
-    if check_convergence:
-        doubled = _run_recursion(problem, max_order, 2 * basis_size)
-        # floor keeps rounding noise around exact zeros from tripping the check
-        scale = (problem.level + 0.5) * abs(problem.omega)
-        for mat in (problem.terms_by_order or {}).values():
-            scale += sum(abs(c) for _, c in mat)
-        floor = 1e-12 * max(scale, 1e-30)
-        for a, b in zip(coeffs, doubled):
-            if abs(b - a) > 1e-9 * max(abs(b), floor):
-                raise BasisConvergenceError(
-                    f"series coefficient moved from {a!r} to {b!r} when the "
-                    f"basis grew from {basis_size} to {2 * basis_size}")
-        coeffs = doubled
+    coeffs = _run_recursion(problem, max_order, problem.level + BASIS_MARGIN)
     padded = list(coeffs) + [0.0] * (4 - len(coeffs))
     return SeriesCoefficients(*padded)
 

@@ -190,22 +190,6 @@ class PotentialModel:
         """Powers p < -1 present in the model (inverse-square or worse)."""
         return tuple(p for c, p in self.terms if p < -1.0 and c != 0.0)
 
-    def increasing_domain(self, lo: float = 1e-6, hi: float = 1e6,
-                          samples: int = 241):
-        """Probed (r_lo, r_hi) interval where V'(r) > 0, or None.
-
-        For the built-in attractive/confining variants this spans the
-        whole probe range; custom sums may be increasing only on part of
-        it.  The endpoints come from a logarithmic scan, so they are
-        indicative rather than exact.
-        """
-        rs = np.geomspace(lo, hi, samples)
-        pos = self.derivative(rs, 1) > 0.0
-        if not np.any(pos):
-            return None
-        idx = np.nonzero(pos)[0]
-        return float(rs[idx[0]]), float(rs[idx[-1]])
-
 
 _KIND_PARAMS = {
     "coulomb": ("alpha",),

@@ -132,6 +132,18 @@ class TestConfigFile:
         assert code == 2
         assert "frobnicate" in err
 
+    def test_removed_pt_basis_rejected(self, capsys, tmp_path):
+        argv = ("solve", "--potential", "oscillator:k=1", "--m1", "1.31",
+                "--m2", "1.31")
+        code, _, err = run(capsys, *argv, "--pt-basis", "50")
+        assert code == 2
+        assert "--pt-basis" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pt_basis=50\n")
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert "pt_basis" in err
+
     def test_ranges_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"

@@ -21,7 +21,6 @@ from slet.engine import (
 from slet.errors import (
     BracketingError,
     NonMonotonePointError,
-    SequencingError,
     UnphysicalCouplingError,
 )
 from slet.potentials import ParticlePair, PotentialModel
@@ -151,7 +150,7 @@ class TestTaylorCoefficients:
     def test_vanishing_shift_factor(self, cornell_pot, pair_145):
         # beta = -1/2 makes (2 beta + 1) = 0, so eps1 = eps2 = 0
         tc = taylor_coefficients(cornell_pot, pair_145, r0=2.0, Q=4.0,
-                                 beta=-0.5, E0=0.1, omega=1.0)
+                                 beta=-0.5, E0=0.1, omega=1.0, n=0)
         assert tc.eps[0] == 0.0
         assert tc.eps[1] == 0.0
 
@@ -159,7 +158,7 @@ class TestTaylorCoefficients:
         # V''' = 0 for b r, so only the gamma part feeds eps3's tail
         pot = PotentialModel.linear(0.18)
         r0, q, beta, e0, omega = 2.0, 4.0, -1.2, 0.3, 1.1
-        tc = taylor_coefficients(pot, pair_145, r0, q, beta, e0, omega)
+        tc = taylor_coefficients(pot, pair_145, r0, q, beta, e0, omega, 0)
         gamma3 = pot.gamma_derivative(pair_145, r0, 3)
         expect = -2.0 / pair_145.mu + r0**5 / (6.0 * q) * gamma3
         assert tc.eps[2] == pytest.approx(expect, rel=1e-14)
@@ -167,24 +166,9 @@ class TestTaylorCoefficients:
     def test_oscillator_delta6(self, oscillator_pot, pair_131):
         # (r^4/4)^(6) = 0 and V^(6) = 0, so delta6 = 7/(2 mu) exactly
         tc = taylor_coefficients(oscillator_pot, pair_131, r0=1.4, Q=3.0,
-                                 beta=-1.0, E0=1.5, omega=2.0)
+                                 beta=-1.0, E0=1.5, omega=2.0, n=0)
         assert tc.delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
                                             rel=1e-14)
-
-    def test_sequencing(self, cornell_pot, pair_145):
-        from slet.engine import alpha_corrections
-        tc = taylor_coefficients(cornell_pot, pair_145, 2.0, 4.0, -1.0, 0.1,
-                                 1.0)
-        assert tc.delta[0] is None and tc.delta[1] is None
-        assert not tc.complete
-        with pytest.raises(SequencingError):
-            taylor_coefficients(cornell_pot, pair_145, 2.0, 4.0, -1.0, 0.1,
-                                1.0, complete=True)
-        with pytest.raises(SequencingError):
-            alpha_corrections(pair_145, 0, 1.0, tc)
-        full = taylor_coefficients(cornell_pot, pair_145, 2.0, 4.0, -1.0,
-                                   0.1, 1.0, e2=0.05)
-        assert full.complete
 
 
 class TestCorrectionEnergies:
@@ -297,14 +281,6 @@ class TestFullSolve:
         with pytest.raises(BracketingError) as info:
             solve(pot, pair_145, QuantumNumbers(0, 0))
         assert info.value.stage == "solve_r0"
-
-    def test_pt_disabled_keeps_closed_form(self, cornell_pot, pair_145):
-        settings = SolverSettings(pt_enabled=False)
-        sol = solve(cornell_pot, pair_145, QuantumNumbers(1, 1), settings)
-        assert sol.alpha2 == 0.0
-        assert sol.E3_term == 0.0
-        assert sol.alpha1 == pytest.approx(
-            sol.diagnostics.alpha1_closed_form, rel=1e-14)
 
     def test_monotone_in_n_and_l(self, table2_solutions, table3_solutions):
         for sols in (table2_solutions, table3_solutions):

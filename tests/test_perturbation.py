@@ -4,10 +4,12 @@ import pytest
 from slet.engine import alpha1_closed_form
 from slet.errors import ParityViolationError
 from slet.perturbation import (
+    ALLOWED_POWERS,
     AnharmonicProblem,
     SeriesCoefficients,
     alpha_from_series,
     position_matrix,
+    _run_recursion,
     position_power_matrix,
     rspt_coefficients,
 )
@@ -122,15 +124,6 @@ class TestSeriesStructure:
             else:
                 assert abs(c.c2 - closed) < 1e-10
 
-    def test_basis_doubling_stability(self):
-        problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
-        small = rspt_coefficients(problem, basis_size=30,
-                                  check_convergence=False)
-        big = rspt_coefficients(problem, basis_size=60,
-                                check_convergence=False)
-        assert big.c2 == pytest.approx(small.c2, rel=1e-9)
-        assert big.c4 == pytest.approx(small.c4, rel=1e-9)
-
     def test_ground_level_second_order_not_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -143,11 +136,6 @@ class TestSeriesStructure:
 
 
 class TestValidation:
-    def test_small_basis_rejected(self):
-        problem = make_problem(1.0, 1.0, 0, (0.1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            rspt_coefficients(problem, basis_size=10)
-
     def test_parity_pattern_enforced(self):
         with pytest.raises(ValueError):
             AnharmonicProblem(mu=1.0, omega=1.0, level=0,
@@ -162,12 +150,18 @@ class TestValidation:
             alpha_from_series(SeriesCoefficients(1e-3, 0.5, 0, 0.1))
 
     def test_exact_termination(self):
-        # the recursion only reaches level + 9, so even huge coefficients
-        # give basis-independent results once the floor is respected; the
-        # doubling guard is a defensive invariant, not a tuning knob
-        problem = AnharmonicProblem(mu=1.0, omega=0.05, level=15,
-                                    terms_by_order={1: ((3, 80.0),)})
-        a = rspt_coefficients(problem, basis_size=36, check_convergence=False)
-        b = rspt_coefficients(problem, basis_size=144, check_convergence=False)
-        assert a.c2 == pytest.approx(b.c2, rel=1e-13)
-        assert a.c4 == pytest.approx(b.c4, rel=1e-13)
+        # psi_3 reaches level + 9, so the level + 10 basis gives the
+        # coefficients of a basis four times larger, with all orders set
+        rng = np.random.default_rng(41)
+        for n in (0, 1, 4, 15, 60, 200):
+            for _ in range(3):
+                terms = {order: tuple((p, rng.uniform(-90.0, 90.0))
+                                      for p in powers)
+                         for order, powers in ALLOWED_POWERS.items()}
+                problem = AnharmonicProblem(mu=rng.uniform(0.3, 3.0),
+                                            omega=rng.uniform(0.05, 4.0),
+                                            level=n, terms_by_order=terms)
+                got = rspt_coefficients(problem)
+                ref = _run_recursion(problem, 4, 4 * (n + 10))
+                assert got.c2 == pytest.approx(ref[1], rel=1e-13)
+                assert got.c4 == pytest.approx(ref[3], rel=1e-13)

@@ -193,11 +193,6 @@ class TestParse:
 
 
 class TestIntrospection:
-    def test_increasing_domain(self):
-        lo, hi = PotentialModel.coulomb_plus_linear(0.25, 0.18).increasing_domain()
-        assert lo < 1e-5 and hi > 1e5
-        assert PotentialModel.custom([(-1.0, 1.0)]).increasing_domain() is None
-
     def test_coulomb_strength(self):
         assert PotentialModel.coulomb(0.3).coulomb_strength() == 0.3
         assert PotentialModel.oscillator(1.0).coulomb_strength() == 0.0
