@@ -117,6 +117,9 @@ class SeriesCoefficients:
 
 def _run_recursion(problem: AnharmonicProblem, max_order: int, size: int):
     mu, omega, n = problem.mu, problem.omega, problem.level
+    if size < n + BASIS_MARGIN:
+        # a smaller basis truncates psi_3 and silently changes c4
+        raise ValueError(f"basis_size must be at least level + {BASIS_MARGIN}")
     powers = sorted({p for terms in problem.terms_by_order.values()
                      for p, _ in terms})
     xpow = {p: position_power_matrix(mu, omega, size, p) for p in powers}

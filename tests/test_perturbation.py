@@ -124,6 +124,13 @@ class TestSeriesStructure:
             else:
                 assert abs(c.c2 - closed) < 1e-10
 
+    def test_basis_doubling_stability(self):
+        problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
+        small = rspt_coefficients(problem)
+        big = _run_recursion(problem, 4, 2 * (problem.level + 10))
+        assert big[1] == pytest.approx(small.c2, rel=1e-9)
+        assert big[3] == pytest.approx(small.c4, rel=1e-9)
+
     def test_ground_level_second_order_not_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -136,6 +143,11 @@ class TestSeriesStructure:
 
 
 class TestValidation:
+    def test_small_basis_rejected(self):
+        problem = make_problem(1.0, 1.0, 0, (0.1, 0, 0, 0))
+        with pytest.raises(ValueError):
+            _run_recursion(problem, 4, 9)
+
     def test_parity_pattern_enforced(self):
         with pytest.raises(ValueError):
             AnharmonicProblem(mu=1.0, omega=1.0, level=0,
