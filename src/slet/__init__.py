@@ -14,7 +14,6 @@ from .engine import (
     CoulombReference,
     QuantumNumbers,
     SletSolution,
-    SolverSettings,
     coulomb_closed_form,
     coulomb_reference,
     solve,
@@ -33,7 +32,6 @@ __all__ = [
     "QuantumNumbers",
     "RadialGrid",
     "SletSolution",
-    "SolverSettings",
     "__version__",
     "coulomb_closed_form",
     "coulomb_reference",

@@ -24,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine, fixtures, oracle
 from .errors import ConvergenceError, SletError, UnphysicalRegimeError
@@ -35,9 +35,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_UNPHYSICAL = 4
 EXIT_DIVERGENCE = 5
-
-CSV_HEADER = ("potential,m1,m2,n,l,method,E_binding_GeV,M_GeV,"
-              "r0,Q,omega,alpha1,alpha2,status")
 
 METHODS = ("slet", "oracle", "both", "closed-form")
 FORMATS = ("csv", "json", "text")
@@ -56,8 +53,6 @@ class RunManifest:
     out: str | None = None
     nonrelativistic: bool = False
     breakdown: bool = False
-    settings: engine.SolverSettings = field(
-        default_factory=engine.SolverSettings)
     grid_points: int | None = None
     rmax: float | None = None
 
@@ -72,6 +67,13 @@ class RunManifest:
             self.potential, self.pair(),
             point_count=self.grid_points or oracle.DEFAULT_POINT_COUNT,
             r_max=self.rmax)
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: empty for None, repr for a float (exact round trip)."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -97,15 +99,13 @@ class SolveRecord:
               "M_GeV", "r0", "Q", "omega", "alpha1", "alpha2", "status")
 
     def row(self):
-        out = []
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            out.append("" if value is None else
-                       (repr(value) if isinstance(value, float) else str(value)))
-        return out
+        return [_csv_cell(getattr(self, name)) for name in self.FIELDS]
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
+
+
+CSV_HEADER = ",".join(SolveRecord.FIELDS)
 
 
 def _record_from_slet(manifest, sol) -> SolveRecord:
@@ -127,7 +127,7 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
     qn = engine.QuantumNumbers(n, l)
     pair = manifest.pair()
     if method == "slet":
-        sol = engine.solve(manifest.potential, pair, qn, manifest.settings)
+        sol = engine.solve(manifest.potential, pair, qn)
         return _record_from_slet(manifest, sol), sol
     if method == "oracle":
         sol = oracle.solve_selfconsistent(manifest.potential, pair, qn,
@@ -196,7 +196,7 @@ def breakdown_dict(sol: engine.SletSolution):
 
 # -- table reproduction ----------------------------------------------------
 
-def run_table(table_id: int, settings=None):
+def run_table(table_id: int):
     """Recompute one reference table's target row.
 
     Returns (records, divergences, offending) where divergences maps
@@ -205,7 +205,6 @@ def run_table(table_id: int, settings=None):
     """
     fixtures.verify_integrity()
     fix = fixtures.TABLES[table_id]
-    settings = settings or engine.SolverSettings()
     potential = parse_potential(fix.potential)
     pair = ParticlePair(fix.m1, fix.m2)
     tolerance = fixtures.SLET_TOLERANCES[table_id]
@@ -224,8 +223,7 @@ def run_table(table_id: int, settings=None):
                               E_binding_GeV=computed, M_GeV=cf.M,
                               r0=cf.r0, Q=cf.Q)
         else:
-            sol = engine.solve(potential, pair, engine.QuantumNumbers(n, l),
-                               settings)
+            sol = engine.solve(potential, pair, engine.QuantumNumbers(n, l))
             computed = sol.binding_energy
             rec = _record_from_slet(
                 RunManifest(potential=potential, m1=fix.m1, m2=fix.m2,
@@ -289,7 +287,7 @@ def run_compare(manifest: RunManifest):
 def render_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(SolveRecord.FIELDS)
     for rec in records:
         writer.writerow(rec.row())
     return buf.getvalue()
@@ -398,13 +396,6 @@ def _parse_range(spec: str):
     return lo, hi
 
 
-def _parse_bracket(spec: str):
-    lo, sep, hi = spec.partition(":")
-    if not sep:
-        raise ValueError(f"bracket {spec!r} must look like 'lo:hi'")
-    return float(lo), float(hi)
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -420,7 +411,7 @@ _CONVERTERS = {
     "n_range": _parse_range, "l_range": _parse_range,
     "method": str, "format": str, "out": str, "potential": str,
     "nonrelativistic": _parse_bool, "breakdown": _parse_bool,
-    "r0_bracket": _parse_bracket, "grid_points": int, "rmax": float,
+    "grid_points": int, "rmax": float,
     "table_id": int, "config": str,
 }
 
@@ -428,7 +419,7 @@ _DEFAULTS = {
     "potential": None, "m1": None, "m2": None, "n": None, "l": None,
     "n_range": None, "l_range": None, "method": "slet", "format": "text",
     "out": None, "nonrelativistic": False, "breakdown": False,
-    "r0_bracket": None, "grid_points": None, "rmax": None, "config": None,
+    "grid_points": None, "rmax": None, "config": None,
     "table_id": None,
 }
 
@@ -465,7 +456,6 @@ def _add_run_options(sp, single_level=False):
     sp.add_argument("--out", help="write the report here instead of stdout")
     sp.add_argument("--config", help="key=value file with option defaults")
     sp.add_argument("--nonrelativistic", action="store_true", default=None)
-    sp.add_argument("--r0-bracket", type=_parse_bracket, metavar="LO:HI")
     sp.add_argument("--grid-points", type=int)
     sp.add_argument("--rmax", type=float)
 
@@ -534,9 +524,6 @@ def manifest_from_options(options) -> RunManifest:
         raise ValueError("a --potential spec is required")
     if options.get("m1") is None or options.get("m2") is None:
         raise ValueError("--m1 and --m2 are required")
-    settings_kwargs = {}
-    if options.get("r0_bracket") is not None:
-        settings_kwargs["r0_bracket"] = options["r0_bracket"]
     return RunManifest(
         potential=parse_potential(options["potential"]),
         m1=options["m1"], m2=options["m2"],
@@ -546,7 +533,6 @@ def manifest_from_options(options) -> RunManifest:
         out=options.get("out"),
         nonrelativistic=bool(options.get("nonrelativistic")),
         breakdown=bool(options.get("breakdown")),
-        settings=engine.SolverSettings(**settings_kwargs),
         grid_points=options.get("grid_points"),
         rmax=options.get("rmax"),
     )
@@ -621,9 +607,7 @@ def cmd_compare(options) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(keys)
         for row in rows:
-            writer.writerow(["" if row.get(k) is None else
-                             (repr(row[k]) if isinstance(row[k], float)
-                              else str(row[k])) for k in keys])
+            writer.writerow([_csv_cell(row.get(k)) for k in keys])
         _emit(buf.getvalue(), manifest.out)
     else:
         _emit(render_compare_text(rows, summary), manifest.out)

@@ -41,6 +41,8 @@ from .errors import (
 from .potentials import ParticlePair, PotentialModel
 
 R0_SCAN_PANELS = 200
+R0_TOLERANCE = 1e-12
+R0_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -56,26 +58,11 @@ class QuantumNumbers:
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    """Settings of the r0 root search: bracket, tolerance and iteration cap."""
-
-    r0_bracket: tuple = (1e-3, 1e3)
-    r0_tolerance: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        lo, hi = self.r0_bracket
-        if not (0.0 < lo < hi):
-            raise ValueError("r0_bracket bounds must be positive and ordered")
-        if not 0.0 < self.r0_tolerance < 1.0:
-            raise ValueError("r0_tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-
-
-@dataclass(frozen=True)
 class Geometry:
-    """Expansion-point quantities xi, Q and the scaled frequency omega."""
+    """Expansion-point quantities xi, Q and the scaled frequency omega.
+
+    Floats for a scalar expansion point, arrays for an array of them.
+    """
 
     xi: float
     Q: float
@@ -149,31 +136,44 @@ def _stage(name: str):
 
 
 def geometry_at(potential: PotentialModel, pair: ParticlePair,
-                r0: float) -> Geometry:
+                r0) -> Geometry:
     """xi, Q and omega evaluated at a trial expansion point.
 
-    Requires V'(r0) > 0.  With a nonrelativistic pair, xi is reported as
-    inf and Q collapses to its limit mu r0^3 V'(r0).
+    Requires V'(r0) > 0 and a non-negative squared frequency bracket.
+    With a nonrelativistic pair, xi is reported as inf and Q collapses to
+    its limit mu r0^3 V'(r0).  r0 may be a scalar or an array: a scalar
+    gives floats and raises where a requirement fails, an array gives
+    arrays with NaN at those points.  Both run the same array arithmetic,
+    so each array element equals the scalar result at that radius.
     """
-    v1 = potential.derivative(r0, 1)
-    if not v1 > 0.0:
-        raise NonMonotonePointError(
-            f"V'(r0) = {v1:g} at r0 = {r0:g}; the expansion needs an "
-            "increasing potential at the expansion point")
+    r = np.atleast_1d(np.asarray(r0, dtype=float))
+    v1 = potential.derivative(r, 1)
+    v2 = potential.derivative(r, 2)
     mu, eta = pair.mu, pair.eta
-    if math.isinf(eta):
-        xi = math.inf
-        q = mu * r0**3 * v1
-        bracket = 3.0 + r0 * potential.derivative(r0, 2) / v1
-    else:
-        xi = math.sqrt(1.0 + (2.0 * eta / (r0 * v1)) ** 2)
-        q = (mu / (2.0 * eta)) * (r0**2 * v1) ** 2 * (1.0 + xi)
-        bracket = (3.0 + r0 * potential.derivative(r0, 2) / v1
-                   - mu * r0**4 * v1**2 / (q * eta))
-    if bracket < 0.0:
-        raise NoHarmonicRegimeError(
-            f"squared frequency bracket is {bracket:g} at r0 = {r0:g}")
-    return Geometry(xi=xi, Q=q, omega=math.sqrt(bracket) / mu)
+    with np.errstate(all="ignore"):
+        if math.isinf(eta):
+            xi = np.full_like(r, math.inf)
+            q = mu * r**3 * v1
+            bracket = 3.0 + r * v2 / v1
+        else:
+            xi = np.sqrt(1.0 + (2.0 * eta / (r * v1)) ** 2)
+            q = (mu / (2.0 * eta)) * (r**2 * v1) ** 2 * (1.0 + xi)
+            bracket = 3.0 + r * v2 / v1 - mu * r**4 * v1**2 / (q * eta)
+        omega = np.sqrt(bracket) / mu
+    if np.ndim(r0) == 0:
+        r, v1, bracket = float(r[0]), float(v1[0]), float(bracket[0])
+        if not v1 > 0.0:
+            raise NonMonotonePointError(
+                f"V'(r0) = {v1:g} at r0 = {r:g}; the expansion needs an "
+                "increasing potential at the expansion point")
+        if bracket < 0.0:
+            raise NoHarmonicRegimeError(
+                f"squared frequency bracket is {bracket:g} at r0 = {r:g}")
+        return Geometry(xi=float(xi[0]), Q=float(q[0]),
+                        omega=float(omega[0]))
+    bad = ~(v1 > 0.0) | (bracket < 0.0)
+    return Geometry(xi=np.where(bad, np.nan, xi), Q=np.where(bad, np.nan, q),
+                    omega=np.where(bad, np.nan, omega))
 
 
 def shift_and_lbar(pair: ParticlePair, n: int, omega: float, l: int):
@@ -203,66 +203,55 @@ def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
 
 
 def r0_residual(potential: PotentialModel, pair: ParticlePair,
-                qn: QuantumNumbers, r0: float) -> float:
+                qn: QuantumNumbers, r0):
     """Root function F(r0) = 2 (sqrt(Q(r0)) - lbar(r0)).
 
     Equivalent to r0^2 V'(r0) sqrt(2 mu (1 + xi)/eta) minus
-    1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.
+    1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
+    or array r0 as in :func:`geometry_at`.
     """
     geo = geometry_at(potential, pair, r0)
     _, lbar = shift_and_lbar(pair, qn.n, geo.omega, qn.l)
-    return 2.0 * (math.sqrt(geo.Q) - lbar)
+    value = 2.0 * (np.sqrt(geo.Q) - lbar)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
-             qn: QuantumNumbers, settings: SolverSettings = SolverSettings(),
-             full_output: bool = False):
-    """Locate the expansion point by a log scan plus bracketed root finding.
+             qn: QuantumNumbers):
+    """Locate the expansion point; returns (r0, SolveDiagnostics).
 
-    The bracket is scanned on a logarithmic grid (R0_SCAN_PANELS panels);
-    points where the potential is not increasing or the frequency
-    bracket turns negative are skipped.  Every sign change is polished
-    with Brent's method; if several roots survive, the one with the
-    lowest leading energy wins and a MultipleRootsWarning is issued.
+    One array call of :func:`r0_residual` scans R0_SCAN_PANELS
+    logarithmic panels from 1e-3 times the smallest to 10 (2n + l + 2)^2
+    times the largest of the potential's length scales; the upper end
+    stays above the Coulomb orbit radius, which grows as (n + l + 1)^2
+    Bohr radii.  Points where the potential is not
+    increasing, the frequency bracket turns negative or the arithmetic
+    overflows are skipped.  Every sign change is polished with Brent's
+    method; if several roots survive, the one with the lowest leading
+    energy wins and a MultipleRootsWarning is issued.
+    ``r0_function_calls`` counts the scan points plus the polish calls.
     """
-    calls = 0
-
-    def func(r):
-        nonlocal calls
-        calls += 1
-        return r0_residual(potential, pair, qn, r)
-
-    lo, hi = settings.r0_bracket
+    scales = potential.length_scales(pair.mu) or (1.0,)
+    lo = 1e-3 * min(scales)
+    hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
     grid = np.geomspace(lo, hi, R0_SCAN_PANELS + 1)
-    values = np.full(grid.shape, np.nan)
-    for i, r in enumerate(grid):
-        try:
-            values[i] = func(r)
-        except (NonMonotonePointError, NoHarmonicRegimeError, OverflowError):
-            pass
+    values = r0_residual(potential, pair, qn, grid)
+    values[~np.isfinite(values)] = np.nan
 
-    roots = []
-    iterations = 0
-    for i in range(len(grid) - 1):
-        fa, fb = values[i], values[i + 1]
-        if np.isnan(fa) or np.isnan(fb):
-            continue
-        if fa == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if fa * fb < 0.0:
-            root, info = brentq(func, grid[i], grid[i + 1],
-                                xtol=1e-300, rtol=settings.r0_tolerance,
-                                maxiter=settings.max_iterations,
-                                full_output=True, disp=False)
-            if not info.converged:
-                raise BracketingError(
-                    f"root polish did not converge in panel "
-                    f"[{grid[i]:g}, {grid[i + 1]:g}]")
-            iterations += info.iterations
-            roots.append(float(root))
-    if not np.isnan(values[-1]) and values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    roots = [float(r) for r in grid[values == 0.0]]
+    calls, iterations = grid.size, 0
+    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
+        root, info = brentq(lambda r: r0_residual(potential, pair, qn, r),
+                            grid[i], grid[i + 1], xtol=1e-300,
+                            rtol=R0_TOLERANCE, maxiter=R0_MAX_ITERATIONS,
+                            full_output=True, disp=False)
+        if not info.converged:
+            raise BracketingError(
+                f"root polish did not converge in panel "
+                f"[{grid[i]:g}, {grid[i + 1]:g}]")
+        calls += info.function_calls
+        iterations += info.iterations
+        roots.append(float(root))
 
     # collapse near-duplicates from adjacent panels
     unique = []
@@ -272,8 +261,8 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     if not unique:
         raise BracketingError(
             f"no sign change of the r0 equation inside [{lo:g}, {hi:g}] "
-            f"({int(np.sum(~np.isnan(values)))} of {len(grid)} scan points "
-            "were usable)")
+            f"({np.count_nonzero(np.isfinite(values))} of {grid.size} scan "
+            "points were usable)")
 
     if len(unique) > 1:
         energies = []
@@ -289,15 +278,12 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     else:
         r0 = unique[0]
 
-    if full_output:
-        diag = SolveDiagnostics(
-            r0_residual=r0_residual(potential, pair, qn, r0),
-            r0_function_calls=calls,
-            r0_iterations=iterations,
-            r0_root_count=len(unique),
-        )
-        return r0, diag
-    return r0
+    return r0, SolveDiagnostics(
+        r0_residual=r0_residual(potential, pair, qn, r0),
+        r0_function_calls=calls,
+        r0_iterations=iterations,
+        r0_root_count=len(unique),
+    )
 
 
 def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
@@ -393,16 +379,12 @@ def correction_energies(r0: float, Q: float, E0: float, v_at_r0: float,
     return first / (r0**2 * d), alpha2 / (r0**2 * d * lbar)
 
 
-def solve(potential: PotentialModel, pair: ParticlePair, qn: QuantumNumbers,
-          settings: SolverSettings = SolverSettings()) -> SletSolution:
-    """Run the full shifted-l expansion pipeline for one (n, l) level.
-
-    ``settings`` steers the r0 search; the perturbation series always
-    runs in its exact minimal basis.
-    """
+def solve(potential: PotentialModel, pair: ParticlePair,
+          qn: QuantumNumbers) -> SletSolution:
+    """Run the full shifted-l expansion pipeline for one (n, l) level."""
     n, l = qn.n, qn.l
     with _stage("solve_r0"):
-        r0, diag = solve_r0(potential, pair, qn, settings, full_output=True)
+        r0, diag = solve_r0(potential, pair, qn)
     with _stage("geometry"):
         geo = geometry_at(potential, pair, r0)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)

@@ -91,20 +91,12 @@ def default_grid(potential: PotentialModel, pair: ParticlePair,
                  r_max: float | None = None) -> RadialGrid:
     """Grid sized from the potential's own length scales.
 
-    Each term contributes a scale: 1/(mu |c|) for a 1/r term and
-    (mu |c|)^(-1/(p+2)) for a confining power p > 0; r_max is 40 times
-    the largest of them (falling back to 40/GeV for scale-free input).
+    r_max is 40 times the largest of
+    :meth:`PotentialModel.length_scales` and 1/GeV.
     """
     if r_max is None:
-        scales = [1.0]
-        for c, p in potential.terms:
-            if c == 0.0:
-                continue
-            if p == -1.0:
-                scales.append(1.0 / (pair.mu * abs(c)))
-            elif p > 0.0:
-                scales.append((pair.mu * abs(c)) ** (-1.0 / (p + 2.0)))
-        r_max = R_MAX_SCALE_FACTOR * max(scales)
+        scales = potential.length_scales(pair.mu)
+        r_max = R_MAX_SCALE_FACTOR * max((1.0, *scales))
     return RadialGrid(r_min, r_max, point_count)
 
 

@@ -186,6 +186,23 @@ class PotentialModel:
                 return -c
         return 0.0
 
+    def length_scales(self, mu: float) -> tuple:
+        """Length scale of each term alone, for reduced mass mu.
+
+        1/(mu |c|) for a 1/r term (its Bohr radius) and
+        (mu |c|)^(-1/(p+2)) for a power p > 0; other terms and zero
+        coefficients set no scale.
+        """
+        scales = []
+        for c, p in self.terms:
+            if c == 0.0:
+                continue
+            if p == -1.0:
+                scales.append(1.0 / (mu * abs(c)))
+            elif p > 0.0:
+                scales.append((mu * abs(c)) ** (-1.0 / (p + 2.0)))
+        return tuple(scales)
+
     def singular_powers(self) -> tuple:
         """Powers p < -1 present in the model (inverse-square or worse)."""
         return tuple(p for c, p in self.terms if p < -1.0 and c != 0.0)

@@ -135,14 +135,16 @@ class TestConfigFile:
     def test_removed_pt_basis_rejected(self, capsys, tmp_path):
         argv = ("solve", "--potential", "oscillator:k=1", "--m1", "1.31",
                 "--m2", "1.31")
-        code, _, err = run(capsys, *argv, "--pt-basis", "50")
-        assert code == 2
-        assert "--pt-basis" in err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("pt_basis=50\n")
-        code, _, err = run(capsys, *argv, "--config", str(cfg))
-        assert code == 2
-        assert "pt_basis" in err
+        for flag, key, value in (("--pt-basis", "pt_basis", "50"),
+                                 ("--r0-bracket", "r0_bracket", "1e-3:1e5")):
+            code, _, err = run(capsys, *argv, flag, value)
+            assert code == 2
+            assert flag in err
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            code, _, err = run(capsys, *argv, "--config", str(cfg))
+            assert code == 2
+            assert key in err
 
     def test_ranges_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

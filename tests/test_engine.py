@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from slet.engine import (
     QuantumNumbers,
-    SolverSettings,
     correction_energies,
     coulomb_closed_form,
     coulomb_reference,
@@ -20,6 +20,7 @@ from slet.engine import (
 )
 from slet.errors import (
     BracketingError,
+    NoHarmonicRegimeError,
     NonMonotonePointError,
     UnphysicalCouplingError,
 )
@@ -61,7 +62,7 @@ class TestGeometry:
 
     def test_omega_near_coulomb_ratio(self, coulomb_pot, pair_145):
         # the scaled frequency sits within 1% of 2/m for alpha = 0.25
-        r0 = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
+        r0, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
         geo = geometry_at(coulomb_pot, pair_145, r0)
         assert abs(geo.omega / (2.0 / 1.45) - 1.0) < 0.01
 
@@ -69,6 +70,47 @@ class TestGeometry:
         pot = PotentialModel.custom([(-0.5, 1.0)])
         with pytest.raises(NonMonotonePointError):
             geometry_at(pot, pair_145, 1.0)
+
+
+ARRAY_POTENTIALS = {
+    "cornell": PotentialModel.coulomb_plus_linear(0.25, 0.18),
+    "oscillator": PotentialModel.oscillator(1.0),
+    "coulomb": PotentialModel.coulomb(0.25),
+    "decreasing": PotentialModel.custom([(-0.5, 1.0)]),
+    # r V''/V' -> -4 near the origin turns the frequency bracket negative
+    "steep-core": PotentialModel.custom([(-1.0, -3.0), (0.1, 2.0)]),
+}
+
+
+class TestArrayForm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("relativistic", [True, False])
+    @pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
+    def test_array_equals_scalar_calls(self, name, relativistic):
+        pot = ARRAY_POTENTIALS[name]
+        pair = ParticlePair.equal(1.45, relativistic)
+        qn = QuantumNumbers(2, 1)
+        radii = np.geomspace(1e-3, 1e4, 141)
+        geo = geometry_at(pot, pair, radii)
+        residual = r0_residual(pot, pair, qn, radii)
+        raised = set()
+        for i, r in enumerate(radii):
+            got = (geo.xi[i], geo.Q[i], geo.omega[i], residual[i])
+            try:
+                one = geometry_at(pot, pair, float(r))
+            except (NonMonotonePointError, NoHarmonicRegimeError) as exc:
+                raised.add(type(exc))
+                assert np.isnan(got).all()
+                with pytest.raises(type(exc)):
+                    r0_residual(pot, pair, qn, float(r))
+                continue
+            assert got == (one.xi, one.Q, one.omega,
+                           r0_residual(pot, pair, qn, float(r)))
+        expected = {"decreasing": {NonMonotonePointError},
+                    "steep-core": {NoHarmonicRegimeError}}
+        assert raised == expected.get(name, set())
+        if name != "decreasing":
+            solve_r0(pot, pair, qn)  # the scan, under the same filter
 
 
 class TestShift:
@@ -94,7 +136,7 @@ class TestShift:
 
 class TestSolveR0:
     def test_coulomb_against_scalar_reduction(self, coulomb_pot, pair_145):
-        got = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
+        got, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
         expect = coulomb_r0_reference(1.45, 0.25, 0)
         assert got == pytest.approx(expect, rel=1e-9)
         # the closed-form expansion point assumes the 2/m frequency and
@@ -103,6 +145,11 @@ class TestSolveR0:
         assert cf.r0 == pytest.approx(5.47397, abs=1e-5)
         assert abs(got - cf.r0) / cf.r0 < 0.01
         assert got != pytest.approx(cf.r0, rel=1e-6)
+        # n + l + 1 >= 14 puts r0 above 1e3, which the bracket must follow
+        for n, l in [(13, 0), (12, 4)]:
+            got, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(n, l))
+            expect = coulomb_r0_reference(1.45, 0.25, n, l)
+            assert got == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("pot_name,m", [("oscillator", 1.31),
                                             ("cornell", 1.45)])
@@ -111,7 +158,7 @@ class TestSolveR0:
         pair = ParticlePair.equal(m)
         for n, l in [(0, 0), (2, 1), (4, 2)]:
             qn = QuantumNumbers(n, l)
-            r0 = solve_r0(pot, pair, qn)
+            r0, _ = solve_r0(pot, pair, qn)
             geo = geometry_at(pot, pair, r0)
             _, lbar = shift_and_lbar(pair, n, geo.omega, l)
             assert abs(math.sqrt(geo.Q) - lbar) / lbar <= 1e-8
@@ -138,7 +185,7 @@ class TestLeadingEnergy:
 
     def test_denominator_identity(self, cornell_pot, pair_145):
         # sqrt(1 + Q/(mu eta r0^2)) equals 1 + (E0 - V(r0))/eta
-        r0 = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
+        r0, _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
         geo = geometry_at(cornell_pot, pair_145, r0)
         e0 = leading_energy(cornell_pot, pair_145, r0, geo.Q)
         d1 = energy_denominator(pair_145, r0, geo.Q)
@@ -246,11 +293,12 @@ class TestFullSolve:
         # -mu alpha^2 / (2 (n + l + 1)^2) through the whole pipeline
         pot = PotentialModel.coulomb(0.25)
         pair = ParticlePair.equal(1.45, relativistic=False)
-        for n, l in [(0, 0), (1, 0), (2, 1)]:
+        for n, l in [(0, 0), (1, 0), (2, 1), (10, 3), (20, 5)]:
             sol = solve(pot, pair, QuantumNumbers(n, l))
             exact = -pair.mu * 0.0625 / (2.0 * (n + l + 1) ** 2)
             assert sol.binding_energy == pytest.approx(exact, rel=1e-10)
-            assert abs(sol.alpha2) < 1e-10
+            # alpha2 vanishes; its rounding error grows like alpha1^2
+            assert abs(sol.alpha2) < 1e-12 * max(1.0, sol.alpha1**2)
 
     def test_nonrelativistic_oscillator_exact(self):
         pot = PotentialModel.oscillator(1.0)
@@ -313,9 +361,5 @@ class TestFullSolve:
                 ora.binding_energy, abs=1e-5)
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            SolverSettings(r0_bracket=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            SolverSettings(r0_tolerance=2.0)
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 0)

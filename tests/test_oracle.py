@@ -187,6 +187,9 @@ class TestQuasiBoundMachinery:
         assert g.r_max == pytest.approx(40.0 / (pair_145.mu * 0.25), rel=1e-12)
         g2 = default_grid(cornell_pot, pair_145, r_max=33.0)
         assert g2.r_max == 33.0
+        # no term of -r^-1/2 sets a length scale; the box falls back to 40
+        scale_free = PotentialModel.custom([(-1.0, -0.5)])
+        assert default_grid(scale_free, pair_145).r_max == 40.0
 
     def test_escape_radius(self, cornell_pot, pair_145):
         r = escape_radius(cornell_pot, pair_145, 0.5, 1e3)
