@@ -60,11 +60,11 @@ class RunManifest:
         return ParticlePair(self.m1, self.m2,
                             relativistic=not self.nonrelativistic)
 
-    def grid(self):
+    def grid(self, qn: engine.QuantumNumbers):
         if self.grid_points is None and self.rmax is None:
             return None
         return oracle.default_grid(
-            self.potential, self.pair(),
+            self.potential, self.pair(), qn,
             point_count=self.grid_points or oracle.DEFAULT_POINT_COUNT,
             r_max=self.rmax)
 
@@ -131,7 +131,7 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
         return _record_from_slet(manifest, sol), sol
     if method == "oracle":
         sol = oracle.solve_selfconsistent(manifest.potential, pair, qn,
-                                          grid=manifest.grid())
+                                          grid=manifest.grid(qn))
         rec = SolveRecord(potential=manifest.potential.label, m1=manifest.m1,
                           m2=manifest.m2, n=n, l=l, method="oracle",
                           E_binding_GeV=sol.binding_energy, M_GeV=sol.mass)

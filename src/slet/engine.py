@@ -38,7 +38,7 @@ from .errors import (
     SletError,
     UnphysicalCouplingError,
 )
-from .potentials import ParticlePair, PotentialModel
+from .potentials import ParticlePair, PotentialModel, fall_to_center_check
 
 R0_SCAN_PANELS = 200
 R0_TOLERANCE = 1e-12
@@ -383,6 +383,8 @@ def solve(potential: PotentialModel, pair: ParticlePair,
           qn: QuantumNumbers) -> SletSolution:
     """Run the full shifted-l expansion pipeline for one (n, l) level."""
     n, l = qn.n, qn.l
+    with _stage("fall_to_center"):
+        fall_to_center_check(potential, pair, l).raise_if_failed()
     with _stage("solve_r0"):
         r0, diag = solve_r0(potential, pair, qn)
     with _stage("geometry"):

@@ -5,19 +5,22 @@ The equation being solved is nonlinear in the energy: the operator
     H(E) = -(1/2 mu) d^2/dr^2 + l(l+1)/(2 mu r^2) + gamma(r) + E V(r)/eta
 
 must reproduce its own trial energy through lambda_n(E) = E + E^2/(2 eta),
-where lambda_n is the (n+1)-th smallest eigenvalue.  The solver runs an
-outer scalar root find on g(E) = lambda_n(E) - E - E^2/(2 eta) around an
-inner symmetric tridiagonal eigenproblem (three-point finite differences,
-Dirichlet ends).  The inner eigenvalue is extracted by LAPACK's
-Sturm-sequence bisection, which indexes levels exactly, and the converged
-eigenvector's node count is checked against the requested radial quantum
-number.
+where lambda_n is the (n+1)-th smallest eigenvalue.  The solver finds
+the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a safeguarded Newton
+iteration around an inner symmetric tridiagonal eigenproblem (three-point
+finite differences, Dirichlet ends).  The inner eigenpair is extracted by
+LAPACK's Sturm-sequence bisection, which indexes levels exactly; its
+eigenvector gives the Newton slope by the Hellmann-Feynman theorem,
+g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its node count is checked
+against the requested radial quantum number.  The default box is sized
+from the potential's length scales and, for potentials that do not
+confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
-attractive inverse-square core; :func:`fall_to_center_check` refuses
-configurations whose effective strength drops below the -1/4 stability
-bound, since their discrete spectrum is not bounded below under grid
-refinement.
+attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
+refuses configurations whose effective strength drops below the -1/4
+stability bound, since their discrete spectrum is not bounded below
+under grid refinement.
 
 With a nonrelativistic pair (eta infinite) the operator loses its energy
 dependence and the solve reduces to a single eigenvalue extraction,
@@ -39,10 +42,9 @@ from .errors import (
     ConvergenceError,
     LevelIdentificationError,
     ResolutionWarning,
-    SupercriticalCouplingError,
     WindowError,
 )
-from .potentials import ParticlePair, PotentialModel
+from .potentials import ParticlePair, PotentialModel, fall_to_center_check
 
 DEFAULT_POINT_COUNT = 4000
 DEFAULT_R_MIN = 1e-4
@@ -56,6 +58,12 @@ R_MAX_SCALE_FACTOR = 40.0
 # with this fraction of the nonrelativistic estimate (relativistic
 # values sit below it).
 FIRST_PASS_ENERGY_FRACTION = 0.7
+
+# cap on eigensolves per outer pass; bisection alone shrinks a 50 GeV
+# window to the 1e-13 step tolerance in about 50
+MAX_OUTER_EVALUATIONS = 100
+# residual samples across the window attached to a WindowError
+FAILURE_SWEEP_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -85,52 +93,29 @@ class RadialGrid:
         return self.r_min + self.h * np.arange(1, self.point_count + 1)
 
 
+def _is_confining(potential) -> bool:
+    return any(c > 0.0 and p > 0.0 for c, p in potential.terms)
+
+
 def default_grid(potential: PotentialModel, pair: ParticlePair,
+                 qn: QuantumNumbers | None = None,
                  point_count: int = DEFAULT_POINT_COUNT,
                  r_min: float = DEFAULT_R_MIN,
                  r_max: float | None = None) -> RadialGrid:
-    """Grid sized from the potential's own length scales.
+    """Grid sized from the potential's own length scales and the level.
 
     r_max is 40 times the largest of
-    :meth:`PotentialModel.length_scales` and 1/GeV.
+    :meth:`PotentialModel.length_scales` and 1/GeV.  Excited levels of a
+    potential that does not confine reach further out, so there r_max is
+    multiplied by n + l + 1 of the level qn; ground levels, and every
+    level of a confining potential, keep the plain scale.
     """
     if r_max is None:
         scales = potential.length_scales(pair.mu)
         r_max = R_MAX_SCALE_FACTOR * max((1.0, *scales))
+        if qn is not None and not _is_confining(potential):
+            r_max *= qn.n + qn.l + 1
     return RadialGrid(r_min, r_max, point_count)
-
-
-@dataclass(frozen=True)
-class FallToCenterResult:
-    """Outcome of the inverse-square stability check."""
-
-    passed: bool
-    strength: float
-    margin: float
-    reason: str = ""
-
-
-def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
-                         l: int) -> FallToCenterResult:
-    """Check the effective inverse-square core against the -1/4 bound.
-
-    A -alpha/r potential squared inside gamma produces an attractive
-    -alpha^2/(2 eta r^2) core; the combined strength in units of
-    1/(2 mu r^2) is s = l(l+1) - mu alpha^2 / eta and must stay above
-    -1/4.  Potentials with explicit powers below -1 are refused outright
-    (their square is even more singular).
-    """
-    bad = potential.singular_powers()
-    if bad:
-        return FallToCenterResult(
-            passed=False, strength=-math.inf, margin=-math.inf,
-            reason=f"potential has non-integrable powers {bad}")
-    alpha = potential.coulomb_strength()
-    s = float(l * (l + 1))
-    if alpha > 0.0 and not math.isinf(pair.eta):
-        s -= pair.mu * alpha**2 / pair.eta
-    margin = s + 0.25
-    return FallToCenterResult(passed=margin > 0.0, strength=s, margin=margin)
 
 
 def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
@@ -214,10 +199,6 @@ def _nonrelativistic_estimate(potential, pair, qn, grid):
     return nth_eigenvalue(diag, off, qn.n)
 
 
-def _is_confining(potential) -> bool:
-    return any(c > 0.0 and p > 0.0 for c, p in potential.terms)
-
-
 def escape_radius(potential: PotentialModel, pair: ParticlePair,
                   energy: float, search_hi: float) -> float | None:
     """Radius where V(r) = 2 eta + max(energy, 0).
@@ -240,154 +221,157 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     return float(brentq(f, lo, search_hi, rtol=1e-10))
 
 
-def _solve_on_grid(potential, pair, qn, grid, window, scan_points,
-                   residual_tolerance, track_scan_nodes):
-    """One scan-plus-polish pass of g(E) on a fixed grid."""
+def _residual(potential, pair, qn, grid, e_trial):
+    """g(E) = lambda_n(E) - E - E^2/(2 eta) on a fixed grid."""
+    diag, off = effective_operator(potential, pair, qn.l, e_trial, grid)
+    return (nth_eigenvalue(diag, off, qn.n) - e_trial
+            - e_trial**2 / (2.0 * pair.eta))
+
+
+def _solve_on_grid(potential, pair, qn, grid, window, start,
+                   residual_tolerance):
+    """Safeguarded Newton iteration for the root of g(E) on a fixed grid.
+
+    The slope comes with the eigenvector: by Hellmann-Feynman
+    d lambda_n / dE = <psi|V|psi>/eta, so g'(E) = <psi|V|psi>/eta - 1 - E/eta.
+    Iterates keep a sign bracket [g >= 0, g < 0] inside the window, and a
+    step that leaves it, or a slope that is not negative, is replaced by
+    bisection.  Returns (energy, |g|, evaluations, eigenvector, node count
+    of every iterate).
+    """
     eta = pair.eta
-    evaluations = 0
-
-    def g(e_trial):
-        nonlocal evaluations
-        evaluations += 1
-        diag, off = effective_operator(potential, pair, qn.l, e_trial, grid)
-        return (nth_eigenvalue(diag, off, qn.n) - e_trial
-                - e_trial**2 / (2.0 * eta))
-
+    v = potential.evaluate(grid.points)
     lo, hi = window
-    scan = np.linspace(lo, hi, scan_points)
-    sweep = []
+    # latest iterates below the root (g >= 0) and above it (g < 0)
+    below = above = None
+    energy = float(min(max(start, lo), hi))
+    previous = math.inf
     nodes_along = []
-    bracket = None
-    for e in scan:
-        value = g(e)
-        if track_scan_nodes:
-            diag, off = effective_operator(potential, pair, qn.l, e, grid)
-            _, vec = nth_eigenpair(diag, off, qn.n)
-            nodes_along.append(count_nodes(vec))
-        if sweep and sweep[-1][1] * value <= 0.0:
-            bracket = (sweep[-1][0], e)
-            sweep.append((e, value))
+    for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
+        diag, off = effective_operator(potential, pair, qn.l, energy, grid)
+        lam, vec = nth_eigenpair(diag, off, qn.n)
+        nodes_along.append(count_nodes(vec))
+        value = lam - energy - energy**2 / (2.0 * eta)
+        slope = float(vec @ (v * vec)) / eta - 1.0 - energy / eta
+        step = -value / slope if slope < 0.0 else math.nan
+        xtol = 1e-13 + 4.0 * np.finfo(float).eps * abs(energy)
+        # the residual has a floor set by the eigensolver's own
+        # tolerance, so convergence also counts once it stops falling
+        if abs(value) <= residual_tolerance and (
+                abs(step) <= xtol or abs(value) > 0.1 * previous):
+            return energy, abs(value), evaluations, vec, tuple(nodes_along)
+        previous = abs(value)
+        if value >= 0.0:
+            below = energy
+        else:
+            above = energy
+        left = lo if below is None else below
+        right = hi if above is None else above
+        if right - left <= xtol:
             break
-        sweep.append((e, value))
-    if bracket is None:
-        raise WindowError(
-            f"no sign change of the self-consistency residual in "
-            f"[{lo:g}, {hi:g}]; sweep attached", sweep=sweep)
+        trial = energy + step
+        energy = trial if left < trial < right else 0.5 * (left + right)
 
-    energy = brentq(g, bracket[0], bracket[1], xtol=1e-13,
-                    rtol=4.0 * np.finfo(float).eps, maxiter=200)
-    residual = abs(g(energy))
-    if residual > residual_tolerance:
-        raise ConvergenceError(
-            f"self-consistency residual {residual:g} above tolerance "
-            f"{residual_tolerance:g}")
-    return float(energy), residual, evaluations, tuple(nodes_along)
+    if below is None or above is None:
+        sweep = [(e, _residual(potential, pair, qn, grid, e))
+                 for e in np.linspace(lo, hi, FAILURE_SWEEP_POINTS)]
+        raise WindowError(
+            f"no sign change of the self-consistency residual found in "
+            f"[{lo:g}, {hi:g}]; sweep attached", sweep=sweep)
+    raise ConvergenceError(
+        f"self-consistency residual {previous:g} above tolerance "
+        f"{residual_tolerance:g} after {evaluations} evaluations")
+
+
+def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
+              nodes_along, default_box):
+    """Check the converged eigenvector and package the result."""
+    nodes = count_nodes(vec)
+    if nodes != qn.n:
+        raise LevelIdentificationError(
+            f"converged eigenvector has {nodes} nodes, expected {qn.n}")
+    if default_box and not _is_confining(potential) and energy >= 0.0:
+        raise LevelIdentificationError(
+            f"level ({qn.n},{qn.l}) converged to the unbound energy "
+            f"{energy:g}; the box r_max = {grid.r_max:g} cannot hold it")
+    norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
+    return OracleSolution(binding_energy=energy,
+                          mass=energy + pair.total_mass,
+                          node_count=nodes, wavefunction=vec / norm,
+                          grid=grid, outer_iterations=evaluations,
+                          residual=residual, scan_node_counts=nodes_along)
 
 
 def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                          qn: QuantumNumbers, grid: RadialGrid | None = None,
-                         window: tuple | None = None, scan_points: int = 48,
-                         residual_tolerance: float = 1e-10,
-                         track_scan_nodes: bool = False) -> OracleSolution:
+                         window: tuple | None = None,
+                         residual_tolerance: float = 1e-10) -> OracleSolution:
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
-    Scans g(E) = lambda_n(E) - E - E^2/(2 eta) over a physically bounded
-    window for a sign change, then polishes the first crossing with
-    Brent's method down to |g| <= residual_tolerance.  The default
-    window runs from -1.8 (m1 + m2), clipped above -eta where the
-    right-hand side stops being monotone, up to 50 times the
-    nonrelativistic eigenvalue estimate; for relativistic confining
-    problems it is narrowed around that estimate so the scan never
-    probes energies whose escape region has entered the box.
+    Finds the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a Newton
+    iteration with the Hellmann-Feynman slope, started from the
+    nonrelativistic eigenvalue estimate and safeguarded by bisection
+    inside a physically bounded window, down to |g| <= residual_tolerance.
+    The default window runs from -1.8 (m1 + m2), clipped above -eta
+    where the right-hand side stops being monotone, up to 50 times the
+    estimate; for relativistic confining problems it starts just below
+    the estimate, so no iterate probes energies whose escape region has
+    entered the box.
 
-    When no grid is given, a scale-based one is built; for relativistic
-    confining potentials its outer wall is then moved to the escape
-    radius of the turned-over effective potential and the solve is
-    repeated once with the wall re-placed at the converged energy (see
-    :func:`escape_radius`).  Levels of such problems are quasi-bound,
-    and this wall placement is what defines their reported position.
+    When no grid is given, a level-sized one is built (see
+    :func:`default_grid`); for relativistic confining potentials its
+    outer wall is then moved to the escape radius of the turned-over
+    effective potential at FIRST_PASS_ENERGY_FRACTION of the estimate,
+    and the solve is repeated once with the wall re-placed at the first
+    pass's energy (see :func:`escape_radius`).  Levels of such problems
+    are quasi-bound, and this wall placement is what defines their
+    reported position.
 
-    Raises WindowError (with the scanned sweep attached) when no sign
-    change shows up, and LevelIdentificationError when the converged
-    eigenvector's node count is not n.
+    Raises WindowError (with a sweep of the window attached) when no
+    sign change shows up, ConvergenceError when the residual stays
+    above tolerance, and LevelIdentificationError when the converged
+    eigenvector's node count is not n or, in the default box of a
+    non-confining potential, the energy lies in the continuum.
     """
-    check = fall_to_center_check(potential, pair, qn.l)
-    if not check.passed:
-        raise SupercriticalCouplingError(
-            f"effective inverse-square strength {check.strength:g} is below "
-            f"the -1/4 bound (margin {check.margin:g})"
-            + (f"; {check.reason}" if check.reason else ""))
-
-    base = default_grid(potential, pair) if grid is None else grid
+    fall_to_center_check(potential, pair, qn.l).raise_if_failed()
+    base = default_grid(potential, pair, qn) if grid is None else grid
 
     if math.isinf(pair.eta):
         # operator is energy independent; one eigensolve settles it
         diag, off = effective_operator(potential, pair, qn.l, 0.0, base)
         energy, vec = nth_eigenpair(diag, off, qn.n)
-        nodes = count_nodes(vec)
-        if nodes != qn.n:
-            raise LevelIdentificationError(
-                f"converged eigenvector has {nodes} nodes, expected {qn.n}")
-        norm = math.sqrt(base.h * float(np.sum(vec * vec)))
-        return OracleSolution(binding_energy=energy,
-                              mass=energy + pair.total_mass,
-                              node_count=nodes, wavefunction=vec / norm,
-                              grid=base, outer_iterations=1,
-                              residual=0.0)
+        return _solution(potential, pair, qn, base, energy, vec, 1, 0.0,
+                         (), grid is None)
 
     e_nr = _nonrelativistic_estimate(potential, pair, qn, base)
-    evaluations = 1
     quasi_bound = _is_confining(potential)
     if window is None:
         if quasi_bound:
-            # stay close below the estimate: scanning far beneath the
-            # wall-placement energy would probe trial energies whose
-            # escape region has entered the box
             lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
         else:
             lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
         window = (lo, 50.0 * max(abs(e_nr), 0.02))
 
-    # wall placement passes (only when the grid was not pinned by the caller)
-    passes = [base]
+    work_grid = base
     if grid is None and quasi_bound:
         wall = escape_radius(potential, pair,
                              FIRST_PASS_ENERGY_FRACTION * e_nr,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
-            passes = [RadialGrid(base.r_min, wall, base.point_count), None]
+            work_grid = RadialGrid(base.r_min, wall, base.point_count)
+    energy, residual, used, vec, nodes_along = _solve_on_grid(
+        potential, pair, qn, work_grid, window, e_nr, residual_tolerance)
+    evaluations = 1 + used
 
-    energy = residual = math.nan
-    nodes_along = ()
-    work_grid = passes[0]
-    for stage, this_grid in enumerate(passes):
-        if this_grid is None:
-            wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
-            if wall is None:
-                break
-            this_grid = RadialGrid(base.r_min, wall, base.point_count)
-            # the re-placed wall barely moves the level, so the repeat
-            # pass scans tightly around it; probing far below would
-            # visit trial energies whose escape point re-enters the box
-            margin = max(0.1 * abs(energy), 0.05)
-            window = (energy - margin, energy + margin)
-        track = track_scan_nodes and stage == len(passes) - 1
-        energy, residual, used, nodes_along = _solve_on_grid(
-            potential, pair, qn, this_grid, window, scan_points,
-            residual_tolerance, track)
-        evaluations += used
-        work_grid = this_grid
+    if work_grid is not base:
+        wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
+        if wall is not None:
+            work_grid = RadialGrid(base.r_min, wall, base.point_count)
+            energy, residual, used, vec, more_nodes = _solve_on_grid(
+                potential, pair, qn, work_grid, window, energy,
+                residual_tolerance)
+            evaluations += used
+            nodes_along += more_nodes
 
-    diag, off = effective_operator(potential, pair, qn.l, energy, work_grid)
-    _, vec = nth_eigenpair(diag, off, qn.n)
-    nodes = count_nodes(vec)
-    if nodes != qn.n:
-        raise LevelIdentificationError(
-            f"converged eigenvector has {nodes} nodes, expected {qn.n}")
-    norm = math.sqrt(work_grid.h * float(np.sum(vec * vec)))
-    return OracleSolution(binding_energy=energy,
-                          mass=energy + pair.total_mass,
-                          node_count=nodes, wavefunction=vec / norm,
-                          grid=work_grid, outer_iterations=evaluations,
-                          residual=residual,
-                          scan_node_counts=nodes_along)
+    return _solution(potential, pair, qn, work_grid, energy, vec,
+                     evaluations, residual, nodes_along, grid is None)

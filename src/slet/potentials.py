@@ -3,6 +3,7 @@
 Every model is a finite sum of monomials c * r**p with real exponents, so
 every radial derivative up to order six is available in closed form (the
 sixth order is the highest one the correction coefficients consume).
+The fall-to-center check that both solvers run first lives here too.
 Units follow hbar = c = 1: masses and energies in GeV, lengths in 1/GeV.
 """
 
@@ -15,7 +16,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import PotentialParseError, UnsupportedOrderError
+from .errors import (
+    PotentialParseError,
+    SupercriticalCouplingError,
+    UnsupportedOrderError,
+)
 
 MAX_DERIVATIVE_ORDER = 6
 
@@ -206,6 +211,48 @@ class PotentialModel:
     def singular_powers(self) -> tuple:
         """Powers p < -1 present in the model (inverse-square or worse)."""
         return tuple(p for c, p in self.terms if p < -1.0 and c != 0.0)
+
+
+@dataclass(frozen=True)
+class FallToCenterResult:
+    """Outcome of the inverse-square stability check."""
+
+    passed: bool
+    strength: float
+    margin: float
+    reason: str = ""
+
+    def raise_if_failed(self):
+        """Raise SupercriticalCouplingError when the check did not pass."""
+        if not self.passed:
+            raise SupercriticalCouplingError(
+                f"effective inverse-square strength {self.strength:g} is "
+                f"below the -1/4 bound (margin {self.margin:g})"
+                + (f"; {self.reason}" if self.reason else ""))
+
+
+def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
+                         l: int) -> FallToCenterResult:
+    """Check the effective inverse-square core against the -1/4 bound.
+
+    A -alpha/r potential squared inside gamma produces an attractive
+    -alpha^2/(2 eta r^2) core; the combined strength in units of
+    1/(2 mu r^2) is s = l(l+1) - mu alpha^2 / eta and must stay above
+    -1/4.  Potentials with explicit powers below -1 are refused outright
+    (their square is even more singular).  Below the bound the discrete
+    spectrum is not bounded below, so both solvers refuse such input.
+    """
+    bad = potential.singular_powers()
+    if bad:
+        return FallToCenterResult(
+            passed=False, strength=-math.inf, margin=-math.inf,
+            reason=f"potential has non-integrable powers {bad}")
+    alpha = potential.coulomb_strength()
+    s = float(l * (l + 1))
+    if alpha > 0.0 and not math.isinf(pair.eta):
+        s -= pair.mu * alpha**2 / pair.eta
+    margin = s + 0.25
+    return FallToCenterResult(passed=margin > 0.0, strength=s, margin=margin)
 
 
 _KIND_PARAMS = {

@@ -56,6 +56,18 @@ class TestSolveCommand:
         keys = [tuple(int(x) for x in row.split(",")[3:5]) for row in rows]
         assert keys == sorted(keys)
 
+    def test_grid_points_keep_level_sized_box(self, capsys):
+        # --grid-points pins N only; the box still grows with the level,
+        # so the excited Coulomb level stays inside it
+        code, out, _ = run(capsys, "solve", "--potential",
+                           "coulomb:alpha=0.25", "--m1", "1.45", "--m2",
+                           "1.45", "--n", "3", "--l", "0", "--method",
+                           "oracle", "--grid-points", "4000",
+                           "--format", "json")
+        assert code == 0
+        energy = json.loads(out)["records"][0]["E_binding_GeV"]
+        assert energy == pytest.approx(-0.0014262711, rel=1e-3)
+
     def test_mixing_level_styles_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "oscillator:k=1",
                            "--m1", "1.31", "--m2", "1.31", "--n", "0",
@@ -73,6 +85,13 @@ class TestSolveCommand:
         code, out, _ = run(capsys, "solve", "--potential",
                            "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",
                            "--n", "0", "--l", "0", "--method", "oracle")
+        assert code == 4
+        assert "SupercriticalCouplingError" in out
+
+    def test_supercritical_slet_exit(self, capsys):
+        code, out, _ = run(capsys, "solve", "--potential",
+                           "coulomb:alpha=1.2", "--m1", "1", "--m2", "1",
+                           "--n", "0", "--l", "0", "--method", "slet")
         assert code == 4
         assert "SupercriticalCouplingError" in out
 

@@ -22,6 +22,7 @@ from slet.errors import (
     BracketingError,
     NoHarmonicRegimeError,
     NonMonotonePointError,
+    SupercriticalCouplingError,
     UnphysicalCouplingError,
 )
 from slet.potentials import ParticlePair, PotentialModel
@@ -329,6 +330,16 @@ class TestFullSolve:
         with pytest.raises(BracketingError) as info:
             solve(pot, pair_145, QuantumNumbers(0, 0))
         assert info.value.stage == "solve_r0"
+
+    @pytest.mark.parametrize("n", [0, 20])
+    def test_fall_to_center_refused(self, n):
+        # l(l+1) - mu alpha^2/eta = -0.36 lies below the -1/4 bound; the
+        # expansion refuses it with the grid solver's rule instead of
+        # keeping a spurious root near the core
+        pot = PotentialModel.coulomb(1.2)
+        with pytest.raises(SupercriticalCouplingError) as info:
+            solve(pot, ParticlePair.equal(1.0), QuantumNumbers(n, 0))
+        assert info.value.stage == "fall_to_center"
 
     def test_monotone_in_n_and_l(self, table2_solutions, table3_solutions):
         for sols in (table2_solutions, table3_solutions):

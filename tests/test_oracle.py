@@ -5,7 +5,11 @@ import pytest
 from scipy.optimize import brentq
 
 from slet.engine import QuantumNumbers
-from slet.errors import SupercriticalCouplingError, WindowError
+from slet.errors import (
+    LevelIdentificationError,
+    SupercriticalCouplingError,
+    WindowError,
+)
 from slet.oracle import (
     RadialGrid,
     count_nodes,
@@ -142,6 +146,52 @@ class TestReducedCoulomb:
         assert abs(wide.binding_energy - base.binding_energy) < 1e-6
 
 
+class TestNewtonIteration:
+    # each pinned r_max lies near the wall or box the default solve of
+    # that level ends on; the bracket holds the level's only root
+    @pytest.mark.parametrize("system, n, l, r_max, bracket", [
+        ("cornell", 1, 1, 39.2, (1.0, 1.5)),
+        ("oscillator", 2, 2, 4.88, (6.0, 7.5)),
+        ("coulomb", 2, 0, 662.0, (-0.01, -0.001)),
+    ])
+    def test_matches_independent_brent(self, system, n, l, r_max, bracket,
+                                       cornell_pot, oscillator_pot,
+                                       coulomb_pot, pair_131, pair_145):
+        pot, pair = {"cornell": (cornell_pot, pair_145),
+                     "oscillator": (oscillator_pot, pair_131),
+                     "coulomb": (coulomb_pot, pair_145)}[system]
+        grid = RadialGrid(1e-4, r_max, 4000)
+
+        def g(e):
+            diag, off = effective_operator(pot, pair, l, e, grid)
+            return nth_eigenvalue(diag, off, n) - e - e * e / (2 * pair.eta)
+
+        exact = brentq(g, *bracket, xtol=1e-14, rtol=4 * np.finfo(float).eps)
+        sol = solve_selfconsistent(pot, pair, QuantumNumbers(n, l), grid)
+        assert sol.binding_energy == pytest.approx(exact, abs=1e-9)
+        assert sol.residual <= 1e-10
+
+    def test_outer_iterations_bounded(self, oracle_results):
+        for key, sol in oracle_results.items():
+            assert sol.outer_iterations <= 20, key
+
+    def test_excited_coulomb_in_level_sized_box(self, coulomb_pot, pair_145):
+        for n in (3, 4, 5):
+            sol = solve_selfconsistent(coulomb_pot, pair_145,
+                                       QuantumNumbers(n, 0))
+            exact = reduced_coulomb_binding(1.45, 0.25, n, 0)
+            assert sol.binding_energy < 0.0
+            assert sol.binding_energy == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("relativistic", [True, False])
+    def test_unbound_level_refused(self, relativistic):
+        # no potential, no bound level: the default box's lowest state
+        # lies in the continuum and must not come back as a level
+        pair = ParticlePair.equal(1.0, relativistic)
+        with pytest.raises(LevelIdentificationError, match="r_max"):
+            solve_selfconsistent(ZERO_POTENTIAL, pair, QuantumNumbers(0, 0))
+
+
 class TestGridConvergence:
     def test_second_order_h_refinement(self):
         # empty box: the continuum level on the same [r_min, r_max]
@@ -191,6 +241,15 @@ class TestQuasiBoundMachinery:
         scale_free = PotentialModel.custom([(-1.0, -0.5)])
         assert default_grid(scale_free, pair_145).r_max == 40.0
 
+    def test_default_grid_level_sized(self, cornell_pot, coulomb_pot,
+                                      pair_145):
+        qn = QuantumNumbers(3, 1)
+        plain = default_grid(coulomb_pot, pair_145).r_max
+        assert default_grid(coulomb_pot, pair_145, qn).r_max == 5.0 * plain
+        # a confining potential keeps its box whatever the level
+        assert (default_grid(cornell_pot, pair_145, qn).r_max
+                == default_grid(cornell_pot, pair_145).r_max)
+
     def test_escape_radius(self, cornell_pot, pair_145):
         r = escape_radius(cornell_pot, pair_145, 0.5, 1e3)
         assert cornell_pot.evaluate(r) == pytest.approx(
@@ -209,8 +268,7 @@ class TestQuasiBoundMachinery:
 
     def test_level_continuity_along_scan(self, cornell_pot, pair_145):
         sol = solve_selfconsistent(cornell_pot, pair_145,
-                                   QuantumNumbers(1, 1),
-                                   track_scan_nodes=True)
+                                   QuantumNumbers(1, 1))
         assert sol.scan_node_counts
         assert all(c == 1 for c in sol.scan_node_counts)
 
