@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -69,13 +70,6 @@ class RunManifest:
             r_max=self.rmax)
 
 
-def _csv_cell(value) -> str:
-    """One CSV cell: empty for None, repr for a float (exact round trip)."""
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 @dataclass
 class SolveRecord:
     """One CSV/JSON row of a solve report."""
@@ -98,9 +92,6 @@ class SolveRecord:
     FIELDS = ("potential", "m1", "m2", "n", "l", "method", "E_binding_GeV",
               "M_GeV", "r0", "Q", "omega", "alpha1", "alpha2", "status")
 
-    def row(self):
-        return [_csv_cell(getattr(self, name)) for name in self.FIELDS]
-
     def as_dict(self):
         return {name: getattr(self, name) for name in self.FIELDS}
 
@@ -108,47 +99,36 @@ class SolveRecord:
 CSV_HEADER = ",".join(SolveRecord.FIELDS)
 
 
-def _record_from_slet(manifest, sol) -> SolveRecord:
-    return SolveRecord(
-        potential=manifest.potential.label, m1=manifest.m1, m2=manifest.m2,
-        n=sol.n, l=sol.l, method="slet",
-        E_binding_GeV=sol.binding_energy, M_GeV=sol.mass, r0=sol.r0,
-        Q=sol.Q, omega=sol.omega, alpha1=sol.alpha1, alpha2=sol.alpha2)
-
-
-def _failed_record(manifest, n, l, method, exc) -> SolveRecord:
+def _record(manifest, n, l, method, **values) -> SolveRecord:
     return SolveRecord(potential=manifest.potential.label, m1=manifest.m1,
-                       m2=manifest.m2, n=n, l=l, method=method,
-                       status=f"error:{type(exc).__name__}")
+                       m2=manifest.m2, n=n, l=l, method=method, **values)
 
 
 def solve_level(manifest: RunManifest, n: int, l: int, method: str):
-    """(record, solution-or-None) for one level with one method."""
+    """(record, solution) for one level with one method."""
     qn = engine.QuantumNumbers(n, l)
     pair = manifest.pair()
     if method == "slet":
         sol = engine.solve(manifest.potential, pair, qn)
-        return _record_from_slet(manifest, sol), sol
-    if method == "oracle":
+        values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass,
+                      r0=sol.r0, Q=sol.Q, omega=sol.omega,
+                      alpha1=sol.alpha1, alpha2=sol.alpha2)
+    elif method == "oracle":
         sol = oracle.solve_selfconsistent(manifest.potential, pair, qn,
                                           grid=manifest.grid(qn))
-        rec = SolveRecord(potential=manifest.potential.label, m1=manifest.m1,
-                          m2=manifest.m2, n=n, l=l, method="oracle",
-                          E_binding_GeV=sol.binding_energy, M_GeV=sol.mass)
-        return rec, sol
-    if method == "closed-form":
+        values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass)
+    elif method == "closed-form":
         if (manifest.potential.kind != "coulomb" or manifest.m1 != manifest.m2
                 or l != 0 or manifest.nonrelativistic):
             raise ValueError(
                 "closed-form method needs a pure Coulomb potential, equal "
                 "masses, l = 0 and a relativistic pair")
         alpha = manifest.potential.coulomb_strength()
-        cf = engine.coulomb_closed_form(manifest.m1, alpha, n)
-        rec = SolveRecord(potential=manifest.potential.label, m1=manifest.m1,
-                          m2=manifest.m2, n=n, l=l, method="closed-form",
-                          E_binding_GeV=cf.E0, M_GeV=cf.M, r0=cf.r0, Q=cf.Q)
-        return rec, cf
-    raise ValueError(f"unknown method {method!r}")
+        sol = engine.coulomb_closed_form(manifest.m1, alpha, n)
+        values = dict(E_binding_GeV=sol.E0, M_GeV=sol.M, r0=sol.r0, Q=sol.Q)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _record(manifest, n, l, method, **values), sol
 
 
 def run_solve(manifest: RunManifest):
@@ -163,7 +143,8 @@ def run_solve(manifest: RunManifest):
             try:
                 rec, sol = solve_level(manifest, n, l, method)
             except SletError as exc:
-                records.append(_failed_record(manifest, n, l, method, exc))
+                records.append(_record(manifest, n, l, method,
+                                       status=f"error:{type(exc).__name__}"))
                 first_error = first_error or exc
                 continue
             records.append(rec)
@@ -174,24 +155,10 @@ def run_solve(manifest: RunManifest):
 
 def breakdown_dict(sol: engine.SletSolution):
     """Every intermediate of a solve as a JSON-serializable mapping."""
-    return {
-        "n": sol.n, "l": sol.l, "r0": sol.r0, "omega": sol.omega,
-        "xi": None if math.isinf(sol.xi) else sol.xi,
-        "Q": sol.Q, "beta": sol.beta, "lbar": sol.lbar, "E0": sol.E0,
-        "eps": list(sol.eps), "delta": list(sol.delta),
-        "eps_bar": list(sol.eps_bar), "delta_bar": list(sol.delta_bar),
-        "alpha1": sol.alpha1, "alpha2": sol.alpha2,
-        "E2_term": sol.E2_term, "E3_term": sol.E3_term,
-        "binding_energy": sol.binding_energy, "mass": sol.mass,
-        "diagnostics": {
-            "r0_residual": sol.diagnostics.r0_residual,
-            "r0_function_calls": sol.diagnostics.r0_function_calls,
-            "r0_root_count": sol.diagnostics.r0_root_count,
-            "q_lbar_gap": sol.diagnostics.q_lbar_gap,
-            "alpha1_closed_form": sol.diagnostics.alpha1_closed_form,
-            "alpha1_path_gap": sol.diagnostics.alpha1_path_gap,
-        },
-    }
+    info = dataclasses.asdict(sol)
+    if math.isinf(sol.xi):
+        info["xi"] = None
+    return info
 
 
 # -- table reproduction ----------------------------------------------------
@@ -205,34 +172,22 @@ def run_table(table_id: int):
     """
     fixtures.verify_integrity()
     fix = fixtures.TABLES[table_id]
-    potential = parse_potential(fix.potential)
-    pair = ParticlePair(fix.m1, fix.m2)
+    manifest = RunManifest(potential=parse_potential(fix.potential),
+                           m1=fix.m1, m2=fix.m2, levels=list(fix.grid()))
+    method = "closed-form" if table_id == 1 else "slet"
     tolerance = fixtures.SLET_TOLERANCES[table_id]
+    target = fix.cells(fix.slet_row)
 
     records = []
     divergences = {}
     offending = []
-    target = fix.cells(fix.slet_row)
-    for n, l in fix.grid():
-        if table_id == 1:
-            cf = engine.coulomb_closed_form(
-                fix.m1, potential.coulomb_strength(), n)
-            computed = cf.E0
-            rec = SolveRecord(potential=fix.potential, m1=fix.m1, m2=fix.m2,
-                              n=n, l=l, method="closed-form",
-                              E_binding_GeV=computed, M_GeV=cf.M,
-                              r0=cf.r0, Q=cf.Q)
-        else:
-            sol = engine.solve(potential, pair, engine.QuantumNumbers(n, l))
-            computed = sol.binding_energy
-            rec = _record_from_slet(
-                RunManifest(potential=potential, m1=fix.m1, m2=fix.m2,
-                            levels=[]), sol)
+    for n, l in manifest.levels:
+        rec, _ = solve_level(manifest, n, l, method)
         records.append(rec)
-        gap = computed - target[(n, l)]
+        gap = rec.E_binding_GeV - target[(n, l)]
         divergences[(n, l)] = gap
         if abs(gap) > tolerance:
-            offending.append((n, l, computed, target[(n, l)], gap))
+            offending.append((n, l, rec.E_binding_GeV, target[(n, l)], gap))
     return records, divergences, offending
 
 
@@ -284,12 +239,20 @@ def run_compare(manifest: RunManifest):
 
 # -- rendering -------------------------------------------------------------
 
-def render_csv(records) -> str:
+def _csv_cell(value) -> str:
+    """One CSV cell: empty for None, repr for a float (exact round trip)."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render_csv(header, rows) -> str:
+    """One header line, then one line per row of values."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SolveRecord.FIELDS)
-    for rec in records:
-        writer.writerow(rec.row())
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(value) for value in row])
     return buf.getvalue()
 
 
@@ -552,7 +515,9 @@ def cmd_solve(options) -> int:
     manifest = manifest_from_options(options)
     records, breakdowns, first_error = run_solve(manifest)
     if manifest.out_format == "csv":
-        _emit(render_csv(records), manifest.out)
+        _emit(render_csv(SolveRecord.FIELDS,
+                         [rec.as_dict().values() for rec in records]),
+              manifest.out)
     elif manifest.out_format == "json":
         payload = {"records": [r.as_dict() for r in records]}
         if breakdowns:
@@ -571,7 +536,9 @@ def cmd_table(options) -> int:
     records, divergences, offending = run_table(table_id)
     fmt = options["format"] or "text"
     if fmt == "csv":
-        _emit(render_csv(records), options.get("out"))
+        _emit(render_csv(SolveRecord.FIELDS,
+                         [rec.as_dict().values() for rec in records]),
+              options.get("out"))
     elif fmt == "json":
         payload = {
             "table": table_id,
@@ -603,12 +570,8 @@ def cmd_compare(options) -> int:
         keys += sorted({k for row in rows for k in row
                         if k.startswith("fixture")})
         keys.append("status")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in keys])
-        _emit(buf.getvalue(), manifest.out)
+        _emit(render_csv(keys, [[row.get(k) for k in keys] for row in rows]),
+              manifest.out)
     else:
         _emit(render_compare_text(rows, summary), manifest.out)
     failed = summary["failed"]

@@ -8,14 +8,17 @@ momentum lbar = l - beta, with the shift beta chosen so the first
 subleading energy term vanishes.  The pipeline is:
 
     solve_r0 -> geometry (xi, Q, omega) -> beta, lbar -> leading energy E0
-    -> Taylor coefficients eps1..4 -> alpha1 -> E2 -> delta1..6 -> alpha2
-    -> E3 -> binding energy and total mass
+    -> V^(0..6) at r0 -> eps1..4 -> closed-form alpha1 -> delta1..6
+    -> one order-4 series (alpha1, alpha2) -> E2, E3
+    -> binding energy and total mass
 
 Q is treated as a continuous function Q(r0) while iterating and is
 identified with lbar^2 only at the converged point, where the root
-equation makes sqrt(Q) = lbar hold automatically.  The correction
-coefficients alpha1 and alpha2 are defined by the perturbation module's
-order-by-order series; a closed form for alpha1 is kept as a cross-check.
+equation makes sqrt(Q) = lbar hold automatically.  The reported
+correction coefficients alpha1 and alpha2 come from the perturbation
+module's order-by-order series.  The closed form for alpha1 supplies the
+E2 that delta1 and delta2 need before the series can run, and checks the
+series' alpha1 afterwards.
 """
 
 from __future__ import annotations
@@ -38,7 +41,13 @@ from .errors import (
     SletError,
     UnphysicalCouplingError,
 )
-from .potentials import ParticlePair, PotentialModel, fall_to_center_check
+from .potentials import (
+    MAX_DERIVATIVE_ORDER,
+    ParticlePair,
+    PotentialModel,
+    fall_to_center_check,
+    gamma_from_stack,
+)
 
 R0_SCAN_PANELS = 200
 R0_TOLERANCE = 1e-12
@@ -289,19 +298,20 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
 def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
                         r0: float, Q: float, beta: float, E0: float,
                         omega: float, n: int) -> TaylorCoefficients:
-    """Perturbation coefficients of level n from the derivative stacks at r0.
+    """Perturbation coefficients of level n from one derivative stack at r0.
 
     delta1 and delta2 contain the second-order energy
     E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D), with D from
-    :func:`energy_denominator`, so the eps are computed first, alpha1
-    follows from their order-2 series, and the delta set is completed
-    with the resulting E2.
+    :func:`energy_denominator`.  The series cannot run before the deltas
+    exist, so this alpha1 comes from :func:`alpha1_closed_form` of the
+    scaled eps, which are computed first.
     """
     mu, eta = pair.mu, pair.eta
     inv_eta = 0.0 if math.isinf(eta) else 1.0 / eta
     two_b1 = 2.0 * beta + 1.0
-    d = {k: potential.derivative(r0, k) for k in (1, 2, 3, 4, 5, 6)}
-    g = {k: potential.gamma_derivative(pair, r0, k) for k in (3, 4, 5, 6)}
+    d = [potential.derivative(r0, k) for k in range(MAX_DERIVATIVE_ORDER + 1)]
+    g = {k: gamma_from_stack(d, eta, k) for k in (3, 4, 5, 6)}
+    scale = 2.0 * mu * omega
 
     eps = (
         -two_b1 / mu,
@@ -309,7 +319,8 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
         -2.0 / mu + r0**5 / (6.0 * Q) * (g[3] + d[3] * E0 * inv_eta),
         5.0 / (2.0 * mu) + r0**6 / (24.0 * Q) * (g[4] + d[4] * E0 * inv_eta),
     )
-    alpha1, _ = _series_alpha(mu, omega, n, eps)
+    eps_bar = tuple(e / scale ** ((i + 1) / 2.0) for i, e in enumerate(eps))
+    alpha1 = alpha1_closed_form(n, omega, eps_bar)
     e2 = (Q * (alpha1 + beta * (beta + 1.0) / (2.0 * mu))
           / (r0**2 * energy_denominator(pair, r0, Q)))
     delta = (
@@ -321,9 +332,6 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
         -3.0 / mu + r0**7 / (120.0 * Q) * (g[5] + d[5] * E0 * inv_eta),
         7.0 / (2.0 * mu) + r0**8 / (720.0 * Q) * (g[6] + d[6] * E0 * inv_eta),
     )
-
-    scale = 2.0 * mu * omega
-    eps_bar = tuple(e / scale ** ((i + 1) / 2.0) for i, e in enumerate(eps))
     delta_bar = tuple(dj / scale ** ((j + 1) / 2.0)
                       for j, dj in enumerate(delta))
     return TaylorCoefficients(eps=eps, delta=delta,
@@ -333,8 +341,9 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
 def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
     """Closed form for the first correction coefficient.
 
-    Standard shifted-expansion result in the scaled coefficients; used
-    as an independent cross-check of the series path.
+    Standard shifted-expansion result in the scaled coefficients.  It
+    seeds E2 inside delta1 and delta2 (see :func:`taylor_coefficients`)
+    and is the independent cross-check of the series' alpha1.
     """
     e1, e2, e3, e4 = eps_bar
     return ((1 + 2 * n) * e2 + 3.0 * (1 + 2 * n + 2 * n * n) * e4
@@ -342,16 +351,14 @@ def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
                + (11 + 30 * n + 30 * n * n) * e3 * e3) / omega)
 
 
-def _series_alpha(mu: float, omega: float, n: int, eps, delta=()):
-    """(alpha1, alpha2) from the series; alpha2 is 0.0 without a delta set."""
-    terms = {1: ((1, eps[0]), (3, eps[2])), 2: ((2, eps[1]), (4, eps[3]))}
-    if delta:
-        terms[3] = ((1, delta[0]), (3, delta[2]), (5, delta[4]))
-        terms[4] = ((2, delta[1]), (4, delta[3]), (6, delta[5]))
+def _series_alpha(mu: float, omega: float, n: int, eps, delta):
+    """(alpha1, alpha2) from the order-4 series of the perturbed oscillator."""
+    terms = {1: ((1, eps[0]), (3, eps[2])), 2: ((2, eps[1]), (4, eps[3])),
+             3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
+             4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))}
     problem = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
                                    terms_by_order=terms)
-    return pt.alpha_from_series(
-        pt.rspt_coefficients(problem, max_order=len(terms)))
+    return pt.alpha_from_series(pt.rspt_coefficients(problem))
 
 
 def correction_energies(r0: float, Q: float, E0: float, v_at_r0: float,

@@ -64,6 +64,10 @@ FIRST_PASS_ENERGY_FRACTION = 0.7
 MAX_OUTER_EVALUATIONS = 100
 # residual samples across the window attached to a WindowError
 FAILURE_SWEEP_POINTS = 48
+# |g(E)| at which the outer iteration may stop
+RESIDUAL_TOLERANCE = 1e-10
+# eigenvector entries below this fraction of the largest carry no node
+NODE_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,6 @@ def _is_confining(potential) -> bool:
 def default_grid(potential: PotentialModel, pair: ParticlePair,
                  qn: QuantumNumbers | None = None,
                  point_count: int = DEFAULT_POINT_COUNT,
-                 r_min: float = DEFAULT_R_MIN,
                  r_max: float | None = None) -> RadialGrid:
     """Grid sized from the potential's own length scales and the level.
 
@@ -115,7 +118,7 @@ def default_grid(potential: PotentialModel, pair: ParticlePair,
         r_max = R_MAX_SCALE_FACTOR * max((1.0, *scales))
         if qn is not None and not _is_confining(potential):
             r_max *= qn.n + qn.l + 1
-    return RadialGrid(r_min, r_max, point_count)
+    return RadialGrid(DEFAULT_R_MIN, r_max, point_count)
 
 
 def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
@@ -172,9 +175,9 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int):
     return float(vals[0]), vec
 
 
-def count_nodes(vec: np.ndarray, threshold: float = 1e-8) -> int:
-    """Interior sign changes, ignoring entries below threshold * max."""
-    cut = threshold * float(np.max(np.abs(vec)))
+def count_nodes(vec: np.ndarray) -> int:
+    """Interior sign changes, ignoring entries below NODE_THRESHOLD * max."""
+    cut = NODE_THRESHOLD * float(np.max(np.abs(vec)))
     sig = vec[np.abs(vec) > cut]
     return int(np.sum(sig[:-1] * sig[1:] < 0.0))
 
@@ -228,8 +231,7 @@ def _residual(potential, pair, qn, grid, e_trial):
             - e_trial**2 / (2.0 * pair.eta))
 
 
-def _solve_on_grid(potential, pair, qn, grid, window, start,
-                   residual_tolerance):
+def _solve_on_grid(potential, pair, qn, grid, window, start):
     """Safeguarded Newton iteration for the root of g(E) on a fixed grid.
 
     The slope comes with the eigenvector: by Hellmann-Feynman
@@ -257,7 +259,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start,
         xtol = 1e-13 + 4.0 * np.finfo(float).eps * abs(energy)
         # the residual has a floor set by the eigensolver's own
         # tolerance, so convergence also counts once it stops falling
-        if abs(value) <= residual_tolerance and (
+        if abs(value) <= RESIDUAL_TOLERANCE and (
                 abs(step) <= xtol or abs(value) > 0.1 * previous):
             return energy, abs(value), evaluations, vec, tuple(nodes_along)
         previous = abs(value)
@@ -280,7 +282,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start,
             f"[{lo:g}, {hi:g}]; sweep attached", sweep=sweep)
     raise ConvergenceError(
         f"self-consistency residual {previous:g} above tolerance "
-        f"{residual_tolerance:g} after {evaluations} evaluations")
+        f"{RESIDUAL_TOLERANCE:g} after {evaluations} evaluations")
 
 
 def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
@@ -304,14 +306,13 @@ def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
 
 def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                          qn: QuantumNumbers, grid: RadialGrid | None = None,
-                         window: tuple | None = None,
-                         residual_tolerance: float = 1e-10) -> OracleSolution:
+                         window: tuple | None = None) -> OracleSolution:
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
     Finds the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a Newton
     iteration with the Hellmann-Feynman slope, started from the
     nonrelativistic eigenvalue estimate and safeguarded by bisection
-    inside a physically bounded window, down to |g| <= residual_tolerance.
+    inside a physically bounded window, down to |g| <= RESIDUAL_TOLERANCE.
     The default window runs from -1.8 (m1 + m2), clipped above -eta
     where the right-hand side stops being monotone, up to 50 times the
     estimate; for relativistic confining problems it starts just below
@@ -360,7 +361,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
     energy, residual, used, vec, nodes_along = _solve_on_grid(
-        potential, pair, qn, work_grid, window, e_nr, residual_tolerance)
+        potential, pair, qn, work_grid, window, e_nr)
     evaluations = 1 + used
 
     if work_grid is not base:
@@ -368,8 +369,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         if wall is not None:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
             energy, residual, used, vec, more_nodes = _solve_on_grid(
-                potential, pair, qn, work_grid, window, energy,
-                residual_tolerance)
+                potential, pair, qn, work_grid, window, energy)
             evaluations += used
             nodes_along += more_nodes
 

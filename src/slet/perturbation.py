@@ -115,7 +115,7 @@ class SeriesCoefficients:
     c4: float
 
 
-def _run_recursion(problem: AnharmonicProblem, max_order: int, size: int):
+def _run_recursion(problem: AnharmonicProblem, size: int):
     mu, omega, n = problem.mu, problem.omega, problem.level
     if size < n + BASIS_MARGIN:
         # a smaller basis truncates psi_3 and silently changes c4
@@ -140,7 +140,7 @@ def _run_recursion(problem: AnharmonicProblem, max_order: int, size: int):
     psi = [np.zeros(size)]
     psi[0][n] = 1.0
     energies = []
-    for k in range(1, max_order + 1):
+    for k in (1, 2, 3, 4):
         applied = [w[j] @ psi[k - j] for j in w if j <= k]
         ek = float(sum(vec[n] for vec in applied)) if applied else 0.0
         energies.append(ek)
@@ -151,19 +151,14 @@ def _run_recursion(problem: AnharmonicProblem, max_order: int, size: int):
     return energies
 
 
-def rspt_coefficients(problem: AnharmonicProblem,
-                      max_order: int = 4) -> SeriesCoefficients:
-    """Eigenvalue series coefficients of level n through lambda^max_order.
+def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
+    """Eigenvalue series coefficients c1..c4 of level n.
 
     Runs in the exact minimal basis of ``level + 10`` states (see the
-    module docstring).  Coefficients above ``max_order`` (1..4) are
-    returned as zero.
+    module docstring).
     """
-    if max_order not in (1, 2, 3, 4):
-        raise ValueError("max_order must be in 1..4")
-    coeffs = _run_recursion(problem, max_order, problem.level + BASIS_MARGIN)
-    padded = list(coeffs) + [0.0] * (4 - len(coeffs))
-    return SeriesCoefficients(*padded)
+    return SeriesCoefficients(
+        *_run_recursion(problem, problem.level + BASIS_MARGIN))
 
 
 def alpha_from_series(coeffs: SeriesCoefficients,

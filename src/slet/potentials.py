@@ -2,7 +2,9 @@
 
 Every model is a finite sum of monomials c * r**p with real exponents, so
 every radial derivative up to order six is available in closed form (the
-sixth order is the highest one the correction coefficients consume).
+sixth order is the highest one the correction coefficients consume), and
+so is every derivative of gamma = V - V^2/(2 eta), by the Leibniz rule on
+that stack.
 The fall-to-center check that both solvers run first lives here too.
 Units follow hbar = c = 1: masses and energies in GeV, lengths in 1/GeV.
 """
@@ -130,18 +132,9 @@ class PotentialModel:
 
     # -- evaluation ------------------------------------------------------
 
-    def _check_radius(self, rr):
-        if np.any(rr <= 0.0):
-            raise ValueError("r must be positive")
-
     def evaluate(self, r):
         """V(r) for scalar or array r > 0."""
-        rr = np.asarray(r, dtype=float)
-        self._check_radius(rr)
-        out = np.zeros_like(rr)
-        for c, p in self.terms:
-            out = out + c * rr**p
-        return float(out) if out.ndim == 0 else out
+        return self.derivative(r, 0)
 
     def derivative(self, r, order: int):
         """Exact d^order V / dr^order for 0 <= order <= 6.
@@ -154,7 +147,8 @@ class PotentialModel:
             raise UnsupportedOrderError(
                 f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {order}")
         rr = np.asarray(r, dtype=float)
-        self._check_radius(rr)
+        if np.any(rr <= 0.0):
+            raise ValueError("r must be positive")
         out = np.zeros_like(rr)
         for c, p in self.terms:
             fac = c
@@ -167,20 +161,11 @@ class PotentialModel:
     def gamma_derivative(self, pair: ParticlePair, r, order: int):
         """Exact derivative of gamma(r) = V(r) - V(r)^2 / (2 eta).
 
-        The V^2 part is differentiated with the Leibniz rule on the
-        exact V-derivative stack.  With a nonrelativistic pair this
-        returns ``derivative`` unchanged (same float, not a copy of the
-        formula), so the two stacks agree bitwise in that mode.
+        Builds the V-derivative stack up to ``order`` once and hands it
+        to :func:`gamma_from_stack`.
         """
-        dv = self.derivative(r, order)
-        eta = pair.eta
-        if math.isinf(eta):
-            return dv
         stack = [self.derivative(r, k) for k in range(order + 1)]
-        vsq = stack[0] * 0.0
-        for k in range(order + 1):
-            vsq = vsq + comb(order, k) * stack[k] * stack[order - k]
-        return dv - vsq / (2.0 * eta)
+        return gamma_from_stack(stack, pair.eta, order)
 
     # -- introspection ---------------------------------------------------
 
@@ -211,6 +196,21 @@ class PotentialModel:
     def singular_powers(self) -> tuple:
         """Powers p < -1 present in the model (inverse-square or worse)."""
         return tuple(p for c, p in self.terms if p < -1.0 and c != 0.0)
+
+
+def gamma_from_stack(stack, eta: float, order: int):
+    """d^order gamma / dr^order from the V-derivative stack V^(0..order).
+
+    The V^2 part is differentiated with the Leibniz rule.  With an
+    infinite eta this returns ``stack[order]`` itself (same float, not a
+    copy of the formula), so gamma and V agree bitwise in that mode.
+    """
+    if math.isinf(eta):
+        return stack[order]
+    vsq = stack[0] * 0.0
+    for k in range(order + 1):
+        vsq = vsq + comb(order, k) * stack[k] * stack[order - k]
+    return stack[order] - vsq / (2.0 * eta)
 
 
 @dataclass(frozen=True)

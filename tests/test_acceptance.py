@@ -143,7 +143,7 @@ def test_criterion_06_alpha1_dual_path(table2_solutions, table3_solutions):
             mu=mu, omega=omega, level=n,
             terms_by_order={1: ((1, eps[0]), (3, eps[2])),
                             2: ((2, eps[1]), (4, eps[3]))})
-        c2 = pt.rspt_coefficients(problem, max_order=2).c2
+        c2 = pt.rspt_coefficients(problem).c2
         closed = alpha1_closed_form(n, omega, eps_bar)
         gap = abs(c2 - closed)
         if abs(closed) > 1e-12 and gap / abs(closed) > 1e-8:

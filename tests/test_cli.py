@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from slet import cli, fixtures
+from slet import cli, engine, fixtures
 from slet.cli import CSV_HEADER, main
 from slet.errors import InternalInconsistencyError
 
@@ -275,6 +276,16 @@ class TestBreakdownCommand:
         assert payload["breakdowns"][0]["xi"] is None
         assert payload["breakdowns"][0]["binding_energy"] == pytest.approx(
             1.5 / (0.655 ** 0.5), rel=1e-10)
+
+    def test_json_carries_every_diagnostic(self, capsys):
+        code, out, _ = run(capsys, "breakdown", "--potential",
+                           "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
+                           "--m2", "1.45", "--n", "1", "--l", "1",
+                           "--format", "json")
+        assert code == 0
+        diagnostics = json.loads(out)["breakdowns"][0]["diagnostics"]
+        assert set(diagnostics) == {
+            f.name for f in dataclasses.fields(engine.SolveDiagnostics)}
 
 
 class TestFixtures:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from slet import perturbation
 from slet.engine import (
     QuantumNumbers,
     correction_energies,
@@ -218,6 +219,25 @@ class TestTaylorCoefficients:
         assert tc.delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
                                             rel=1e-14)
 
+    def test_one_derivative_stack(self, cornell_pot, pair_145, monkeypatch):
+        # V^(0..6) once; gamma^(3..6) come from that stack, not from
+        # fresh gamma_derivative calls
+        calls = []
+
+        def counting(name):
+            original = getattr(PotentialModel, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return original(self, *args)
+            return wrapper
+        for name in ("derivative", "gamma_derivative"):
+            monkeypatch.setattr(PotentialModel, name, counting(name))
+        taylor_coefficients(cornell_pot, pair_145, r0=2.0, Q=4.0, beta=-1.2,
+                            E0=0.3, omega=1.1, n=1)
+        assert calls.count("derivative") <= 7
+        assert "gamma_derivative" not in calls
+
 
 class TestCorrectionEnergies:
     def test_zero_alphas(self):
@@ -324,6 +344,17 @@ class TestFullSolve:
         for sol in list(table2_solutions.values()) + \
                 list(table3_solutions.values()):
             assert sol.diagnostics.alpha1_path_gap <= 1e-8
+
+    def test_one_series_per_solve(self, cornell_pot, pair_145, monkeypatch):
+        calls = []
+        original = perturbation.rspt_coefficients
+
+        def counted(problem, *args, **kwargs):
+            calls.append(problem)
+            return original(problem, *args, **kwargs)
+        monkeypatch.setattr(perturbation, "rspt_coefficients", counted)
+        solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
+        assert len(calls) == 1
 
     def test_stage_labels(self, pair_145):
         pot = PotentialModel.custom([(-0.5, 1.0)])

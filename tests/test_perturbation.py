@@ -117,7 +117,7 @@ class TestSeriesStructure:
             n = int(rng.integers(0, 5))
             eps_bar = rng.uniform(-1, 1, 4)
             problem = make_problem(mu, omega, n, eps_bar)
-            c = rspt_coefficients(problem, max_order=2)
+            c = rspt_coefficients(problem)
             closed = alpha1_closed_form(n, omega, eps_bar)
             if abs(closed) > 1e-12:
                 assert c.c2 == pytest.approx(closed, rel=1e-8)
@@ -127,7 +127,7 @@ class TestSeriesStructure:
     def test_basis_doubling_stability(self):
         problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
         small = rspt_coefficients(problem)
-        big = _run_recursion(problem, 4, 2 * (problem.level + 10))
+        big = _run_recursion(problem, 2 * (problem.level + 10))
         assert big[1] == pytest.approx(small.c2, rel=1e-9)
         assert big[3] == pytest.approx(small.c4, rel=1e-9)
 
@@ -138,7 +138,7 @@ class TestSeriesStructure:
             problem = make_problem(mu, omega, 0,
                                    (rng.uniform(-1, 1), 0,
                                     rng.uniform(-1, 1), 0))
-            c = rspt_coefficients(problem, max_order=2)
+            c = rspt_coefficients(problem)
             assert c.c2 <= 1e-15
 
 
@@ -146,7 +146,7 @@ class TestValidation:
     def test_small_basis_rejected(self):
         problem = make_problem(1.0, 1.0, 0, (0.1, 0, 0, 0))
         with pytest.raises(ValueError):
-            _run_recursion(problem, 4, 9)
+            _run_recursion(problem, 9)
 
     def test_parity_pattern_enforced(self):
         with pytest.raises(ValueError):
@@ -174,6 +174,6 @@ class TestValidation:
                                             omega=rng.uniform(0.05, 4.0),
                                             level=n, terms_by_order=terms)
                 got = rspt_coefficients(problem)
-                ref = _run_recursion(problem, 4, 4 * (n + 10))
+                ref = _run_recursion(problem, 4 * (n + 10))
                 assert got.c2 == pytest.approx(ref[1], rel=1e-13)
                 assert got.c4 == pytest.approx(ref[3], rel=1e-13)
