@@ -89,19 +89,20 @@ class SolveRecord:
     alpha2: float | None = None
     status: str = "ok"
 
-    FIELDS = ("potential", "m1", "m2", "n", "l", "method", "E_binding_GeV",
-              "M_GeV", "r0", "Q", "omega", "alpha1", "alpha2", "status")
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-
-CSV_HEADER = ",".join(SolveRecord.FIELDS)
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SolveRecord))
+CSV_HEADER = ",".join(RECORD_FIELDS)
 
 
 def _record(manifest, n, l, method, **values) -> SolveRecord:
     return SolveRecord(potential=manifest.potential.label, m1=manifest.m1,
                        m2=manifest.m2, n=n, l=l, method=method, **values)
+
+
+def _status(exc: SletError) -> str:
+    """``error:<Class>@<stage>``, or ``error:<Class>`` without a stage."""
+    stage = getattr(exc, "stage", None)
+    return f"error:{type(exc).__name__}" + (f"@{stage}" if stage else "")
 
 
 def solve_level(manifest: RunManifest, n: int, l: int, method: str):
@@ -144,7 +145,7 @@ def run_solve(manifest: RunManifest):
                 rec, sol = solve_level(manifest, n, l, method)
             except SletError as exc:
                 records.append(_record(manifest, n, l, method,
-                                       status=f"error:{type(exc).__name__}"))
+                                       status=_status(exc)))
                 first_error = first_error or exc
                 continue
             records.append(rec)
@@ -216,7 +217,7 @@ def run_compare(manifest: RunManifest):
             row["E_oracle_GeV"] = rec_o.E_binding_GeV
             row["difference_GeV"] = rec_s.E_binding_GeV - rec_o.E_binding_GeV
         except SletError as exc:
-            row["status"] = f"error:{type(exc).__name__}"
+            row["status"] = _status(exc)
         if fix is not None:
             cells = fix.cells(fix.slet_row)
             if (n, l) in cells:
@@ -515,11 +516,11 @@ def cmd_solve(options) -> int:
     manifest = manifest_from_options(options)
     records, breakdowns, first_error = run_solve(manifest)
     if manifest.out_format == "csv":
-        _emit(render_csv(SolveRecord.FIELDS,
-                         [rec.as_dict().values() for rec in records]),
+        _emit(render_csv(RECORD_FIELDS,
+                         [dataclasses.astuple(rec) for rec in records]),
               manifest.out)
     elif manifest.out_format == "json":
-        payload = {"records": [r.as_dict() for r in records]}
+        payload = {"records": [dataclasses.asdict(r) for r in records]}
         if breakdowns:
             payload["breakdowns"] = breakdowns
         _emit(render_json(payload), manifest.out)
@@ -536,14 +537,14 @@ def cmd_table(options) -> int:
     records, divergences, offending = run_table(table_id)
     fmt = options["format"] or "text"
     if fmt == "csv":
-        _emit(render_csv(SolveRecord.FIELDS,
-                         [rec.as_dict().values() for rec in records]),
+        _emit(render_csv(RECORD_FIELDS,
+                         [dataclasses.astuple(rec) for rec in records]),
               options.get("out"))
     elif fmt == "json":
         payload = {
             "table": table_id,
             "tolerance_GeV": fixtures.SLET_TOLERANCES[table_id],
-            "records": [r.as_dict() for r in records],
+            "records": [dataclasses.asdict(r) for r in records],
             "divergences": [
                 {"n": n, "l": l, "computed_minus_printed_GeV": gap}
                 for (n, l), gap in sorted(divergences.items())],
@@ -587,8 +588,9 @@ def cmd_breakdown(options) -> int:
     if first_error is not None:
         raise first_error
     if manifest.out_format == "json":
-        _emit(render_json({"records": [r.as_dict() for r in records],
-                           "breakdowns": breakdowns}), manifest.out)
+        records = [dataclasses.asdict(r) for r in records]
+        _emit(render_json({"records": records, "breakdowns": breakdowns}),
+              manifest.out)
     else:
         _emit(render_text(records) + render_breakdown_text(breakdowns[0]),
               manifest.out)

@@ -12,9 +12,11 @@ subleading energy term vanishes.  The pipeline is:
     -> one order-4 series (alpha1, alpha2) -> E2, E3
     -> binding energy and total mass
 
+A nonrelativistic pair (eta = inf) runs through the same formulas.
 Q is treated as a continuous function Q(r0) while iterating and is
 identified with lbar^2 only at the converged point, where the root
-equation makes sqrt(Q) = lbar hold automatically.  The reported
+equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
+the root residual from its one geometry evaluation there.  The reported
 correction coefficients alpha1 and alpha2 come from the perturbation
 module's order-by-order series.  The closed form for alpha1 supplies the
 E2 that delta1 and delta2 need before the series can run, and checks the
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,7 +36,6 @@ from scipy.optimize import brentq
 from . import perturbation as pt
 from .errors import (
     BracketingError,
-    InternalInconsistencyError,
     MultipleRootsWarning,
     NoHarmonicRegimeError,
     NonMonotonePointError,
@@ -92,18 +93,18 @@ class TaylorCoefficients:
     delta_bar: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveDiagnostics:
-    """Residuals and bookkeeping recorded along a solve."""
+    """Residuals and bookkeeping of one solve."""
 
-    r0_residual: float = math.nan
-    r0_function_calls: int = 0
-    r0_iterations: int = 0
-    r0_root_count: int = 1
-    q_lbar_gap: float = math.nan
-    denominator_gap: float = math.nan
-    alpha1_closed_form: float = math.nan
-    alpha1_path_gap: float = math.nan
+    r0_residual: float
+    r0_function_calls: int
+    r0_iterations: int
+    r0_root_count: int
+    q_lbar_gap: float
+    denominator_gap: float
+    alpha1_closed_form: float
+    alpha1_path_gap: float
 
 
 @dataclass
@@ -129,7 +130,7 @@ class SletSolution:
     E3_term: float
     binding_energy: float
     mass: float
-    diagnostics: SolveDiagnostics = field(default_factory=SolveDiagnostics)
+    diagnostics: SolveDiagnostics
 
 
 @contextmanager
@@ -148,26 +149,25 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
                 r0) -> Geometry:
     """xi, Q and omega evaluated at a trial expansion point.
 
+    With s = r0 V'(r0)/(2 eta) and w = sqrt(1 + s^2): xi = w/s,
+    Q = mu r0^3 V' (s + w) and (mu omega)^2 = 3 + r0 V''/V' - 2s/(s + w).
+    At eta = inf, s = 0 gives exactly Q = mu r0^3 V' and xi = inf.
     Requires V'(r0) > 0 and a non-negative squared frequency bracket.
-    With a nonrelativistic pair, xi is reported as inf and Q collapses to
-    its limit mu r0^3 V'(r0).  r0 may be a scalar or an array: a scalar
-    gives floats and raises where a requirement fails, an array gives
-    arrays with NaN at those points.  Both run the same array arithmetic,
-    so each array element equals the scalar result at that radius.
+    r0 may be a scalar or an array: a scalar gives floats and raises
+    where a requirement fails, an array gives arrays with NaN at those
+    points.  Both run the same array arithmetic, so each array element
+    equals the scalar result at that radius.
     """
     r = np.atleast_1d(np.asarray(r0, dtype=float))
     v1 = potential.derivative(r, 1)
     v2 = potential.derivative(r, 2)
-    mu, eta = pair.mu, pair.eta
+    mu = pair.mu
     with np.errstate(all="ignore"):
-        if math.isinf(eta):
-            xi = np.full_like(r, math.inf)
-            q = mu * r**3 * v1
-            bracket = 3.0 + r * v2 / v1
-        else:
-            xi = np.sqrt(1.0 + (2.0 * eta / (r * v1)) ** 2)
-            q = (mu / (2.0 * eta)) * (r**2 * v1) ** 2 * (1.0 + xi)
-            bracket = 3.0 + r * v2 / v1 - mu * r**4 * v1**2 / (q * eta)
+        s = r * v1 / (2.0 * pair.eta)
+        w = np.sqrt(1.0 + s * s)
+        xi = w / s
+        q = mu * r**3 * v1 * (s + w)
+        bracket = 3.0 + r * v2 / v1 - 2.0 * s / (s + w)
         omega = np.sqrt(bracket) / mu
     if np.ndim(r0) == 0:
         r, v1, bracket = float(r[0]), float(v1[0]), float(bracket[0])
@@ -195,19 +195,16 @@ def leading_energy(potential: PotentialModel, pair: ParticlePair,
                    r0: float, Q: float) -> float:
     """Leading eigenvalue E0 = V(r0) - eta + sqrt(eta^2 + eta Q/(mu r0^2)).
 
-    Evaluated in the cancellation-free form
-    V + Q / (mu r0^2 (1 + sqrt(1 + Q/(mu eta r0^2)))), which also covers
-    the nonrelativistic eta -> inf limit V + Q / (2 mu r0^2) exactly.
+    Evaluated in the cancellation-free form V + Q / (mu r0^2 (1 + D)),
+    with D from :func:`energy_denominator`; at eta = inf, D = 1 gives
+    the nonrelativistic V + Q / (2 mu r0^2) exactly.
     """
-    mu, eta = pair.mu, pair.eta
-    x = 0.0 if math.isinf(eta) else Q / (mu * eta * r0**2)
-    return potential.evaluate(r0) + Q / (mu * r0**2 * (1.0 + math.sqrt(1.0 + x)))
+    d = energy_denominator(pair, r0, Q)
+    return potential.evaluate(r0) + Q / (pair.mu * r0**2 * (1.0 + d))
 
 
 def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
-    """sqrt(1 + Q / (mu eta r0^2)), the factor 1 + (E0 - V(r0))/eta."""
-    if math.isinf(pair.eta):
-        return 1.0
+    """D = sqrt(1 + Q / (mu eta r0^2)) = 1 + (E0 - V(r0))/eta, >= 1."""
     return math.sqrt(1.0 + Q / (pair.mu * pair.eta * r0**2))
 
 
@@ -227,7 +224,7 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
 
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
              qn: QuantumNumbers):
-    """Locate the expansion point; returns (r0, SolveDiagnostics).
+    """Expansion point as (r0, (function_calls, iterations, root_count)).
 
     One array call of :func:`r0_residual` scans R0_SCAN_PANELS
     logarithmic panels from 1e-3 times the smallest to 10 (2n + l + 2)^2
@@ -238,7 +235,7 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     overflows are skipped.  Every sign change is polished with Brent's
     method; if several roots survive, the one with the lowest leading
     energy wins and a MultipleRootsWarning is issued.
-    ``r0_function_calls`` counts the scan points plus the polish calls.
+    ``function_calls`` counts the scan points plus the polish calls.
     """
     scales = potential.length_scales(pair.mu) or (1.0,)
     lo = 1e-3 * min(scales)
@@ -287,12 +284,7 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     else:
         r0 = unique[0]
 
-    return r0, SolveDiagnostics(
-        r0_residual=r0_residual(potential, pair, qn, r0),
-        r0_function_calls=calls,
-        r0_iterations=iterations,
-        r0_root_count=len(unique),
-    )
+    return r0, (calls, iterations, len(unique))
 
 
 def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
@@ -307,7 +299,7 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
     scaled eps, which are computed first.
     """
     mu, eta = pair.mu, pair.eta
-    inv_eta = 0.0 if math.isinf(eta) else 1.0 / eta
+    inv_eta = 1.0 / eta
     two_b1 = 2.0 * beta + 1.0
     d = [potential.derivative(r0, k) for k in range(MAX_DERIVATIVE_ORDER + 1)]
     g = {k: gamma_from_stack(d, eta, k) for k in (3, 4, 5, 6)}
@@ -361,9 +353,8 @@ def _series_alpha(mu: float, omega: float, n: int, eps, delta):
     return pt.alpha_from_series(pt.rspt_coefficients(problem))
 
 
-def correction_energies(r0: float, Q: float, E0: float, v_at_r0: float,
-                        eta: float, alpha1: float, alpha2: float,
-                        lbar: float, mu: float, beta: float):
+def correction_energies(r0: float, denominator: float, alpha1: float,
+                        alpha2: float, lbar: float, mu: float, beta: float):
     """Second and third correction terms of the assembled eigenvalue.
 
     Matching the eigenvalue series order by order gives
@@ -371,19 +362,17 @@ def correction_energies(r0: float, Q: float, E0: float, v_at_r0: float,
         E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D)
         E3 = Q  alpha2                           / (r0^2 D)
 
-    with the positive denominator D = 1 + (E0 - V(r0))/eta.  The
-    centrifugal-shift constant beta(beta+1)/(2 mu) rides along with the
-    series coefficient alpha1; without it the construction would lose
-    its exactness for the nonrelativistic oscillator, where the two
-    pieces cancel identically.  The returned terms are the assembled
-    corrections E2/lbar^2 and E3/lbar^3 with Q identified as lbar^2.
+    with D = 1 + (E0 - V(r0))/eta from :func:`energy_denominator`, which
+    is at least 1.  The centrifugal-shift constant beta(beta+1)/(2 mu)
+    rides along with the series coefficient alpha1; without it the
+    construction would lose its exactness for the nonrelativistic
+    oscillator, where the two pieces cancel identically.  The returned
+    terms are the assembled corrections E2/lbar^2 and E3/lbar^3 with Q
+    identified as lbar^2.
     """
-    d = 1.0 if math.isinf(eta) else 1.0 + (E0 - v_at_r0) / eta
-    if not d > 0.0:
-        raise InternalInconsistencyError(
-            f"energy denominator {d:g} is not positive at r0 = {r0:g}")
     first = alpha1 + beta * (beta + 1.0) / (2.0 * mu)
-    return first / (r0**2 * d), alpha2 / (r0**2 * d * lbar)
+    scale = r0**2 * denominator
+    return first / scale, alpha2 / (scale * lbar)
 
 
 def solve(potential: PotentialModel, pair: ParticlePair,
@@ -393,13 +382,13 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     with _stage("fall_to_center"):
         fall_to_center_check(potential, pair, l).raise_if_failed()
     with _stage("solve_r0"):
-        r0, diag = solve_r0(potential, pair, qn)
+        r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
     with _stage("geometry"):
         geo = geometry_at(potential, pair, r0)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
     with _stage("leading_energy"):
         e0 = leading_energy(potential, pair, r0, geo.Q)
-    v0 = potential.evaluate(r0)
+    denominator = energy_denominator(pair, r0, geo.Q)
 
     with _stage("taylor_coefficients"):
         coeffs = taylor_coefficients(potential, pair, r0, geo.Q, beta, e0,
@@ -407,21 +396,21 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     with _stage("alpha2"):
         alpha1, alpha2 = _series_alpha(pair.mu, geo.omega, n, coeffs.eps,
                                         coeffs.delta)
-
-    with _stage("correction_energies"):
-        e2_term, e3_term = correction_energies(r0, geo.Q, e0, v0, pair.eta,
-                                               alpha1, alpha2, lbar,
-                                               pair.mu, beta)
+    e2_term, e3_term = correction_energies(r0, denominator, alpha1, alpha2,
+                                           lbar, pair.mu, beta)
     binding = e0 + e2_term + e3_term
 
     closed1 = alpha1_closed_form(n, geo.omega, coeffs.eps_bar)
-    diag.q_lbar_gap = abs(math.sqrt(geo.Q) - lbar) / lbar
-    diag.denominator_gap = abs(energy_denominator(pair, r0, geo.Q)
-                               - (1.0 if math.isinf(pair.eta)
-                                  else 1.0 + (e0 - v0) / pair.eta))
-    diag.alpha1_closed_form = closed1
-    diag.alpha1_path_gap = (abs(alpha1 - closed1) / abs(alpha1)
-                            if abs(alpha1) > 1e-12 else abs(alpha1 - closed1))
+    gap = math.sqrt(geo.Q) - lbar
+    v0 = potential.evaluate(r0)
+    diag = SolveDiagnostics(
+        r0_residual=2.0 * gap, r0_function_calls=calls,
+        r0_iterations=iterations, r0_root_count=root_count,
+        q_lbar_gap=abs(gap) / lbar,
+        denominator_gap=abs(denominator - (1.0 + (e0 - v0) / pair.eta)),
+        alpha1_closed_form=closed1,
+        alpha1_path_gap=(abs(alpha1 - closed1) / abs(alpha1)
+                         if abs(alpha1) > 1e-12 else abs(alpha1 - closed1)))
 
     return SletSolution(
         n=n, l=l, r0=r0, omega=geo.omega, xi=geo.xi, Q=geo.Q, beta=beta,

@@ -133,17 +133,14 @@ def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
     r = grid.points
     mu, eta = pair.mu, pair.eta
     v = potential.evaluate(r)
-    if math.isinf(eta):
-        veff = v.copy()
-    else:
-        veff = v - v * v / (2.0 * eta) + e_trial * v / eta
+    veff = v - v * v / (2.0 * eta) + e_trial * v / eta
     if l > 0:
         veff = veff + l * (l + 1) / (2.0 * mu * r * r)
     inv_h2 = 1.0 / (mu * grid.h**2)
     diag = inv_h2 + veff
     off = np.full(grid.point_count - 1, -0.5 * inv_h2)
 
-    lam_trial = e_trial if math.isinf(eta) else e_trial + e_trial**2 / (2.0 * eta)
+    lam_trial = e_trial + e_trial**2 / (2.0 * eta)
     interior = veff[grid.point_count // 100:]
     kinetic = lam_trial - float(np.min(interior))
     if kinetic > 0.0 and math.sqrt(2.0 * mu * kinetic) * grid.h > 0.5:

@@ -39,6 +39,9 @@ ALLOWED_POWERS = {1: (1, 3), 2: (2, 4), 3: (1, 3, 5), 4: (2, 4, 6)}
 # psi_3 reaches level + 9, the last state of the basis
 BASIS_MARGIN = 10
 
+# |c1| and |c3| above this mean terms were assembled at the wrong orders
+PARITY_TOLERANCE = 1e-10
+
 
 def position_matrix(mu: float, omega: float, basis_size: int) -> np.ndarray:
     """Coordinate operator in the oscillator eigenbasis.
@@ -161,15 +164,14 @@ def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
         *_run_recursion(problem, problem.level + BASIS_MARGIN))
 
 
-def alpha_from_series(coeffs: SeriesCoefficients,
-                      parity_tolerance: float = 1e-10):
+def alpha_from_series(coeffs: SeriesCoefficients):
     """Extract (alpha1, alpha2) = (c2, c4) after checking parity zeros.
 
-    The odd-order coefficients vanish for any admissible problem; a
-    large c1 or c3 means the terms were assembled at the wrong orders.
+    The odd-order coefficients vanish for any admissible problem (see
+    PARITY_TOLERANCE).
     """
     for name, value in (("c1", coeffs.c1), ("c3", coeffs.c3)):
-        if abs(value) > parity_tolerance:
+        if abs(value) > PARITY_TOLERANCE:
             raise ParityViolationError(
                 f"odd-order coefficient {name} = {value!r} is not zero; "
                 "perturbation terms are mis-assigned")

@@ -34,8 +34,9 @@ class ParticlePair:
     ``mu`` is the reduced mass, ``nu = m1^3 m2^3 / (m1^3 + m2^3)`` and
     ``eta = nu / mu^2`` sets the size of the relativistic correction
     terms.  A pair built with ``relativistic=False`` reports an infinite
-    eta, which switches every correction term off exactly and makes the
-    solvers reproduce plain nonrelativistic spectra.
+    eta; 1/eta = 0 then switches every correction term off exactly in
+    the same formulas, and the solvers reproduce plain nonrelativistic
+    spectra.
     """
 
     m1: float
@@ -202,11 +203,9 @@ def gamma_from_stack(stack, eta: float, order: int):
     """d^order gamma / dr^order from the V-derivative stack V^(0..order).
 
     The V^2 part is differentiated with the Leibniz rule.  With an
-    infinite eta this returns ``stack[order]`` itself (same float, not a
-    copy of the formula), so gamma and V agree bitwise in that mode.
+    infinite eta the V^2 part divides to zero, so gamma and V agree
+    bitwise.
     """
-    if math.isinf(eta):
-        return stack[order]
     vsq = stack[0] * 0.0
     for k in range(order + 1):
         vsq = vsq + comb(order, k) * stack[k] * stack[order - k]
@@ -248,9 +247,7 @@ def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
             passed=False, strength=-math.inf, margin=-math.inf,
             reason=f"potential has non-integrable powers {bad}")
     alpha = potential.coulomb_strength()
-    s = float(l * (l + 1))
-    if alpha > 0.0 and not math.isinf(pair.eta):
-        s -= pair.mu * alpha**2 / pair.eta
+    s = float(l * (l + 1)) - pair.mu * alpha**2 / pair.eta
     margin = s + 0.25
     return FallToCenterResult(passed=margin > 0.0, strength=s, margin=margin)
 

@@ -94,14 +94,14 @@ class TestSolveCommand:
                            "coulomb:alpha=1.2", "--m1", "1", "--m2", "1",
                            "--n", "0", "--l", "0", "--method", "slet")
         assert code == 4
-        assert "SupercriticalCouplingError" in out
+        assert "error:SupercriticalCouplingError@fall_to_center" in out
 
     def test_bracketing_failure_exit(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential",
                            "custom:-0.5*r^1", "--m1", "1", "--m2", "1",
                            "--method", "slet")
         assert code == 3
-        assert "BracketingError" in out
+        assert "error:BracketingError@solve_r0" in out
 
     def test_closed_form_restrictions(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "oscillator:k=1",

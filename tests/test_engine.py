@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from slet import perturbation
+from slet import engine, perturbation
 from slet.engine import (
+    R0_SCAN_PANELS,
     QuantumNumbers,
     correction_energies,
     coulomb_closed_form,
@@ -54,13 +55,19 @@ class TestGeometry:
         assert geo.Q == pytest.approx(1.0, rel=1e-10)
 
     def test_nonrelativistic_limit_of_q(self):
-        # eta -> inf turns Q into mu r0^3 V'(r0); probed at eta = 1e8
+        # eta -> inf turns Q into mu r0^3 V'(r0): exactly at eta = inf,
+        # and approached as the masses grow
         pot = PotentialModel.oscillator(1.0)
-        heavy = ParticlePair.equal(5e7)  # eta = 1e8
         r0 = 1.3
-        geo = geometry_at(pot, heavy, r0)
-        limit = heavy.mu * r0**3 * pot.derivative(r0, 1)
-        assert geo.Q == pytest.approx(limit, rel=1e-4)
+        for m, rel in ((5e7, 1e-4), (5e11, 1e-10)):  # eta = 2m
+            heavy = ParticlePair.equal(m)
+            limit = heavy.mu * r0**3 * pot.derivative(r0, 1)
+            assert geometry_at(pot, heavy, r0).Q == pytest.approx(limit,
+                                                                  rel=rel)
+        pair = ParticlePair.equal(1.31, relativistic=False)
+        geo = geometry_at(pot, pair, r0)
+        assert geo.Q == pair.mu * r0**3 * pot.derivative(r0, 1)
+        assert geo.xi == math.inf
 
     def test_omega_near_coulomb_ratio(self, coulomb_pot, pair_145):
         # the scaled frequency sits within 1% of 2/m for alpha = 0.25
@@ -242,15 +249,10 @@ class TestTaylorCoefficients:
 class TestCorrectionEnergies:
     def test_zero_alphas(self):
         # with beta(beta+1) = 0 too, both terms vanish and E = E0
-        e2, e3 = correction_energies(r0=2.0, Q=4.0, E0=0.1, v_at_r0=0.05,
-                                     eta=2.9, alpha1=0.0, alpha2=0.0,
-                                     lbar=2.0, mu=0.725, beta=-1.0)
+        e2, e3 = correction_energies(r0=2.0, denominator=1.02, alpha1=0.0,
+                                     alpha2=0.0, lbar=2.0, mu=0.725,
+                                     beta=-1.0)
         assert e2 == 0.0 and e3 == 0.0
-
-    def test_inconsistent_denominator(self):
-        with pytest.raises(Exception):
-            correction_energies(2.0, 4.0, -10.0, 0.0, 2.9, 1.0, 1.0, 2.0,
-                                0.725, -1.0)
 
 
 class TestClosedForms:
@@ -355,6 +357,28 @@ class TestFullSolve:
         monkeypatch.setattr(perturbation, "rspt_coefficients", counted)
         solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
         assert len(calls) == 1
+
+    def test_geometry_once_at_r0(self, monkeypatch):
+        # one array scan plus the polish calls, then a single geometry
+        # at the converged r0 in solve
+        counts = {"r0_residual": 0, "geometry_at": 0}
+
+        def counting(name):
+            original = getattr(engine, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+        for name in counts:
+            monkeypatch.setattr(engine, name, counting(name))
+        pot = PotentialModel.cornell(0.25, 0.18)
+        sol = solve(pot, ParticlePair.equal(1.45), QuantumNumbers(1, 1))
+        diag = sol.diagnostics
+        assert diag.r0_root_count == 1
+        residual_calls = 1 + diag.r0_function_calls - (R0_SCAN_PANELS + 1)
+        assert counts["r0_residual"] == residual_calls
+        assert counts["geometry_at"] == residual_calls + 1
 
     def test_stage_labels(self, pair_145):
         pot = PotentialModel.custom([(-0.5, 1.0)])
