@@ -584,6 +584,8 @@ def cmd_breakdown(options) -> int:
     options["breakdown"] = True
     options["method"] = "slet"
     manifest = manifest_from_options(options)
+    if len(manifest.levels) != 1:
+        raise ValueError("breakdown takes one level; give --n and --l")
     records, breakdowns, first_error = run_solve(manifest)
     if first_error is not None:
         raise first_error

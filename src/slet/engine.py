@@ -7,20 +7,21 @@ extremal turns it into a perturbed oscillator in the shifted angular
 momentum lbar = l - beta, with the shift beta chosen so the first
 subleading energy term vanishes.  The pipeline is:
 
-    solve_r0 -> geometry (xi, Q, omega) -> beta, lbar -> leading energy E0
-    -> V^(0..6) at r0 -> eps1..4 -> closed-form alpha1 -> delta1..6
-    -> one order-4 series (alpha1, alpha2) -> E2, E3
+    solve_r0 -> geometry (xi, Q, omega) and one stack V^(0..6) at r0
+    -> beta, lbar -> leading energy E0 -> eps1..4 -> closed-form alpha1
+    -> delta1..6 -> one order-4 series (alpha1, alpha2) -> E2, E3
     -> binding energy and total mass
 
 A nonrelativistic pair (eta = inf) runs through the same formulas.
 Q is treated as a continuous function Q(r0) while iterating and is
 identified with lbar^2 only at the converged point, where the root
 equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
-the root residual from its one geometry evaluation there.  The reported
-correction coefficients alpha1 and alpha2 come from the perturbation
-module's order-by-order series.  The closed form for alpha1 supplies the
-E2 that delta1 and delta2 need before the series can run, and checks the
-series' alpha1 afterwards.
+the root residual from its one geometry evaluation there, and E0, the
+Taylor coefficients and the denominator check all read the one stack.
+The reported correction coefficients alpha1 and alpha2 come from the
+perturbation module's order-by-order series.  The closed form for alpha1
+supplies the E2 that delta1 and delta2 need before the series can run,
+and checks the series' alpha1 afterwards.
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
     equals the scalar result at that radius.
     """
     r = np.atleast_1d(np.asarray(r0, dtype=float))
-    v1 = potential.derivative(r, 1)
-    v2 = potential.derivative(r, 2)
+    _, v1, v2 = potential.derivatives(r, 2)
     mu = pair.mu
     with np.errstate(all="ignore"):
         s = r * v1 / (2.0 * pair.eta)
@@ -191,16 +191,16 @@ def shift_and_lbar(pair: ParticlePair, n: int, omega: float, l: int):
     return beta, l - beta
 
 
-def leading_energy(potential: PotentialModel, pair: ParticlePair,
-                   r0: float, Q: float) -> float:
-    """Leading eigenvalue E0 = V(r0) - eta + sqrt(eta^2 + eta Q/(mu r0^2)).
+def leading_energy(v0: float, pair: ParticlePair, r0: float,
+                   Q: float) -> float:
+    """Leading eigenvalue E0 = v0 - eta + sqrt(eta^2 + eta Q/(mu r0^2)).
 
-    Evaluated in the cancellation-free form V + Q / (mu r0^2 (1 + D)),
-    with D from :func:`energy_denominator`; at eta = inf, D = 1 gives
-    the nonrelativistic V + Q / (2 mu r0^2) exactly.
+    v0 is V(r0).  Evaluated in the cancellation-free form
+    v0 + Q / (mu r0^2 (1 + D)), with D from :func:`energy_denominator`;
+    at eta = inf, D = 1 gives the nonrelativistic v0 + Q / (2 mu r0^2).
     """
     d = energy_denominator(pair, r0, Q)
-    return potential.evaluate(r0) + Q / (pair.mu * r0**2 * (1.0 + d))
+    return v0 + Q / (pair.mu * r0**2 * (1.0 + d))
 
 
 def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
@@ -271,10 +271,9 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
             "points were usable)")
 
     if len(unique) > 1:
-        energies = []
-        for r in unique:
-            geo = geometry_at(potential, pair, r)
-            energies.append(leading_energy(potential, pair, r, geo.Q))
+        energies = [leading_energy(potential.evaluate(r), pair, r,
+                                   geometry_at(potential, pair, r).Q)
+                    for r in unique]
         best = int(np.argmin(energies))
         warnings.warn(
             f"{len(unique)} expansion points satisfy the root equation; "
@@ -287,12 +286,12 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     return r0, (calls, iterations, len(unique))
 
 
-def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
-                        r0: float, Q: float, beta: float, E0: float,
-                        omega: float, n: int) -> TaylorCoefficients:
-    """Perturbation coefficients of level n from one derivative stack at r0.
+def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
+                        beta: float, E0: float, omega: float,
+                        n: int) -> TaylorCoefficients:
+    """Perturbation coefficients of level n from the stack d = V^(0..6)(r0).
 
-    delta1 and delta2 contain the second-order energy
+    gamma^(3..6) come from the same stack.  delta1 and delta2 contain
     E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D), with D from
     :func:`energy_denominator`.  The series cannot run before the deltas
     exist, so this alpha1 comes from :func:`alpha1_closed_form` of the
@@ -301,7 +300,6 @@ def taylor_coefficients(potential: PotentialModel, pair: ParticlePair,
     mu, eta = pair.mu, pair.eta
     inv_eta = 1.0 / eta
     two_b1 = 2.0 * beta + 1.0
-    d = [potential.derivative(r0, k) for k in range(MAX_DERIVATIVE_ORDER + 1)]
     g = {k: gamma_from_stack(d, eta, k) for k in (3, 4, 5, 6)}
     scale = 2.0 * mu * omega
 
@@ -385,13 +383,14 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
     with _stage("geometry"):
         geo = geometry_at(potential, pair, r0)
+    stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
     with _stage("leading_energy"):
-        e0 = leading_energy(potential, pair, r0, geo.Q)
+        e0 = leading_energy(stack[0], pair, r0, geo.Q)
     denominator = energy_denominator(pair, r0, geo.Q)
 
     with _stage("taylor_coefficients"):
-        coeffs = taylor_coefficients(potential, pair, r0, geo.Q, beta, e0,
+        coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
                                      geo.omega, n)
     with _stage("alpha2"):
         alpha1, alpha2 = _series_alpha(pair.mu, geo.omega, n, coeffs.eps,
@@ -402,12 +401,11 @@ def solve(potential: PotentialModel, pair: ParticlePair,
 
     closed1 = alpha1_closed_form(n, geo.omega, coeffs.eps_bar)
     gap = math.sqrt(geo.Q) - lbar
-    v0 = potential.evaluate(r0)
     diag = SolveDiagnostics(
         r0_residual=2.0 * gap, r0_function_calls=calls,
         r0_iterations=iterations, r0_root_count=root_count,
         q_lbar_gap=abs(gap) / lbar,
-        denominator_gap=abs(denominator - (1.0 + (e0 - v0) / pair.eta)),
+        denominator_gap=abs(denominator - (1.0 + (e0 - stack[0]) / pair.eta)),
         alpha1_closed_form=closed1,
         alpha1_path_gap=(abs(alpha1 - closed1) / abs(alpha1)
                          if abs(alpha1) > 1e-12 else abs(alpha1 - closed1)))

@@ -317,13 +317,13 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     entered the box.
 
     When no grid is given, a level-sized one is built (see
-    :func:`default_grid`); for relativistic confining potentials its
-    outer wall is then moved to the escape radius of the turned-over
-    effective potential at FIRST_PASS_ENERGY_FRACTION of the estimate,
-    and the solve is repeated once with the wall re-placed at the first
-    pass's energy (see :func:`escape_radius`).  Levels of such problems
-    are quasi-bound, and this wall placement is what defines their
-    reported position.
+    :func:`default_grid`).  For relativistic confining potentials the
+    wall of either grid is moved in, never past r_max, to the escape
+    radius of the turned-over effective potential at
+    FIRST_PASS_ENERGY_FRACTION of the estimate, and the solve is repeated
+    once with the wall re-placed at the first pass's energy (see
+    :func:`escape_radius`).  Levels of such problems are quasi-bound, and
+    this wall placement is what defines their reported position.
 
     Raises WindowError (with a sweep of the window attached) when no
     sign change shows up, ConvergenceError when the residual stays
@@ -351,7 +351,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         window = (lo, 50.0 * max(abs(e_nr), 0.02))
 
     work_grid = base
-    if grid is None and quasi_bound:
+    if quasi_bound:
         wall = escape_radius(potential, pair,
                              FIRST_PASS_ENERGY_FRACTION * e_nr,
                              10.0 * base.r_max)
@@ -364,7 +364,8 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     if work_grid is not base:
         wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
         if wall is not None:
-            work_grid = RadialGrid(base.r_min, wall, base.point_count)
+            work_grid = RadialGrid(base.r_min, min(wall, base.r_max),
+                                   base.point_count)
             energy, residual, used, vec, more_nodes = _solve_on_grid(
                 potential, pair, qn, work_grid, window, energy)
             evaluations += used

@@ -133,40 +133,41 @@ class PotentialModel:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, r):
-        """V(r) for scalar or array r > 0."""
-        return self.derivative(r, 0)
+    def derivatives(self, r, upto: int) -> list:
+        """Exact [V, V', ..., V^(upto)] for 0 <= upto <= 6 and r > 0.
 
-    def derivative(self, r, order: int):
-        """Exact d^order V / dr^order for 0 <= order <= 6.
-
-        Each monomial c * r**p contributes its falling-factorial
-        prefactor c * p (p-1) ... (p-order+1); for non-negative integer
-        p the prefactor vanishes identically once order exceeds p.
+        Each monomial c * r**p contributes c * p (p-1) ... (p-k+1) r**(p-k)
+        to the k-th entry; for non-negative integer p that prefactor
+        vanishes identically once k exceeds p.  Python floats for a
+        scalar r, arrays for an array r.
         """
-        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+        if not 0 <= upto <= MAX_DERIVATIVE_ORDER:
             raise UnsupportedOrderError(
-                f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {order}")
+                f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {upto}")
         rr = np.asarray(r, dtype=float)
         if np.any(rr <= 0.0):
             raise ValueError("r must be positive")
-        out = np.zeros_like(rr)
+        stack = [np.zeros_like(rr) for _ in range(upto + 1)]
         for c, p in self.terms:
             fac = c
-            for i in range(order):
-                fac *= p - i
-            if fac != 0.0:
-                out = out + fac * rr ** (p - order)
-        return float(out) if out.ndim == 0 else out
+            for k in range(upto + 1):
+                if fac == 0.0:
+                    break
+                stack[k] = stack[k] + fac * rr ** (p - k)
+                fac *= p - k
+        return [float(v) if v.ndim == 0 else v for v in stack]
+
+    def evaluate(self, r):
+        """V(r) for scalar or array r > 0."""
+        return self.derivatives(r, 0)[0]
+
+    def derivative(self, r, order: int):
+        """Exact d^order V / dr^order for 0 <= order <= 6."""
+        return self.derivatives(r, order)[order]
 
     def gamma_derivative(self, pair: ParticlePair, r, order: int):
-        """Exact derivative of gamma(r) = V(r) - V(r)^2 / (2 eta).
-
-        Builds the V-derivative stack up to ``order`` once and hands it
-        to :func:`gamma_from_stack`.
-        """
-        stack = [self.derivative(r, k) for k in range(order + 1)]
-        return gamma_from_stack(stack, pair.eta, order)
+        """Exact derivative of gamma(r) = V(r) - V(r)^2 / (2 eta)."""
+        return gamma_from_stack(self.derivatives(r, order), pair.eta, order)
 
     # -- introspection ---------------------------------------------------
 
@@ -252,6 +253,7 @@ def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
     return FallToCenterResult(passed=margin > 0.0, strength=s, margin=margin)
 
 
+# parameter names of each kind, in the order its constructor takes them
 _KIND_PARAMS = {
     "coulomb": ("alpha",),
     "oscillator": ("k",),
@@ -321,12 +323,6 @@ def parse_potential(spec: str) -> PotentialModel:
     if missing:
         raise PotentialParseError(f"{kind} is missing parameters {missing}")
     try:
-        if kind == "coulomb":
-            return PotentialModel.coulomb(params["alpha"])
-        if kind == "oscillator":
-            return PotentialModel.oscillator(params["k"])
-        if kind == "linear":
-            return PotentialModel.linear(params["b"])
-        return PotentialModel.coulomb_plus_linear(params["alpha"], params["b"])
+        return getattr(PotentialModel, kind)(*(params[w] for w in wanted))
     except ValueError as exc:
         raise PotentialParseError(str(exc)) from exc

@@ -69,6 +69,22 @@ class TestSolveCommand:
         energy = json.loads(out)["records"][0]["E_binding_GeV"]
         assert energy == pytest.approx(-0.0014262711, rel=1e-3)
 
+    def test_grid_points_keep_escape_wall(self, capsys):
+        # a pinned grid of the default size still gets the escape-radius
+        # wall of a relativistic confining level, so it returns the
+        # default energy exactly
+        argv = ("solve", "--potential", "cornell:alpha=0.25,b=0.18", "--m1",
+                "1.45", "--m2", "1.45", "--n", "1", "--l", "1", "--method",
+                "oracle", "--format", "json")
+        energies = []
+        for extra in ((), ("--grid-points", "4000")):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            record = json.loads(out)["records"][0]
+            assert record["status"] == "ok"
+            energies.append(record["E_binding_GeV"])
+        assert energies[1] == energies[0]
+
     def test_mixing_level_styles_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "oscillator:k=1",
                            "--m1", "1.31", "--m2", "1.31", "--n", "0",
@@ -286,6 +302,15 @@ class TestBreakdownCommand:
         diagnostics = json.loads(out)["breakdowns"][0]["diagnostics"]
         assert set(diagnostics) == {
             f.name for f in dataclasses.fields(engine.SolveDiagnostics)}
+
+    def test_level_range_from_config_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
+                       "n-range=0:1\n")
+        code, out, err = run(capsys, "breakdown", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "one level" in err
 
 
 class TestFixtures:

@@ -183,20 +183,21 @@ class TestLeadingEnergy:
     def test_closed_form_inputs(self, coulomb_pot, pair_145):
         for n, printed in [(0, -0.02274), (3, -0.001415)]:
             cf = coulomb_closed_form(1.45, 0.25, n)
-            e0 = leading_energy(coulomb_pot, pair_145, cf.r0, cf.Q)
+            e0 = leading_energy(coulomb_pot.evaluate(cf.r0), pair_145, cf.r0,
+                                cf.Q)
             assert e0 == pytest.approx(printed, abs=1e-5)
             assert e0 == pytest.approx(cf.E0, rel=1e-10)
 
     def test_degenerate_q(self, coulomb_pot, pair_145):
         r0 = 2.0
-        assert leading_energy(coulomb_pot, pair_145, r0, 0.0) == \
-            coulomb_pot.evaluate(r0)
+        v0 = coulomb_pot.evaluate(r0)
+        assert leading_energy(v0, pair_145, r0, 0.0) == v0
 
     def test_denominator_identity(self, cornell_pot, pair_145):
         # sqrt(1 + Q/(mu eta r0^2)) equals 1 + (E0 - V(r0))/eta
         r0, _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
         geo = geometry_at(cornell_pot, pair_145, r0)
-        e0 = leading_energy(cornell_pot, pair_145, r0, geo.Q)
+        e0 = leading_energy(cornell_pot.evaluate(r0), pair_145, r0, geo.Q)
         d1 = energy_denominator(pair_145, r0, geo.Q)
         d2 = 1.0 + (e0 - cornell_pot.evaluate(r0)) / pair_145.eta
         assert d1 == pytest.approx(d2, rel=1e-12)
@@ -205,8 +206,9 @@ class TestLeadingEnergy:
 class TestTaylorCoefficients:
     def test_vanishing_shift_factor(self, cornell_pot, pair_145):
         # beta = -1/2 makes (2 beta + 1) = 0, so eps1 = eps2 = 0
-        tc = taylor_coefficients(cornell_pot, pair_145, r0=2.0, Q=4.0,
-                                 beta=-0.5, E0=0.1, omega=1.0, n=0)
+        tc = taylor_coefficients(cornell_pot.derivatives(2.0, 6), pair_145,
+                                 r0=2.0, Q=4.0, beta=-0.5, E0=0.1, omega=1.0,
+                                 n=0)
         assert tc.eps[0] == 0.0
         assert tc.eps[1] == 0.0
 
@@ -214,36 +216,49 @@ class TestTaylorCoefficients:
         # V''' = 0 for b r, so only the gamma part feeds eps3's tail
         pot = PotentialModel.linear(0.18)
         r0, q, beta, e0, omega = 2.0, 4.0, -1.2, 0.3, 1.1
-        tc = taylor_coefficients(pot, pair_145, r0, q, beta, e0, omega, 0)
+        tc = taylor_coefficients(pot.derivatives(r0, 6), pair_145, r0, q, beta,
+                                 e0, omega, 0)
         gamma3 = pot.gamma_derivative(pair_145, r0, 3)
         expect = -2.0 / pair_145.mu + r0**5 / (6.0 * q) * gamma3
         assert tc.eps[2] == pytest.approx(expect, rel=1e-14)
 
     def test_oscillator_delta6(self, oscillator_pot, pair_131):
         # (r^4/4)^(6) = 0 and V^(6) = 0, so delta6 = 7/(2 mu) exactly
-        tc = taylor_coefficients(oscillator_pot, pair_131, r0=1.4, Q=3.0,
-                                 beta=-1.0, E0=1.5, omega=2.0, n=0)
+        tc = taylor_coefficients(oscillator_pot.derivatives(1.4, 6), pair_131,
+                                 r0=1.4, Q=3.0, beta=-1.0, E0=1.5, omega=2.0,
+                                 n=0)
         assert tc.delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
                                             rel=1e-14)
 
     def test_one_derivative_stack(self, cornell_pot, pair_145, monkeypatch):
-        # V^(0..6) once; gamma^(3..6) come from that stack, not from
-        # fresh gamma_derivative calls
+        # a solve samples the potential only through derivative stacks;
+        # after the r0 search it takes at most two, both at r0 (the
+        # geometry and the V^(0..6) stack)
         calls = []
 
         def counting(name):
             original = getattr(PotentialModel, name)
 
-            def wrapper(self, *args):
-                calls.append(name)
-                return original(self, *args)
+            def wrapper(self, r, *args):
+                calls.append((name, r))
+                return original(self, r, *args)
             return wrapper
-        for name in ("derivative", "gamma_derivative"):
+        for name in ("derivatives", "derivative", "evaluate",
+                     "gamma_derivative"):
             monkeypatch.setattr(PotentialModel, name, counting(name))
-        taylor_coefficients(cornell_pot, pair_145, r0=2.0, Q=4.0, beta=-1.2,
-                            E0=0.3, omega=1.1, n=1)
-        assert calls.count("derivative") <= 7
-        assert "gamma_derivative" not in calls
+        original_r0 = engine.solve_r0
+
+        def marking(*args):
+            found = original_r0(*args)
+            calls.append(("solve_r0", None))
+            return found
+        monkeypatch.setattr(engine, "solve_r0", marking)
+        sol = solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
+        names = [name for name, _ in calls]
+        assert set(names) == {"derivatives", "solve_r0"}
+        after = calls[names.index("solve_r0") + 1:]
+        assert 0 < len(after) <= 2
+        assert all(np.all(np.asarray(r) == sol.r0) for _, r in after)
 
 
 class TestCorrectionEnergies:

@@ -49,6 +49,8 @@ class TestEvaluate:
             BUILTINS[0].evaluate(bad)
         with pytest.raises(ValueError):
             BUILTINS[0].derivative(bad, 1)
+        with pytest.raises(ValueError):
+            BUILTINS[0].derivatives(np.array([1.0, bad]), 2)
 
 
 class TestDerivative:
@@ -79,6 +81,19 @@ class TestDerivative:
     def test_unsupported_order(self, order):
         with pytest.raises(UnsupportedOrderError):
             BUILTINS[0].derivative(1.0, order)
+        with pytest.raises(UnsupportedOrderError):
+            BUILTINS[0].derivatives(1.0, order)
+
+    @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.label)
+    def test_stack_scalar_and_array(self, pot):
+        # a scalar r gives plain Python floats (CSV cells are reprs), and
+        # each element of an array stack equals the scalar stack there
+        arrays = pot.derivatives(np.array(R_GRID), MAX_DERIVATIVE_ORDER)
+        assert len(arrays) == MAX_DERIVATIVE_ORDER + 1
+        for i, r in enumerate(R_GRID):
+            stack = pot.derivatives(r, MAX_DERIVATIVE_ORDER)
+            assert all(type(v) is float for v in stack)
+            assert [float(a[i]) for a in arrays] == stack
 
     @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.label)
     def test_against_finite_differences(self, pot):
