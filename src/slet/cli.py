@@ -204,18 +204,22 @@ def _matching_fixture(manifest: RunManifest):
 
 
 def run_compare(manifest: RunManifest):
-    """Per-level records {n, l, slet, oracle, diff, fixtures, status}."""
+    """Per-level records {n, l, slet, oracle, diff, oracle diagnostics,
+    fixtures, status}."""
     fix = _matching_fixture(manifest)
     rows = []
     for n, l in manifest.levels:
         row = {"n": n, "l": l, "E_slet_GeV": None, "E_oracle_GeV": None,
-               "difference_GeV": None, "status": "ok"}
+               "difference_GeV": None, "oracle_iterations": None,
+               "oracle_residual": None, "status": "ok"}
         try:
             rec_s, _ = solve_level(manifest, n, l, "slet")
-            rec_o, _ = solve_level(manifest, n, l, "oracle")
+            rec_o, sol_o = solve_level(manifest, n, l, "oracle")
             row["E_slet_GeV"] = rec_s.E_binding_GeV
             row["E_oracle_GeV"] = rec_o.E_binding_GeV
             row["difference_GeV"] = rec_s.E_binding_GeV - rec_o.E_binding_GeV
+            row["oracle_iterations"] = sol_o.outer_iterations
+            row["oracle_residual"] = sol_o.residual
         except SletError as exc:
             row["status"] = _status(exc)
         if fix is not None:
@@ -567,7 +571,8 @@ def cmd_compare(options) -> int:
     if manifest.out_format == "json":
         _emit(render_json({"rows": rows, "summary": summary}), manifest.out)
     elif manifest.out_format == "csv":
-        keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV"]
+        keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
+                "oracle_iterations", "oracle_residual"]
         keys += sorted({k for row in rows for k in row
                         if k.startswith("fixture")})
         keys.append("status")

@@ -8,13 +8,19 @@ must reproduce its own trial energy through lambda_n(E) = E + E^2/(2 eta),
 where lambda_n is the (n+1)-th smallest eigenvalue.  The solver finds
 the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a safeguarded Newton
 iteration around an inner symmetric tridiagonal eigenproblem (three-point
-finite differences, Dirichlet ends).  The inner eigenpair is extracted by
-LAPACK's Sturm-sequence bisection, which indexes levels exactly; its
-eigenvector gives the Newton slope by the Hellmann-Feynman theorem,
-g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its node count is checked
-against the requested radial quantum number.  The default box is sized
-from the potential's length scales and, for potentials that do not
-confine, from the level.
+finite differences, Dirichlet ends).  Between Newton iterates the
+operator moves only by (Delta E/eta) V on its diagonal, so each iterate
+refines the previous iterate's eigenvector by Rayleigh-quotient
+iteration, one tridiagonal solve per step.  A refined pair is accepted
+only when its residual has settled at the rounding floor of the operator
+and its eigenvector has exactly n nodes, which by Sturm's oscillation
+theorem singles out level n; otherwise, and at the first iterate of a
+solve, LAPACK's Sturm-sequence bisection extracts the pair, indexing
+levels exactly.  The eigenvector gives the Newton slope by the
+Hellmann-Feynman theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its
+node count is checked against the requested radial quantum number.  The
+default box is sized from the potential's length scales and, for
+potentials that do not confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
 attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .engine import QuantumNumbers
@@ -68,6 +75,13 @@ FAILURE_SWEEP_POINTS = 48
 RESIDUAL_TOLERANCE = 1e-10
 # eigenvector entries below this fraction of the largest carry no node
 NODE_THRESHOLD = 1e-8
+# a refined eigenpair has settled once its residual |T x - lambda x| is
+# below this many machine epsilons times the operator's row-sum norm;
+# rounding alone leaves less than one
+REFINEMENT_RESIDUAL = 8.0
+# Rayleigh-quotient steps tried from a start vector before bisection;
+# a start from the previous Newton iterate settles in two
+MAX_REFINEMENT_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -159,17 +173,63 @@ def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
     return float(vals[0])
 
 
-def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int):
-    """Eigenvalue plus normalized eigenvector for level index n."""
+def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
+                  start: np.ndarray | None = None):
+    """Eigenvalue, normalized eigenvector and whether bisection ran.
+
+    With a start vector, the pair is refined by Rayleigh-quotient
+    iteration: each step solves (T - lambda I) y = x with LAPACK's
+    tridiagonal solver and takes lambda as the Rayleigh quotient of x.
+    The refined pair is accepted once |T x - lambda x| falls below
+    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T
+    and x has exactly n nodes; by Sturm's oscillation theorem only the
+    (n+1)-th eigenvector of this Jacobi matrix has n sign changes, so a
+    start that converges to another level is rejected.  Without a start
+    vector, or when the refinement is rejected, does not settle within
+    MAX_REFINEMENT_STEPS, or meets a singular or non-finite solve, the
+    pair comes from LAPACK's Sturm-sequence bisection.  Returns
+    (eigenvalue, eigenvector, bisected).
+    """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n, n))
-    vec = vecs[:, 0]
+    pair = None
+    if start is not None:
+        if start.shape != diag.shape:
+            raise ValueError("start vector does not match the matrix size")
+        pair = _refined_pair(diag, off, n, start)
+    bisected = pair is None
+    if bisected:
+        vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(n, n))
+        pair = float(vals[0]), vecs[:, 0]
+    value, vec = pair
     # fix the overall sign so the first sizable lobe points up
     big = np.nonzero(np.abs(vec) > 1e-8 * np.max(np.abs(vec)))[0]
     if big.size and vec[big[0]] < 0.0:
         vec = -vec
-    return float(vals[0]), vec
+    return value, vec, bisected
+
+
+def _refined_pair(diag, off, n, start):
+    """Rayleigh-quotient iteration from start; None unless it settles on n."""
+    scale = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
+    tolerance = REFINEMENT_RESIDUAL * np.finfo(float).eps * scale
+    vec = start
+    for _ in range(MAX_REFINEMENT_STEPS):
+        norm = float(np.linalg.norm(vec))
+        if not 0.0 < norm < math.inf:
+            return None
+        vec = vec / norm
+        applied = diag * vec
+        applied[:-1] += off * vec[1:]
+        applied[1:] += off * vec[:-1]
+        value = float(vec @ applied)
+        if np.linalg.norm(applied - value * vec) <= tolerance:
+            return (value, vec) if count_nodes(vec) == n else None
+        *_, vec, info = dgtsv(off, diag - value, off, vec, overwrite_d=1)
+        if info != 0:
+            return None
+    return None
 
 
 def count_nodes(vec: np.ndarray) -> int:
@@ -181,7 +241,12 @@ def count_nodes(vec: np.ndarray) -> int:
 
 @dataclass
 class OracleSolution:
-    """Self-consistent eigenvalue with its wavefunction and diagnostics."""
+    """Self-consistent eigenvalue with its wavefunction and diagnostics.
+
+    outer_iterations counts every eigensolve, the nonrelativistic
+    estimate included; bisection_solves counts the eigenpairs that came
+    from LAPACK bisection rather than from refining a start vector.
+    """
 
     binding_energy: float
     mass: float
@@ -191,6 +256,7 @@ class OracleSolution:
     outer_iterations: int = 0
     residual: float = 0.0
     scan_node_counts: tuple = ()
+    bisection_solves: int = 0
 
 
 def _nonrelativistic_estimate(potential, pair, qn, grid):
@@ -228,15 +294,17 @@ def _residual(potential, pair, qn, grid, e_trial):
             - e_trial**2 / (2.0 * pair.eta))
 
 
-def _solve_on_grid(potential, pair, qn, grid, window, start):
+def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     """Safeguarded Newton iteration for the root of g(E) on a fixed grid.
 
     The slope comes with the eigenvector: by Hellmann-Feynman
     d lambda_n / dE = <psi|V|psi>/eta, so g'(E) = <psi|V|psi>/eta - 1 - E/eta.
     Iterates keep a sign bracket [g >= 0, g < 0] inside the window, and a
     step that leaves it, or a slope that is not negative, is replaced by
-    bisection.  Returns (energy, |g|, evaluations, eigenvector, node count
-    of every iterate).
+    bisection.  Each iterate's eigenvector is the start vector of the
+    next one's eigensolve; vec, when given, starts the first.  Returns
+    (energy, |g|, eigenvector, node count of every iterate, number of
+    eigenpairs that needed bisection).
     """
     eta = pair.eta
     v = potential.evaluate(grid.points)
@@ -246,9 +314,11 @@ def _solve_on_grid(potential, pair, qn, grid, window, start):
     energy = float(min(max(start, lo), hi))
     previous = math.inf
     nodes_along = []
+    bisections = 0
     for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
         diag, off = effective_operator(potential, pair, qn.l, energy, grid)
-        lam, vec = nth_eigenpair(diag, off, qn.n)
+        lam, vec, bisected = nth_eigenpair(diag, off, qn.n, vec)
+        bisections += bisected
         nodes_along.append(count_nodes(vec))
         value = lam - energy - energy**2 / (2.0 * eta)
         slope = float(vec @ (v * vec)) / eta - 1.0 - energy / eta
@@ -258,7 +328,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start):
         # tolerance, so convergence also counts once it stops falling
         if abs(value) <= RESIDUAL_TOLERANCE and (
                 abs(step) <= xtol or abs(value) > 0.1 * previous):
-            return energy, abs(value), evaluations, vec, tuple(nodes_along)
+            return energy, abs(value), vec, tuple(nodes_along), bisections
         previous = abs(value)
         if value >= 0.0:
             below = energy
@@ -283,7 +353,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start):
 
 
 def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
-              nodes_along, default_box):
+              nodes_along, bisections, default_box):
     """Check the converged eigenvector and package the result."""
     nodes = count_nodes(vec)
     if nodes != qn.n:
@@ -298,7 +368,8 @@ def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
                           mass=energy + pair.total_mass,
                           node_count=nodes, wavefunction=vec / norm,
                           grid=grid, outer_iterations=evaluations,
-                          residual=residual, scan_node_counts=nodes_along)
+                          residual=residual, scan_node_counts=nodes_along,
+                          bisection_solves=bisections)
 
 
 def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
@@ -322,8 +393,12 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     radius of the turned-over effective potential at
     FIRST_PASS_ENERGY_FRACTION of the estimate, and the solve is repeated
     once with the wall re-placed at the first pass's energy (see
-    :func:`escape_radius`).  Levels of such problems are quasi-bound, and
-    this wall placement is what defines their reported position.
+    :func:`escape_radius`), starting from the first pass's eigenvector
+    carried over to the new grid.  Levels of such problems are
+    quasi-bound, and this wall placement is what defines their reported
+    position.  Within a pass, only the first iterate's eigenpair comes
+    from bisection unless a refinement is rejected (see
+    :func:`nth_eigenpair`).
 
     Raises WindowError (with a sweep of the window attached) when no
     sign change shows up, ConvergenceError when the residual stays
@@ -337,9 +412,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     if math.isinf(pair.eta):
         # operator is energy independent; one eigensolve settles it
         diag, off = effective_operator(potential, pair, qn.l, 0.0, base)
-        energy, vec = nth_eigenpair(diag, off, qn.n)
+        energy, vec, _ = nth_eigenpair(diag, off, qn.n)
         return _solution(potential, pair, qn, base, energy, vec, 1, 0.0,
-                         (), grid is None)
+                         (), 1, grid is None)
 
     e_nr = _nonrelativistic_estimate(potential, pair, qn, base)
     quasi_bound = _is_confining(potential)
@@ -357,19 +432,24 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
-    energy, residual, used, vec, nodes_along = _solve_on_grid(
+    energy, residual, vec, nodes_along, bisections = _solve_on_grid(
         potential, pair, qn, work_grid, window, e_nr)
-    evaluations = 1 + used
 
     if work_grid is not base:
         wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
         if wall is not None:
+            first = work_grid
             work_grid = RadialGrid(base.r_min, min(wall, base.r_max),
                                    base.point_count)
-            energy, residual, used, vec, more_nodes = _solve_on_grid(
-                potential, pair, qn, work_grid, window, energy)
-            evaluations += used
+            # the first pass's eigenvector, with nothing beyond its wall
+            guess = np.interp(work_grid.points, first.points, vec,
+                              right=0.0)
+            energy, residual, vec, more_nodes, more_bisections = \
+                _solve_on_grid(potential, pair, qn, work_grid, window,
+                               energy, guess)
             nodes_along += more_nodes
+            bisections += more_bisections
 
     return _solution(potential, pair, qn, work_grid, energy, vec,
-                     evaluations, residual, nodes_along, grid is None)
+                     1 + len(nodes_along), residual, nodes_along, bisections,
+                     grid is None)

@@ -260,6 +260,19 @@ class TestCompareCommand:
         payload = json.loads(out)
         assert payload["summary"]["levels"] == 1
         assert payload["summary"]["max_abs_difference_GeV"] < 2e-2
+        row = payload["rows"][0]
+        assert 2 <= row["oracle_iterations"] <= 20
+        assert 0.0 <= row["oracle_residual"] <= 1e-10
+
+    def test_csv_carries_oracle_diagnostics(self, capsys):
+        code, out, _ = run(capsys, "compare", "--potential",
+                           "coulomb:alpha=0.25", "--m1", "1.45", "--m2",
+                           "1.45", "--n", "0", "--l", "0", "--format", "csv")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        values = dict(zip(header, row))
+        assert int(values["oracle_iterations"]) >= 2
+        assert float(values["oracle_residual"]) <= 1e-10
 
     def test_partial_failure_keeps_rows(self, capsys):
         code, out, _ = run(capsys, "compare", "--potential",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from slet.engine import QuantumNumbers
@@ -71,8 +72,74 @@ class TestBoxSpectrum:
     def test_node_counts(self, box):
         _, _, diag, off = box
         for k in range(4):
-            _, vec = nth_eigenpair(diag, off, k)
+            _, vec, _ = nth_eigenpair(diag, off, k)
             assert count_nodes(vec) == k
+
+
+def bisection_reference(diag, off, n):
+    """LAPACK bisection run to full precision.
+
+    At its default tolerance, eps times the matrix 1-norm, bisection
+    leaves an error of up to 4e-10 on the oscillator operator (norm
+    about 2e6), 3e-11 relative, so it cannot referee 1e-11.
+    """
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
+                                  tol=np.finfo(float).tiny)
+    return float(vals[0]), vecs[:, 0]
+
+
+class TestWarmEigenpair:
+    # operators of the levels the Newton tests pin, on the grid each
+    # solve ends on; the trial energy sits next to the level
+    CASES = {"cornell": (1, 1, 39.2, 1.25),
+             "oscillator": (2, 2, 4.88, 6.69),
+             "coulomb": (2, 0, 662.0, -0.004)}
+
+    @pytest.fixture(params=sorted(CASES))
+    def operator(self, request, cornell_pot, oscillator_pot, coulomb_pot,
+                 pair_131, pair_145):
+        pot, pair = {"cornell": (cornell_pot, pair_145),
+                     "oscillator": (oscillator_pot, pair_131),
+                     "coulomb": (coulomb_pot, pair_145)}[request.param]
+        n, l, r_max, energy = self.CASES[request.param]
+        grid = RadialGrid(1e-4, r_max, 4000)
+
+        def build(e):
+            return effective_operator(pot, pair, l, e, grid)
+        return n, energy, build
+
+    def test_matches_cold_pair(self, operator):
+        # the start comes from an operator whose trial energy is 1 %
+        # away, as between early Newton iterates
+        n, energy, build = operator
+        _, start, _ = nth_eigenpair(*build(1.01 * energy), n)
+        diag, off = build(energy)
+        cold, cold_vec = bisection_reference(diag, off, n)
+        warm, warm_vec, bisected = nth_eigenpair(diag, off, n, start)
+        assert not bisected
+        assert warm == pytest.approx(cold, rel=1e-11)
+        assert abs(float(warm_vec @ cold_vec)) >= 1.0 - 1e-12
+        assert count_nodes(warm_vec) == n
+
+    def test_foreign_start_returns_level_n(self, operator):
+        # starts that converge to another level, or to none in
+        # particular, must still come back as level n; neighbouring
+        # levels lie percents apart, far beyond the bisection error
+        n, energy, build = operator
+        diag, off = build(energy)
+        cold, _ = bisection_reference(diag, off, n)
+        starts = [nth_eigenpair(diag, off, k)[1] for k in (n - 1, n + 1)]
+        starts += [np.random.default_rng(7).standard_normal(diag.size),
+                   np.ones(diag.size)]
+        for start in starts:
+            value, vec, _ = nth_eigenpair(diag, off, n, start)
+            assert value == pytest.approx(cold, rel=1e-10)
+            assert count_nodes(vec) == n
+
+    def test_start_size_checked(self, box):
+        _, _, diag, off = box
+        with pytest.raises(ValueError, match="start vector"):
+            nth_eigenpair(diag, off, 0, np.ones(diag.size - 1))
 
 
 class TestNonrelativisticSpectra:
@@ -85,6 +152,7 @@ class TestNonrelativisticSpectra:
             assert sol.binding_energy == pytest.approx(exact, rel=1e-3)
             assert sol.node_count == n
             assert sol.residual == 0.0
+            assert sol.bisection_solves == 1
 
     def test_e_trial_enters_only_through_coupling(self, cornell_pot,
                                                   pair_145):
@@ -176,6 +244,13 @@ class TestNewtonIteration:
     def test_outer_iterations_bounded(self, oracle_results):
         for key, sol in oracle_results.items():
             assert sol.outer_iterations <= 20, key
+
+    def test_one_bisection_per_wall_pass(self, oracle_results):
+        # every level here runs two wall passes; within a pass each
+        # iterate refines the previous eigenvector, so only a pass's
+        # first eigenpair may need bisection
+        for key, sol in oracle_results.items():
+            assert 1 <= sol.bisection_solves <= 2, key
 
     def test_excited_coulomb_in_level_sized_box(self, coulomb_pot, pair_145):
         for n in (3, 4, 5):
