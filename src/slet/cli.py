@@ -7,13 +7,17 @@ table      recompute a reference table and report per-cell divergence
 compare    run the expansion and the grid solver side by side
 breakdown  one level with every intermediate quantity dumped
 
+Options are defined once, in :func:`build_parser`.  ``--config FILE``
+gives their values as ``key=value`` lines, which the flags' own actions
+parse and the command line overrides (see :func:`load_config`).
+
 Exit codes: 0 success, 2 invalid input, 3 convergence failure,
 4 unphysical regime, 5 table divergence beyond tolerance.
 
 Output formats are ``text`` (default, energies at 6 significant digits),
 ``csv`` (full float precision, stable byte-for-byte across runs) and
 ``json`` (canonical form: re-serializing a parsed report reproduces the
-file exactly).
+file exactly).  A breakdown has no CSV form.
 """
 
 from __future__ import annotations
@@ -50,10 +54,7 @@ class RunManifest:
     m2: float
     levels: list
     method: str = "slet"
-    out_format: str = "text"
-    out: str | None = None
     nonrelativistic: bool = False
-    breakdown: bool = False
     grid_points: int | None = None
     rmax: float | None = None
 
@@ -133,11 +134,12 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
 
 
 def run_solve(manifest: RunManifest):
-    """Records for every requested level; failures become status rows."""
+    """(records, SLET solutions, first error) over the requested levels;
+    a failed level becomes a status row and gives no solution."""
     methods = (("slet", "oracle") if manifest.method == "both"
                else (manifest.method,))
     records = []
-    breakdowns = []
+    solutions = []
     first_error = None
     for n, l in manifest.levels:
         for method in methods:
@@ -149,9 +151,9 @@ def run_solve(manifest: RunManifest):
                 first_error = first_error or exc
                 continue
             records.append(rec)
-            if manifest.breakdown and method == "slet":
-                breakdowns.append(breakdown_dict(sol))
-    return records, breakdowns, first_error
+            if method == "slet":
+                solutions.append(sol)
+    return records, solutions, first_error
 
 
 def breakdown_dict(sol: engine.SletSolution):
@@ -344,11 +346,40 @@ def render_compare_text(rows, summary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
+def _write_records(args, records, breakdowns=None, text=None, **fields):
+    """Write solve records, with any breakdowns and extra JSON ``fields``.
+
+    The text form is ``text`` when given, else the record table followed
+    by each breakdown.  A breakdown has no CSV form, so a CSV report that
+    asks for breakdowns is refused rather than written without them.
+    """
+    if breakdowns is not None and args.format == "csv":
+        raise ValueError("a breakdown has no csv form; use --format json "
+                         "or --format text")
+    payload = dict(fields, records=[dataclasses.asdict(r) for r in records])
+    if breakdowns:
+        payload["breakdowns"] = breakdowns
+    if text is None:
+        text = render_text(records) + "".join(
+            render_breakdown_text(info) for info in breakdowns or ())
+    _write_report(args, payload, text,
+                  (RECORD_FIELDS, [dataclasses.astuple(r) for r in records]))
+
+
+def _write_report(args, payload, text, table):
+    """Write a report in ``--format`` to ``--out``, or to stdout.
+
+    ``payload`` is the JSON form, ``table`` the CSV form as
+    (header, rows) and ``text`` the text form.
+    """
+    if args.format == "json":
+        text = render_json(payload)
+    elif args.format == "csv":
+        text = render_csv(*table)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
@@ -364,37 +395,16 @@ def _parse_range(spec: str):
     return lo, hi
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+def load_config(path: str, command: str, commands: dict) -> list:
+    """The arguments of ``command`` that a key=value file gives.
 
-
-# converters for config-file values, keyed by option destination
-_CONVERTERS = {
-    "m1": float, "m2": float, "n": int, "l": int,
-    "n_range": _parse_range, "l_range": _parse_range,
-    "method": str, "format": str, "out": str, "potential": str,
-    "nonrelativistic": _parse_bool, "breakdown": _parse_bool,
-    "grid_points": int, "rmax": float,
-    "table_id": int, "config": str,
-}
-
-_DEFAULTS = {
-    "potential": None, "m1": None, "m2": None, "n": None, "l": None,
-    "n_range": None, "l_range": None, "method": "slet", "format": "text",
-    "out": None, "nonrelativistic": False, "breakdown": False,
-    "grid_points": None, "rmax": None, "config": None,
-    "table_id": None,
-}
-
-
-def load_config(path: str) -> dict:
-    """Plain key=value lines mirroring the long options."""
-    values = {}
+    A key is a long option without its dashes, ``_`` or ``-`` between
+    words.  A flag is set by true/1/yes/on and left off by false/0/no/off;
+    any other value goes to its option's own action, which checks it.  A
+    key that only another subcommand in ``commands`` (name to parser)
+    takes is dropped, so one file serves them all; others are refused.
+    """
+    args = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -403,107 +413,93 @@ def load_config(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            dest = key.strip().lower().replace("-", "_")
-            if dest not in _CONVERTERS:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[dest] = _CONVERTERS[dest](value.strip())
-    return values
+            option = "--" + key.strip().lower().replace("_", "-")
+            value = value.strip()
+            action = commands[command]._option_string_actions.get(option)
+            if action is None:
+                if not any(option in parser._option_string_actions
+                           for parser in commands.values()):
+                    raise ValueError(f"{path}:{lineno}: unknown option "
+                                     f"{key!r}")
+            elif action.nargs != 0:
+                args.append(f"{option}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                args.append(option)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"{path}:{lineno}: {key} expects a "
+                                 f"boolean, got {value!r}")
+    return args
 
 
-def _add_run_options(sp, single_level=False):
-    sp.add_argument("--potential", help="potential spec, e.g. "
-                    "cornell:alpha=0.25,b=0.18")
-    sp.add_argument("--m1", type=float, help="first mass in GeV")
-    sp.add_argument("--m2", type=float, help="second mass in GeV")
-    sp.add_argument("--n", type=int, help="radial quantum number")
-    sp.add_argument("--l", type=int, help="orbital angular momentum")
-    if not single_level:
-        sp.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
-        sp.add_argument("--l-range", type=_parse_range, metavar="LO:HI")
-    sp.add_argument("--format", choices=FORMATS, dest="format")
-    sp.add_argument("--out", help="write the report here instead of stdout")
-    sp.add_argument("--config", help="key=value file with option defaults")
-    sp.add_argument("--nonrelativistic", action="store_true", default=None)
-    sp.add_argument("--grid-points", type=int)
-    sp.add_argument("--rmax", type=float)
+def build_parser():
+    """The ``slet`` parser and a mapping of subcommand names to parsers."""
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--potential", help="potential spec, e.g. "
+                     "cornell:alpha=0.25,b=0.18")
+    run.add_argument("--m1", type=float, help="first mass in GeV")
+    run.add_argument("--m2", type=float, help="second mass in GeV")
+    run.add_argument("--n", type=int, help="radial quantum number")
+    run.add_argument("--l", type=int, help="orbital angular momentum")
+    run.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
+    run.add_argument("--l-range", type=_parse_range, metavar="LO:HI")
+    run.add_argument("--nonrelativistic", action="store_true")
+    run.add_argument("--grid-points", type=int)
+    run.add_argument("--rmax", type=float)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=FORMATS, default="text")
+    report.add_argument("--out",
+                        help="write the report here instead of stdout")
+    report.add_argument("--config",
+                        help="key=value file with option defaults")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slet",
         description="Bound-state binding energies of two-particle systems "
                     "from the reduced semi-relativistic wave equation, via "
                     "the shifted-l expansion and an independent grid solver.")
-    parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
-
-    sp = sub.add_parser("solve", help="solve one or more levels",
-                        argument_default=argparse.SUPPRESS)
-    _add_run_options(sp)
-    sp.add_argument("--method", choices=METHODS)
-    sp.add_argument("--breakdown", action="store_true", default=None)
-
-    tp = sub.add_parser("table", help="reproduce a reference table",
-                        argument_default=argparse.SUPPRESS)
+    sp = sub.add_parser("solve", parents=[run, report],
+                        help="solve one or more levels")
+    sp.add_argument("--method", choices=METHODS, default="slet")
+    sp.add_argument("--breakdown", action="store_true")
+    sp.set_defaults(handler=cmd_solve)
+    tp = sub.add_parser("table", parents=[report],
+                        help="reproduce a reference table")
     tp.add_argument("table_id", type=int, choices=(1, 2, 3))
-    tp.add_argument("--format", choices=FORMATS, dest="format")
-    tp.add_argument("--out")
-    tp.add_argument("--config")
-
-    cp = sub.add_parser("compare", help="expansion vs grid solver",
-                        argument_default=argparse.SUPPRESS)
-    _add_run_options(cp)
-
-    bp = sub.add_parser("breakdown", help="one level, all intermediates",
-                        argument_default=argparse.SUPPRESS)
-    _add_run_options(bp, single_level=True)
-    return parser
+    tp.set_defaults(handler=cmd_table)
+    sub.add_parser("compare", parents=[run, report],
+                   help="expansion vs grid solver").set_defaults(
+                       handler=cmd_compare)
+    sub.add_parser("breakdown", parents=[run, report],
+                   help="one level, all intermediates").set_defaults(
+                       handler=cmd_breakdown)
+    return parser, sub.choices
 
 
-def _merged_options(args) -> dict:
-    provided = {k: v for k, v in vars(args).items()
-                if k != "command" and v is not None}
-    options = dict(_DEFAULTS)
-    if "config" in provided:
-        options.update(load_config(provided["config"]))
-    options.update(provided)
-    return options
-
-
-def _levels_from_options(options) -> list:
-    explicit = options["n"] is not None or options["l"] is not None
-    ranged = (options.get("n_range") is not None
-              or options.get("l_range") is not None)
+def _levels_from_args(args) -> list:
+    explicit = args.n is not None or args.l is not None
+    ranged = args.n_range is not None or args.l_range is not None
     if explicit and ranged:
         raise ValueError("give either --n/--l or --n-range/--l-range, "
                          "not both")
     if ranged:
-        n_lo, n_hi = options.get("n_range") or (0, 0)
-        l_lo, l_hi = options.get("l_range") or (0, 0)
+        n_lo, n_hi = args.n_range or (0, 0)
+        l_lo, l_hi = args.l_range or (0, 0)
         return [(n, l) for n in range(n_lo, n_hi + 1)
                 for l in range(l_lo, l_hi + 1)]
-    n = options["n"] if options["n"] is not None else 0
-    l = options["l"] if options["l"] is not None else 0
-    return [(n, l)]
+    return [(args.n or 0, args.l or 0)]
 
 
-def manifest_from_options(options) -> RunManifest:
-    if not options.get("potential"):
+def manifest_from_args(args, method="slet") -> RunManifest:
+    if not args.potential:
         raise ValueError("a --potential spec is required")
-    if options.get("m1") is None or options.get("m2") is None:
+    if args.m1 is None or args.m2 is None:
         raise ValueError("--m1 and --m2 are required")
     return RunManifest(
-        potential=parse_potential(options["potential"]),
-        m1=options["m1"], m2=options["m2"],
-        levels=_levels_from_options(options),
-        method=options.get("method", "slet"),
-        out_format=options["format"] or "text",
-        out=options.get("out"),
-        nonrelativistic=bool(options.get("nonrelativistic")),
-        breakdown=bool(options.get("breakdown")),
-        grid_points=options.get("grid_points"),
-        rmax=options.get("rmax"),
-    )
+        potential=parse_potential(args.potential), m1=args.m1, m2=args.m2,
+        levels=_levels_from_args(args), method=method,
+        nonrelativistic=args.nonrelativistic,
+        grid_points=args.grid_points, rmax=args.rmax)
 
 
 def _exit_code_for(exc) -> int:
@@ -516,108 +512,72 @@ def _exit_code_for(exc) -> int:
     return EXIT_NO_CONVERGENCE
 
 
-def cmd_solve(options) -> int:
-    manifest = manifest_from_options(options)
-    records, breakdowns, first_error = run_solve(manifest)
-    if manifest.out_format == "csv":
-        _emit(render_csv(RECORD_FIELDS,
-                         [dataclasses.astuple(rec) for rec in records]),
-              manifest.out)
-    elif manifest.out_format == "json":
-        payload = {"records": [dataclasses.asdict(r) for r in records]}
-        if breakdowns:
-            payload["breakdowns"] = breakdowns
-        _emit(render_json(payload), manifest.out)
-    else:
-        text = render_text(records)
-        for info in breakdowns:
-            text += render_breakdown_text(info)
-        _emit(text, manifest.out)
+def cmd_solve(args) -> int:
+    records, solutions, first_error = run_solve(
+        manifest_from_args(args, args.method))
+    breakdowns = ([breakdown_dict(sol) for sol in solutions]
+                  if args.breakdown else None)
+    _write_records(args, records, breakdowns)
     return _exit_code_for(first_error) if first_error is not None else EXIT_OK
 
 
-def cmd_table(options) -> int:
-    table_id = options["table_id"]
+def cmd_table(args) -> int:
+    table_id = args.table_id
     records, divergences, offending = run_table(table_id)
-    fmt = options["format"] or "text"
-    if fmt == "csv":
-        _emit(render_csv(RECORD_FIELDS,
-                         [dataclasses.astuple(rec) for rec in records]),
-              options.get("out"))
-    elif fmt == "json":
-        payload = {
-            "table": table_id,
-            "tolerance_GeV": fixtures.SLET_TOLERANCES[table_id],
-            "records": [dataclasses.asdict(r) for r in records],
-            "divergences": [
-                {"n": n, "l": l, "computed_minus_printed_GeV": gap}
-                for (n, l), gap in sorted(divergences.items())],
-            "offending_cells": [
-                {"n": n, "l": l, "computed_GeV": got, "printed_GeV": ref,
-                 "divergence_GeV": gap}
-                for n, l, got, ref, gap in offending],
-        }
-        _emit(render_json(payload), options.get("out"))
-    else:
-        _emit(render_table_text(table_id, records, divergences, offending),
-              options.get("out"))
+    _write_records(
+        args, records,
+        text=render_table_text(table_id, records, divergences, offending),
+        table=table_id,
+        tolerance_GeV=fixtures.SLET_TOLERANCES[table_id],
+        divergences=[{"n": n, "l": l, "computed_minus_printed_GeV": gap}
+                     for (n, l), gap in sorted(divergences.items())],
+        offending_cells=[{"n": n, "l": l, "computed_GeV": got,
+                          "printed_GeV": ref, "divergence_GeV": gap}
+                         for n, l, got, ref, gap in offending])
     return EXIT_DIVERGENCE if offending else EXIT_OK
 
 
-def cmd_compare(options) -> int:
-    options["method"] = "both"
-    manifest = manifest_from_options(options)
-    rows, summary = run_compare(manifest)
-    if manifest.out_format == "json":
-        _emit(render_json({"rows": rows, "summary": summary}), manifest.out)
-    elif manifest.out_format == "csv":
-        keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
-                "oracle_iterations", "oracle_residual"]
-        keys += sorted({k for row in rows for k in row
-                        if k.startswith("fixture")})
-        keys.append("status")
-        _emit(render_csv(keys, [[row.get(k) for k in keys] for row in rows]),
-              manifest.out)
-    else:
-        _emit(render_compare_text(rows, summary), manifest.out)
+def cmd_compare(args) -> int:
+    rows, summary = run_compare(manifest_from_args(args))
+    keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
+            "oracle_iterations", "oracle_residual"]
+    keys += sorted({k for row in rows for k in row if k.startswith("fixture")})
+    keys.append("status")
+    _write_report(args, {"rows": rows, "summary": summary},
+                  render_compare_text(rows, summary),
+                  (keys, [[row.get(k) for k in keys] for row in rows]))
     failed = summary["failed"]
     return EXIT_NO_CONVERGENCE if failed == summary["levels"] and failed \
         else EXIT_OK
 
 
-def cmd_breakdown(options) -> int:
-    options["breakdown"] = True
-    options["method"] = "slet"
-    manifest = manifest_from_options(options)
+def cmd_breakdown(args) -> int:
+    manifest = manifest_from_args(args)
     if len(manifest.levels) != 1:
         raise ValueError("breakdown takes one level; give --n and --l")
-    records, breakdowns, first_error = run_solve(manifest)
+    records, solutions, first_error = run_solve(manifest)
     if first_error is not None:
         raise first_error
-    if manifest.out_format == "json":
-        records = [dataclasses.asdict(r) for r in records]
-        _emit(render_json({"records": records, "breakdowns": breakdowns}),
-              manifest.out)
-    else:
-        _emit(render_text(records) + render_breakdown_text(breakdowns[0]),
-              manifest.out)
+    _write_records(args, records, [breakdown_dict(solutions[0])])
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_INVALID_INPUT
+        if args.config is not None:
+            # argv[0] is the subcommand: the top-level parser takes no
+            # other argument; flags after the file's values override them
+            file_args = load_config(args.config, args.command, commands)
+            args = parser.parse_args(argv[:1] + file_args + argv[1:])
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_INVALID_INPUT
-    handlers = {"solve": cmd_solve, "table": cmd_table,
-                "compare": cmd_compare, "breakdown": cmd_breakdown}
-    try:
-        options = _merged_options(args)
-        return handlers[args.command](options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -141,6 +141,15 @@ class TestSolveCommand:
         assert code == 0
         assert "eps_bar" in out and "E2_term" in out
 
+    def test_breakdown_flag_refuses_csv(self, capsys):
+        # a breakdown has no CSV form: refused rather than dropped
+        code, out, err = run(capsys, "solve", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", "--breakdown", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "json" in err and "text" in err
+
     def test_method_both_emits_two_records(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential", "oscillator:k=1",
                            "--m1", "1.31", "--m2", "1.31", "--n", "0",
@@ -181,6 +190,54 @@ class TestConfigFile:
             code, _, err = run(capsys, *argv, "--config", str(cfg))
             assert code == 2
             assert key in err
+
+    def test_config_value_checked_like_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
+                       "format=xml\n")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'xml'" in err
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("1", True), ("Yes", True), ("on", True),
+        ("false", False), ("0", False), ("no", False), ("OFF", False)])
+    def test_flag_values(self, capsys, tmp_path, value, expected):
+        argv = ("solve", "--potential", "oscillator:k=1", "--m1", "1.31",
+                "--m2", "1.31", "--format", "csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nonrelativistic={value}\n")
+        code, out, _ = run(capsys, *argv, "--config", str(cfg))
+        flags = ("--nonrelativistic",) if expected else ()
+        assert (code, out) == run(capsys, *argv, *flags)[:2]
+
+    def test_bad_flag_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
+                       "breakdown=maybe\n")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "breakdown" in err and "maybe" in err
+
+    def test_other_subcommand_keys_ignored(self, capsys, tmp_path):
+        # one file serves solve and table; table takes only format
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
+                       "method=both\nbreakdown=true\nformat=csv\n")
+        code, out, _ = run(capsys, "table", "1", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "table", "1", "--format", "csv")[1]
+
+    def test_table_id_key_refused(self, capsys, tmp_path):
+        # the table is a positional argument, not an option
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("table_id=2\n")
+        code, out, err = run(capsys, "table", "1", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "table_id" in err
 
     def test_ranges_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -316,6 +373,22 @@ class TestBreakdownCommand:
         assert set(diagnostics) == {
             f.name for f in dataclasses.fields(engine.SolveDiagnostics)}
 
+    def test_csv_refused(self, capsys):
+        code, out, err = run(capsys, "breakdown", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "json" in err and "text" in err
+
+    def test_level_range_flag_refused(self, capsys):
+        code, out, err = run(capsys, "breakdown", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", "--n-range", "0:1")
+        assert code == 2
+        assert out == ""
+        assert "one level" in err
+
     def test_level_range_from_config_refused(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
@@ -324,6 +397,95 @@ class TestBreakdownCommand:
         assert code == 2
         assert out == ""
         assert "one level" in err
+
+
+# a value for each option that changes the base run's report, where the
+# subcommand uses the option at all
+SAMPLE_VALUES = {
+    "--potential": "coulomb:alpha=0.25", "--m1": "1.45", "--m2": "1.45",
+    "--n": "1", "--l": "1", "--n-range": "0:1", "--l-range": "0:1",
+    "--grid-points": "2000", "--rmax": "5", "--method": "oracle",
+    "--format": "csv", "--out": "report.out"}
+RUN_OPTIONS = {"--potential": "oscillator:k=1", "--m1": "1.31",
+               "--m2": "1.31", "--format": "json"}
+BASE_OPTIONS = {"solve": dict(RUN_OPTIONS, **{"--method": "both"}),
+                "compare": RUN_OPTIONS, "breakdown": RUN_OPTIONS,
+                "table": {}}
+
+
+def _long_options():
+    """(subcommand, option, sample value) for every long option but
+    --help and --config; a flag comes once set and once left off."""
+    _, commands = cli.build_parser()
+    cases = []
+    for command, parser in commands.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if not option.startswith("--") or option in ("--help",
+                                                             "--config"):
+                    continue
+                if action.nargs == 0:
+                    cases += [(command, option, True),
+                              (command, option, False)]
+                else:
+                    cases.append((command, option, SAMPLE_VALUES.get(option)))
+    return cases
+
+
+class TestConfigMatchesFlags:
+    """A one-line config file and the equivalent flag do the same thing."""
+
+    @staticmethod
+    def _argv(command, options):
+        argv = [command] + (["1"] if command == "table" else [])
+        for option, value in options.items():
+            argv += [option] if value is True else [option, value]
+        return argv
+
+    def _outcome(self, capsys, tmp_path, argv):
+        out_file = tmp_path / SAMPLE_VALUES["--out"]
+        out_file.unlink(missing_ok=True)
+        code, out, _ = run(capsys, *argv)
+        return code, out, out_file.read_text() if out_file.exists() else None
+
+    @pytest.mark.parametrize("command, option, value", _long_options())
+    def test_config_matches_flag(self, capsys, tmp_path, monkeypatch,
+                                 command, option, value):
+        assert value is not None, f"give {option} a sample value"
+        monkeypatch.chdir(tmp_path)
+        base = dict(BASE_OPTIONS[command])
+        flagged = dict(base)
+        if value is not False:
+            flagged[option] = value
+        base.pop(option, None)
+        text = "true" if value is True else "false" if value is False \
+            else value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option[2:].replace('-', '_')}={text}\n")
+        from_file = self._outcome(
+            capsys, tmp_path, self._argv(command, base) + ["--config",
+                                                           str(cfg)])
+        from_flag = self._outcome(capsys, tmp_path,
+                                  self._argv(command, flagged))
+        assert from_file == from_flag
+
+
+class TestEntryPoint:
+    def test_no_subcommand_prints_usage(self, capsys):
+        code, out, _ = run(capsys)
+        assert code == 2
+        assert out.startswith("usage: slet")
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "solve", "--help")
+        assert code == 0
+        assert out.startswith("usage: slet solve")
+
+    def test_bad_flag_value_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--format", "xml")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'xml'" in err
 
 
 class TestFixtures:

@@ -233,9 +233,15 @@ class TestNewtonIteration:
         grid = RadialGrid(1e-4, r_max, 4000)
         sol = solve_selfconsistent(pot, pair, QuantumNumbers(n, l), grid)
 
+        # the referee shares no eigensolver code with the solver, and its
+        # bisection runs to the smallest tolerance instead of LAPACK's
+        # default eps * |T|, about 4e-10 on the oscillator operator
         def g(e):
             diag, off = effective_operator(pot, pair, l, e, sol.grid)
-            return nth_eigenvalue(diag, off, n) - e - e * e / (2 * pair.eta)
+            level = eigh_tridiagonal(diag, off, select="i",
+                                     select_range=(n, n), eigvals_only=True,
+                                     tol=np.finfo(float).tiny)[0]
+            return level - e - e * e / (2 * pair.eta)
 
         exact = brentq(g, *bracket, xtol=1e-14, rtol=4 * np.finfo(float).eps)
         assert sol.binding_energy == pytest.approx(exact, abs=1e-9)
