@@ -495,6 +495,11 @@ def manifest_from_args(args, method="slet") -> RunManifest:
         raise ValueError("a --potential spec is required")
     if args.m1 is None or args.m2 is None:
         raise ValueError("--m1 and --m2 are required")
+    if method in ("slet", "closed-form") and (args.grid_points is not None
+                                              or args.rmax is not None):
+        # refused rather than ignored: only the grid solver has a grid
+        raise ValueError(f"--grid-points and --rmax set the grid solver's "
+                         f"grid, which method {method} does not use")
     return RunManifest(
         potential=parse_potential(args.potential), m1=args.m1, m2=args.m2,
         levels=_levels_from_args(args), method=method,
@@ -513,6 +518,11 @@ def _exit_code_for(exc) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.breakdown and args.method in ("oracle", "closed-form"):
+        # refused rather than dropped: only a SLET solve has a breakdown
+        raise ValueError(f"--breakdown dumps the expansion's intermediates, "
+                         f"which method {args.method} does not compute; "
+                         "use --method slet or both")
     records, solutions, first_error = run_solve(
         manifest_from_args(args, args.method))
     breakdowns = ([breakdown_dict(sol) for sol in solutions]
@@ -538,7 +548,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rows, summary = run_compare(manifest_from_args(args))
+    rows, summary = run_compare(manifest_from_args(args, "both"))
     keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
             "oracle_iterations", "oracle_residual"]
     keys += sorted({k for row in rows for k in row if k.startswith("fixture")})

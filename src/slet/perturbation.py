@@ -14,14 +14,16 @@ expansion parameter lambda:
 The energy corrections alpha1 and alpha2 consumed by the radial solver
 are the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
 single level n.  They are computed here by the standard order-by-order
-recursion in a truncated oscillator matrix basis, which is exact by
-construction.  x^p couples states at most p quanta apart, so the terms
-at order j = 1..4 reach at most j + 2 quanta (3, 4, 5 and 6).  The
-lambda^4 coefficient needs only psi_0..psi_3, and psi_k is built from
-chains of terms whose orders sum to k, so it lies within 3k quanta of
-n: psi_3 spans n - 9 .. n + 9.  The recursion therefore runs in the
-minimal basis of the lowest ``level + 10`` states, where every vector
-and matrix element it uses equals its untruncated value.
+recursion, with x acting on vectors through the ladder recurrence
+(x v)_k = a_k v_{k+1} + a_{k-1} v_{k-1}, a_k = sqrt((k+1)/(2 mu omega)),
+so no matrix is ever formed.  x^p couples states at most p quanta apart,
+so the terms at order j = 1..4 reach at most j + 2 quanta (3, 4, 5 and
+6).  The lambda^4 coefficient needs only psi_0..psi_3, and psi_k is built
+from chains of terms whose orders sum to k, so it lies within 3k quanta
+of n: psi_3 spans n - 9 .. n + 9.  No power above x^6 acts on a vector,
+so every vector the recursion forms lies in the window of states
+n - 15 .. n + 15 (clamped at 0) and equals its untruncated value there.
+The cost is the same at every level n.
 """
 
 from __future__ import annotations
@@ -36,11 +38,23 @@ from .errors import ParityViolationError
 # powers of x allowed at each lambda order (parity fixed by the expansion)
 ALLOWED_POWERS = {1: (1, 3), 2: (2, 4), 3: (1, 3, 5), 4: (2, 4, 6)}
 
-# psi_3 reaches level + 9, the last state of the basis
-BASIS_MARGIN = 10
+# psi_3 reaches 9 quanta from the level and x^6 six more
+WINDOW_HALF_WIDTH = 15
 
 # |c1| and |c3| above this mean terms were assembled at the wrong orders
 PARITY_TOLERANCE = 1e-10
+
+
+def _ladder_coefficients(mu: float, omega: float, first: int,
+                         count: int) -> np.ndarray:
+    """a_k = sqrt((k+1) / (2 mu omega)) for k = first .. first + count - 1.
+
+    a_k is the element <k|x|k+1> of the coordinate operator.
+    """
+    if not mu * omega > 0.0:
+        raise ValueError("mu * omega must be positive")
+    k = np.arange(first, first + count, dtype=float)
+    return np.sqrt((k + 1.0) / (2.0 * mu * omega))
 
 
 def position_matrix(mu: float, omega: float, basis_size: int) -> np.ndarray:
@@ -51,10 +65,7 @@ def position_matrix(mu: float, omega: float, basis_size: int) -> np.ndarray:
     """
     if basis_size < 2:
         raise ValueError("basis_size must be at least 2")
-    if not mu * omega > 0.0:
-        raise ValueError("mu * omega must be positive")
-    k = np.arange(basis_size - 1, dtype=float)
-    off = np.sqrt((k + 1.0) / (2.0 * mu * omega))
+    off = _ladder_coefficients(mu, omega, 0, basis_size - 1)
     return np.diag(off, 1) + np.diag(off, -1)
 
 
@@ -118,50 +129,66 @@ class SeriesCoefficients:
     c4: float
 
 
-def _run_recursion(problem: AnharmonicProblem, size: int):
+def _run_series(problem: AnharmonicProblem,
+                half_width: int) -> SeriesCoefficients:
+    """The recursion on the states level - half_width .. level + half_width.
+
+    Any half-width from WINDOW_HALF_WIDTH up gives the same numbers: the
+    states a wider window adds hold exact zeros throughout.
+    """
+    if half_width < WINDOW_HALF_WIDTH:
+        # a narrower window truncates x^p psi_3 and silently changes c4
+        raise ValueError(f"half_width must be at least {WINDOW_HALF_WIDTH}")
     mu, omega, n = problem.mu, problem.omega, problem.level
-    if size < n + BASIS_MARGIN:
-        # a smaller basis truncates psi_3 and silently changes c4
-        raise ValueError(f"basis_size must be at least level + {BASIS_MARGIN}")
-    powers = sorted({p for terms in problem.terms_by_order.values()
-                     for p, _ in terms})
-    xpow = {p: position_power_matrix(mu, omega, size, p) for p in powers}
-    w = {}
-    for order, terms in problem.terms_by_order.items():
-        mat = np.zeros((size, size))
-        for power, coeff in terms:
-            if coeff != 0.0:
-                mat += coeff * xpow[power]
-        w[order] = mat
+    first = max(0, n - half_width)
+    size = n + half_width + 1 - first
+    # slot i holds state first - 1 + i; slots 0 and size + 1 stay zero, as
+    # the states outside the window do
+    at = n - first + 1
+    ladder = _ladder_coefficients(mu, omega, first - 1, size + 1)
+    down, up = ladder[:-1], ladder[1:]
+    gap = (np.arange(size + 2) - at) * omega  # E_i - E_n
+    gap[at] = np.inf
+    green = 1.0 / gap
 
-    e0 = (np.arange(size) + 0.5) * omega
-    gap = e0 - e0[n]
-    green = np.zeros(size)
-    mask = np.arange(size) != n
-    green[mask] = 1.0 / gap[mask]
-
-    psi = [np.zeros(size)]
-    psi[0][n] = 1.0
+    terms = [(order, power, coeff)
+             for order, pairs in problem.terms_by_order.items()
+             for power, coeff in pairs]
+    # chain[k, p] = x^p psi_k
+    chain = np.zeros((4, 1 + max((p for _, p, _ in terms), default=0),
+                      size + 2))
+    chain[0, 0, at] = 1.0
     energies = []
     for k in (1, 2, 3, 4):
-        applied = [w[j] @ psi[k - j] for j in w if j <= k]
-        ek = float(sum(vec[n] for vec in applied)) if applied else 0.0
-        energies.append(ek)
-        rhs = -sum(applied) if applied else np.zeros(size)
-        for m in range(1, k + 1):
-            rhs = rhs + energies[m - 1] * psi[k - m]
-        psi.append(green * rhs)
-    return energies
+        # psi_{k-1} meets the orders j <= 5 - k
+        row = chain[k - 1]
+        reach = max((q for j, q, _ in terms if j + k <= 5), default=0)
+        for p in range(1, reach + 1):
+            # (x v)_i = a_i v_{i+1} + a_{i-1} v_{i-1}
+            row[p, 1:-1] = up * row[p - 1, 2:] + down * row[p - 1, :-2]
+        # sum of W_j psi_{k-j}, term by term in a fixed order
+        used = [(k - j, p, c) for j, p, c in terms if j <= k]
+        applied = np.zeros(size + 2)
+        if used:
+            src, pw, cf = zip(*used)
+            applied = (np.array(cf)[:, None] * chain[src, pw]).sum(axis=0)
+        energies.append(float(applied[at]))
+        if k < 4:  # c4 needs psi_0..psi_3 only
+            # E_k psi_0 drops out: green is zero at n
+            rhs = -applied
+            for m in range(1, k):
+                rhs += energies[m - 1] * chain[k - m, 0]
+            chain[k, 0] = green * rhs
+    return SeriesCoefficients(*energies)
 
 
 def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
     """Eigenvalue series coefficients c1..c4 of level n.
 
-    Runs in the exact minimal basis of ``level + 10`` states (see the
-    module docstring).
+    Runs in the exact window of ``WINDOW_HALF_WIDTH`` states on either
+    side of the level (see the module docstring).
     """
-    return SeriesCoefficients(
-        *_run_recursion(problem, problem.level + BASIS_MARGIN))
+    return _run_series(problem, WINDOW_HALF_WIDTH)
 
 
 def alpha_from_series(coeffs: SeriesCoefficients):

@@ -150,6 +150,40 @@ class TestSolveCommand:
         assert out == ""
         assert "json" in err and "text" in err
 
+    @pytest.mark.parametrize("method", ["oracle", "closed-form"])
+    def test_breakdown_flag_refused_without_slet(self, capsys, method):
+        # only a SLET solve has a breakdown: refused rather than dropped
+        code, out, err = run(capsys, "solve", "--potential",
+                             "coulomb:alpha=0.25", "--m1", "1.45", "--m2",
+                             "1.45", "--method", method, "--breakdown")
+        assert code == 2
+        assert out == ""
+        assert "--breakdown" in err and method in err
+
+    @pytest.mark.parametrize("method", ["slet", "closed-form"])
+    @pytest.mark.parametrize("option", [("--grid-points", "2000"),
+                                        ("--rmax", "5")])
+    def test_grid_options_refused_without_oracle(self, capsys, method,
+                                                 option):
+        # neither method has a grid: refused rather than ignored
+        code, out, err = run(capsys, "solve", "--potential",
+                             "coulomb:alpha=0.25", "--m1", "1.45", "--m2",
+                             "1.45", "--method", method, *option)
+        assert code == 2
+        assert out == ""
+        assert "--grid-points and --rmax" in err
+
+    @pytest.mark.parametrize("command", [("solve", "--method", "oracle"),
+                                         ("solve", "--method", "both"),
+                                         ("compare",)])
+    def test_grid_options_kept_with_oracle(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--potential", "oscillator:k=1",
+                           "--m1", "1.31", "--m2", "1.31",
+                           "--nonrelativistic", "--grid-points", "2000",
+                           "--rmax", "12")
+        assert code == 0
+        assert out
+
     def test_method_both_emits_two_records(self, capsys):
         code, out, _ = run(capsys, "solve", "--potential", "oscillator:k=1",
                            "--m1", "1.31", "--m2", "1.31", "--n", "0",
@@ -380,6 +414,17 @@ class TestBreakdownCommand:
         assert code == 2
         assert out == ""
         assert "json" in err and "text" in err
+
+    @pytest.mark.parametrize("option", [("--grid-points", "2000"),
+                                        ("--rmax", "5")])
+    def test_grid_options_refused(self, capsys, option):
+        # a breakdown is a SLET solve, which has no grid
+        code, out, err = run(capsys, "breakdown", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", *option)
+        assert code == 2
+        assert out == ""
+        assert "--grid-points and --rmax" in err
 
     def test_level_range_flag_refused(self, capsys):
         code, out, err = run(capsys, "breakdown", "--potential",

@@ -346,6 +346,16 @@ class TestFullSolve:
             exact = (2 * n + l + 1.5) / math.sqrt(pair.mu)
             assert sol.binding_energy == pytest.approx(exact, rel=1e-10)
 
+    @pytest.mark.parametrize("n, l", [(150, 1), (500, 3)])
+    def test_nonrelativistic_oscillator_high_levels(self, n, l):
+        # the series runs in a fixed window around level n, so its
+        # rounding does not grow with the size of a basis from 0 to n
+        pot = PotentialModel.oscillator(1.0)
+        pair = ParticlePair.equal(1.31, relativistic=False)
+        sol = solve(pot, pair, QuantumNumbers(n, l))
+        exact = (2 * n + l + 1.5) / math.sqrt(pair.mu)
+        assert sol.binding_energy == pytest.approx(exact, rel=1e-8)
+
     def test_nonrelativistic_limit_improves_with_mass(self):
         pot = PotentialModel.oscillator(1.0)
         errors = []

@@ -1,18 +1,22 @@
+import mpmath
 import numpy as np
 import pytest
 
+from slet import engine
 from slet.engine import alpha1_closed_form
 from slet.errors import ParityViolationError
 from slet.perturbation import (
     ALLOWED_POWERS,
+    WINDOW_HALF_WIDTH,
     AnharmonicProblem,
     SeriesCoefficients,
     alpha_from_series,
     position_matrix,
-    _run_recursion,
+    _run_series,
     position_power_matrix,
     rspt_coefficients,
 )
+from slet.potentials import ParticlePair, parse_potential
 
 
 def bars_to_raw(mu, omega, eps_bar):
@@ -25,6 +29,19 @@ def make_problem(mu, omega, n, eps_bar=(0, 0, 0, 0)):
     return AnharmonicProblem(mu=mu, omega=omega, level=n,
                              terms_by_order={1: ((1, e1), (3, e3)),
                                              2: ((2, e2), (4, e4))})
+
+
+def termination_problems():
+    """Three problems at each of six levels, every admissible power set."""
+    rng = np.random.default_rng(41)
+    for n in (0, 1, 4, 15, 60, 200):
+        for _ in range(3):
+            terms = {order: tuple((p, rng.uniform(-90.0, 90.0))
+                                  for p in powers)
+                     for order, powers in ALLOWED_POWERS.items()}
+            yield AnharmonicProblem(mu=rng.uniform(0.3, 3.0),
+                                    omega=rng.uniform(0.05, 4.0),
+                                    level=n, terms_by_order=terms)
 
 
 class TestPositionMatrix:
@@ -58,6 +75,28 @@ class TestPositionMatrix:
             position_matrix(-1.0, 1.0, 10)
         with pytest.raises(ValueError):
             position_matrix(1.0, 1.0, 1)
+
+
+class TestLadderAgainstDensePowers:
+    @pytest.mark.parametrize("n", [0, 3, 40, 200])
+    def test_single_terms(self, n):
+        # one x^4 term at order 2 gives c2 = e <n|x^4|n> and
+        # c4 = -e^2 sum_m <m|x^4|n>^2 / (E_m - E_n); one x^6 term at
+        # order 4 gives c4 = d <n|x^6|n>
+        mu, omega, e, d = 0.8, 1.3, 0.37, -0.21
+        size = n + 10
+        x4 = position_power_matrix(mu, omega, size, 4)[:, n]
+        x6 = position_power_matrix(mu, omega, size, 6)[n, n]
+        m = np.arange(size)
+        off = m != n
+        second = -e * e * np.sum(x4[off]**2 / ((m[off] - n) * omega))
+        quartic = rspt_coefficients(AnharmonicProblem(
+            mu=mu, omega=omega, level=n, terms_by_order={2: ((4, e),)}))
+        sextic = rspt_coefficients(AnharmonicProblem(
+            mu=mu, omega=omega, level=n, terms_by_order={4: ((6, d),)}))
+        assert quartic.c2 == pytest.approx(e * x4[n], rel=1e-13)
+        assert quartic.c4 == pytest.approx(second, rel=1e-12)
+        assert sextic.c4 == pytest.approx(d * x6, rel=1e-13)
 
 
 class TestExactlySolvable:
@@ -127,9 +166,9 @@ class TestSeriesStructure:
     def test_basis_doubling_stability(self):
         problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
         small = rspt_coefficients(problem)
-        big = _run_recursion(problem, 2 * (problem.level + 10))
-        assert big[1] == pytest.approx(small.c2, rel=1e-9)
-        assert big[3] == pytest.approx(small.c4, rel=1e-9)
+        big = _run_series(problem, 2 * WINDOW_HALF_WIDTH)
+        assert big.c2 == pytest.approx(small.c2, rel=1e-9)
+        assert big.c4 == pytest.approx(small.c4, rel=1e-9)
 
     def test_ground_level_second_order_not_positive(self):
         rng = np.random.default_rng(3)
@@ -146,7 +185,7 @@ class TestValidation:
     def test_small_basis_rejected(self):
         problem = make_problem(1.0, 1.0, 0, (0.1, 0, 0, 0))
         with pytest.raises(ValueError):
-            _run_recursion(problem, 9)
+            _run_series(problem, WINDOW_HALF_WIDTH - 1)
 
     def test_parity_pattern_enforced(self):
         with pytest.raises(ValueError):
@@ -162,18 +201,93 @@ class TestValidation:
             alpha_from_series(SeriesCoefficients(1e-3, 0.5, 0, 0.1))
 
     def test_exact_termination(self):
-        # psi_3 reaches level + 9, so the level + 10 basis gives the
-        # coefficients of a basis four times larger, with all orders set
-        rng = np.random.default_rng(41)
-        for n in (0, 1, 4, 15, 60, 200):
-            for _ in range(3):
-                terms = {order: tuple((p, rng.uniform(-90.0, 90.0))
-                                      for p in powers)
-                         for order, powers in ALLOWED_POWERS.items()}
-                problem = AnharmonicProblem(mu=rng.uniform(0.3, 3.0),
-                                            omega=rng.uniform(0.05, 4.0),
-                                            level=n, terms_by_order=terms)
-                got = rspt_coefficients(problem)
-                ref = _run_recursion(problem, 4 * (n + 10))
-                assert got.c2 == pytest.approx(ref[1], rel=1e-13)
-                assert got.c4 == pytest.approx(ref[3], rel=1e-13)
+        # every vector the series forms lies within WINDOW_HALF_WIDTH
+        # states of the level, so the minimal window gives the
+        # coefficients of a window four times wider, with all orders set
+        for problem in termination_problems():
+            got = rspt_coefficients(problem)
+            ref = _run_series(problem, 4 * WINDOW_HALF_WIDTH)
+            assert got.c2 == pytest.approx(ref.c2, rel=1e-13)
+            assert got.c4 == pytest.approx(ref.c4, rel=1e-13)
+
+
+def exact_series(problem, digits=50):
+    """c1..c4 of the same problem in ``digits``-digit arithmetic.
+
+    Written apart from slet.perturbation: vectors are {state: amplitude}
+    dicts, and x|k> = sqrt(k/(2 mu omega)) |k-1> + sqrt((k+1)/(2 mu
+    omega)) |k+1>.  Every input float converts to mpf exactly.
+    """
+    with mpmath.workdps(digits):
+        mu_omega2 = 2 * mpmath.mpf(problem.mu) * mpmath.mpf(problem.omega)
+        omega, n = mpmath.mpf(problem.omega), problem.level
+
+        def times_x(vec):
+            out = {}
+            for k, amp in vec.items():
+                out[k + 1] = out.get(k + 1, 0) + mpmath.sqrt(
+                    (k + 1) / mu_omega2) * amp
+                if k > 0:
+                    out[k - 1] = out.get(k - 1, 0) + mpmath.sqrt(
+                        k / mu_omega2) * amp
+            return out
+
+        def apply_w(order, vec):
+            out = {}
+            for power, coeff in problem.terms_by_order.get(order, ()):
+                term = vec
+                for _ in range(power):
+                    term = times_x(term)
+                for k, amp in term.items():
+                    out[k] = out.get(k, 0) + mpmath.mpf(coeff) * amp
+            return out
+
+        psi = [{n: mpmath.mpf(1)}]
+        energies = []
+        for k in range(1, 5):
+            rhs = {}
+            for j in range(1, k + 1):
+                for state, amp in apply_w(j, psi[k - j]).items():
+                    rhs[state] = rhs.get(state, 0) - amp
+            energies.append(-rhs.get(n, 0))
+            for m in range(1, k):
+                for state, amp in psi[k - m].items():
+                    rhs[state] = rhs.get(state, 0) + energies[m - 1] * amp
+            psi.append({state: amp / ((state - n) * omega)
+                        for state, amp in rhs.items() if state != n})
+        return energies
+
+
+def _engine_problem(spec, mass, n, l):
+    """The series problem that engine.solve sets up at level (n, l)."""
+    pair = ParticlePair.equal(mass)
+    sol = engine.solve(parse_potential(spec), pair,
+                       engine.QuantumNumbers(n, l))
+    eps, delta = sol.eps, sol.delta
+    return AnharmonicProblem(
+        mu=pair.mu, omega=sol.omega, level=n,
+        terms_by_order={1: ((1, eps[0]), (3, eps[2])),
+                        2: ((2, eps[1]), (4, eps[3])),
+                        3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
+                        4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))})
+
+
+class TestExactArithmeticReferee:
+    """The double-precision series against a 50-digit one."""
+
+    @staticmethod
+    def _check(problem):
+        got = rspt_coefficients(problem)
+        exact = exact_series(problem)
+        assert got.c2 == pytest.approx(float(exact[1]), rel=1e-12)
+        assert got.c4 == pytest.approx(float(exact[3]), rel=1e-9)
+
+    def test_random_problems(self):
+        for problem in termination_problems():
+            self._check(problem)
+
+    @pytest.mark.parametrize("spec, mass, n, l", [
+        ("cornell:alpha=0.25,b=0.18", 1.45, 200, 2),
+        ("oscillator:k=1", 1.31, 200, 8)])
+    def test_excited_levels(self, spec, mass, n, l):
+        self._check(_engine_problem(spec, mass, n, l))
