@@ -213,7 +213,8 @@ def run_compare(manifest: RunManifest):
     for n, l in manifest.levels:
         row = {"n": n, "l": l, "E_slet_GeV": None, "E_oracle_GeV": None,
                "difference_GeV": None, "oracle_iterations": None,
-               "oracle_residual": None, "status": "ok"}
+               "oracle_residual": None, "oracle_bisections": None,
+               "status": "ok"}
         try:
             rec_s, _ = solve_level(manifest, n, l, "slet")
             rec_o, sol_o = solve_level(manifest, n, l, "oracle")
@@ -222,6 +223,7 @@ def run_compare(manifest: RunManifest):
             row["difference_GeV"] = rec_s.E_binding_GeV - rec_o.E_binding_GeV
             row["oracle_iterations"] = sol_o.outer_iterations
             row["oracle_residual"] = sol_o.residual
+            row["oracle_bisections"] = sol_o.bisection_solves
         except SletError as exc:
             row["status"] = _status(exc)
         if fix is not None:
@@ -550,7 +552,7 @@ def cmd_table(args) -> int:
 def cmd_compare(args) -> int:
     rows, summary = run_compare(manifest_from_args(args, "both"))
     keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
-            "oracle_iterations", "oracle_residual"]
+            "oracle_iterations", "oracle_residual", "oracle_bisections"]
     keys += sorted({k for row in rows for k in row if k.startswith("fixture")})
     keys.append("status")
     _write_report(args, {"rows": rows, "summary": summary},

@@ -8,19 +8,22 @@ must reproduce its own trial energy through lambda_n(E) = E + E^2/(2 eta),
 where lambda_n is the (n+1)-th smallest eigenvalue.  The solver finds
 the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a safeguarded Newton
 iteration around an inner symmetric tridiagonal eigenproblem (three-point
-finite differences, Dirichlet ends).  Between Newton iterates the
-operator moves only by (Delta E/eta) V on its diagonal, so each iterate
-refines the previous iterate's eigenvector by Rayleigh-quotient
-iteration, one tridiagonal solve per step.  A refined pair is accepted
+finite differences, Dirichlet ends).  The operator's energy-independent
+pieces are built once per grid, and between Newton iterates it moves only
+by (Delta E/eta) V on its diagonal, so each iterate refines the previous
+iterate's eigenvector by Rayleigh-quotient iteration, one tridiagonal
+solve per step.  An eigensolve with no previous iterate starts instead
+from the same operator's level-n eigenvector on a coarse grid over the
+same span, interpolated onto the full grid.  A refined pair is accepted
 only when its residual has settled at the rounding floor of the operator
 and its eigenvector has exactly n nodes, which by Sturm's oscillation
-theorem singles out level n; otherwise, and at the first iterate of a
-solve, LAPACK's Sturm-sequence bisection extracts the pair, indexing
-levels exactly.  The eigenvector gives the Newton slope by the
-Hellmann-Feynman theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its
-node count is checked against the requested radial quantum number.  The
-default box is sized from the potential's length scales and, for
-potentials that do not confine, from the level.
+theorem singles out level n; otherwise LAPACK's Sturm-sequence
+bisection, run to full precision, extracts the pair, indexing levels
+exactly.  The eigenvector gives the Newton slope by the Hellmann-Feynman
+theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its node count is
+checked against the requested radial quantum number.  The default box
+is sized from the potential's length scales and, for potentials that do
+not confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
 attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
@@ -82,6 +85,13 @@ REFINEMENT_RESIDUAL = 8.0
 # Rayleigh-quotient steps tried from a start vector before bisection;
 # a start from the previous Newton iterate settles in two
 MAX_REFINEMENT_STEPS = 4
+# points of the coarse grid whose level-n eigenvector starts the
+# refinement of an eigensolve that has no previous iterate; at 500 the
+# refinement is rejected on Cornell (1,0), (2,0) and Coulomb (4,0)
+COARSE_POINT_COUNT = 1000
+# absolute tolerance of LAPACK's bisection; the smallest positive value
+# runs it to rounding level instead of its default eps * |T|
+BISECTION_TOLERANCE = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -135,33 +145,49 @@ def default_grid(potential: PotentialModel, pair: ParticlePair,
     return RadialGrid(DEFAULT_R_MIN, r_max, point_count)
 
 
+class GridOperator:
+    """Symmetric tridiagonal discretization of H(E) on one grid.
+
+    The potential, the -V^2/(2 eta) and centrifugal terms and the
+    off-diagonal do not depend on the trial energy, so they are built
+    once; calling the operator at a trial energy adds E V/eta and returns
+    (diagonal, off-diagonal) for the three-point stencil with Dirichlet
+    ends.  Each call warns when the local wave number at its trial energy
+    resolves to fewer than roughly a dozen points per oscillation (the
+    singular region next to r_min is excluded from that estimate).
+    """
+
+    def __init__(self, potential: PotentialModel, pair: ParticlePair, l: int,
+                 grid: RadialGrid):
+        r = grid.points
+        self.grid = grid
+        self.mu, self.eta = pair.mu, pair.eta
+        self.v = potential.evaluate(r)
+        self.static = self.v - self.v * self.v / (2.0 * self.eta)
+        self.centrifugal = (l * (l + 1) / (2.0 * self.mu * r * r) if l > 0
+                            else None)
+        self.inv_h2 = 1.0 / (self.mu * grid.h**2)
+        self.off = np.full(grid.point_count - 1, -0.5 * self.inv_h2)
+
+    def __call__(self, e_trial: float):
+        grid, mu, eta = self.grid, self.mu, self.eta
+        veff = self.static + e_trial * self.v / eta
+        if self.centrifugal is not None:
+            veff = veff + self.centrifugal
+        lam_trial = e_trial + e_trial**2 / (2.0 * eta)
+        interior = veff[grid.point_count // 100:]
+        kinetic = lam_trial - float(np.min(interior))
+        if kinetic > 0.0 and math.sqrt(2.0 * mu * kinetic) * grid.h > 0.5:
+            warnings.warn(
+                f"grid spacing h = {grid.h:g} resolves the trial energy "
+                f"{e_trial:g} poorly; refine the grid", ResolutionWarning)
+        return self.inv_h2 + veff, self.off
+
+
 def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
                        e_trial: float, grid: RadialGrid):
-    """Symmetric tridiagonal discretization of H(E) on the grid.
-
-    Returns (diagonal, off-diagonal) for the three-point stencil with
-    Dirichlet ends.  Warns when the local wave number at the trial
-    energy resolves to fewer than roughly a dozen points per oscillation
-    (the singular region next to r_min is excluded from that estimate).
-    """
-    r = grid.points
-    mu, eta = pair.mu, pair.eta
-    v = potential.evaluate(r)
-    veff = v - v * v / (2.0 * eta) + e_trial * v / eta
-    if l > 0:
-        veff = veff + l * (l + 1) / (2.0 * mu * r * r)
-    inv_h2 = 1.0 / (mu * grid.h**2)
-    diag = inv_h2 + veff
-    off = np.full(grid.point_count - 1, -0.5 * inv_h2)
-
-    lam_trial = e_trial + e_trial**2 / (2.0 * eta)
-    interior = veff[grid.point_count // 100:]
-    kinetic = lam_trial - float(np.min(interior))
-    if kinetic > 0.0 and math.sqrt(2.0 * mu * kinetic) * grid.h > 0.5:
-        warnings.warn(
-            f"grid spacing h = {grid.h:g} resolves the trial energy "
-            f"{e_trial:g} poorly; refine the grid", ResolutionWarning)
-    return diag, off
+    """(diagonal, off-diagonal) of H(e_trial); see :class:`GridOperator`."""
+    return GridOperator(potential, pair, l, grid)(e_trial)
 
 
 def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
@@ -169,7 +195,7 @@ def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
-                            eigvals_only=True)
+                            eigvals_only=True, tol=BISECTION_TOLERANCE)
     return float(vals[0])
 
 
@@ -187,8 +213,10 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
     start that converges to another level is rejected.  Without a start
     vector, or when the refinement is rejected, does not settle within
     MAX_REFINEMENT_STEPS, or meets a singular or non-finite solve, the
-    pair comes from LAPACK's Sturm-sequence bisection.  Returns
-    (eigenvalue, eigenvector, bisected).
+    pair comes from LAPACK's Sturm-sequence bisection at
+    BISECTION_TOLERANCE.  The grid solver passes a start to every call on
+    a grid finer than COARSE_POINT_COUNT, so there bisection is only the
+    fallback.  Returns (eigenvalue, eigenvector, bisected).
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
@@ -200,7 +228,8 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
     bisected = pair is None
     if bisected:
         vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(n, n))
+                                      select_range=(n, n),
+                                      tol=BISECTION_TOLERANCE)
         pair = float(vals[0]), vecs[:, 0]
     value, vec = pair
     # fix the overall sign so the first sizable lobe points up
@@ -244,8 +273,11 @@ class OracleSolution:
     """Self-consistent eigenvalue with its wavefunction and diagnostics.
 
     outer_iterations counts every eigensolve, the nonrelativistic
-    estimate included; bisection_solves counts the eigenpairs that came
-    from LAPACK bisection rather than from refining a start vector.
+    estimate included; bisection_solves counts the eigensolves on the
+    solution's full-size grids that came from LAPACK bisection rather than
+    from refining a start vector (the coarse-grid eigenpairs that provide
+    start vectors are not counted).  On grids finer than
+    COARSE_POINT_COUNT it is 0 unless a refinement was rejected.
     """
 
     binding_energy: float
@@ -259,10 +291,30 @@ class OracleSolution:
     bisection_solves: int = 0
 
 
-def _nonrelativistic_estimate(potential, pair, qn, grid):
+def _coarse_seed(potential, pair, l, grid, e_trial, n):
+    """Start vector for level n of H(e_trial) on grid, or None.
+
+    The same operator is built on COARSE_POINT_COUNT points over the same
+    [r_min, r_max], its level-n eigenvector is taken by bisection and
+    interpolated onto grid.  A grid no finer than that has no start.
+    """
+    if grid.point_count <= COARSE_POINT_COUNT:
+        return None
+    coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
+    # the full grid's own operator warns about its resolution
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        diag, off = GridOperator(potential, pair, l, coarse)(e_trial)
+    _, vec, _ = nth_eigenpair(diag, off, n)
+    return np.interp(grid.points, coarse.points, vec)
+
+
+def _nonrelativistic_pair(potential, pair, qn, grid):
+    """nth_eigenpair of the eta-infinite operator, from a coarse start."""
     nr_pair = pair.as_nonrelativistic()
     diag, off = effective_operator(potential, nr_pair, qn.l, 0.0, grid)
-    return nth_eigenvalue(diag, off, qn.n)
+    start = _coarse_seed(potential, nr_pair, qn.l, grid, 0.0, qn.n)
+    return nth_eigenpair(diag, off, qn.n, start)
 
 
 def escape_radius(potential: PotentialModel, pair: ParticlePair,
@@ -287,13 +339,6 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     return float(brentq(f, lo, search_hi, rtol=1e-10))
 
 
-def _residual(potential, pair, qn, grid, e_trial):
-    """g(E) = lambda_n(E) - E - E^2/(2 eta) on a fixed grid."""
-    diag, off = effective_operator(potential, pair, qn.l, e_trial, grid)
-    return (nth_eigenvalue(diag, off, qn.n) - e_trial
-            - e_trial**2 / (2.0 * pair.eta))
-
-
 def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     """Safeguarded Newton iteration for the root of g(E) on a fixed grid.
 
@@ -302,12 +347,13 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     Iterates keep a sign bracket [g >= 0, g < 0] inside the window, and a
     step that leaves it, or a slope that is not negative, is replaced by
     bisection.  Each iterate's eigenvector is the start vector of the
-    next one's eigensolve; vec, when given, starts the first.  Returns
-    (energy, |g|, eigenvector, node count of every iterate, number of
-    eigenpairs that needed bisection).
+    next one's eigensolve; vec, when given, starts the first, and
+    otherwise the first starts from the coarse grid (see
+    :func:`_coarse_seed`).  Returns (energy, |g|, eigenvector, node count
+    of every iterate, number of eigenpairs that needed bisection).
     """
     eta = pair.eta
-    v = potential.evaluate(grid.points)
+    operator = GridOperator(potential, pair, qn.l, grid)
     lo, hi = window
     # latest iterates below the root (g >= 0) and above it (g < 0)
     below = above = None
@@ -316,12 +362,14 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     nodes_along = []
     bisections = 0
     for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
-        diag, off = effective_operator(potential, pair, qn.l, energy, grid)
+        diag, off = operator(energy)
+        if vec is None:
+            vec = _coarse_seed(potential, pair, qn.l, grid, energy, qn.n)
         lam, vec, bisected = nth_eigenpair(diag, off, qn.n, vec)
         bisections += bisected
         nodes_along.append(count_nodes(vec))
         value = lam - energy - energy**2 / (2.0 * eta)
-        slope = float(vec @ (v * vec)) / eta - 1.0 - energy / eta
+        slope = float(vec @ (operator.v * vec)) / eta - 1.0 - energy / eta
         step = -value / slope if slope < 0.0 else math.nan
         xtol = 1e-13 + 4.0 * np.finfo(float).eps * abs(energy)
         # the residual has a floor set by the eigensolver's own
@@ -342,7 +390,8 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
         energy = trial if left < trial < right else 0.5 * (left + right)
 
     if below is None or above is None:
-        sweep = [(e, _residual(potential, pair, qn, grid, e))
+        sweep = [(e, nth_eigenvalue(*operator(e), qn.n) - e
+                  - e**2 / (2.0 * eta))
                  for e in np.linspace(lo, hi, FAILURE_SWEEP_POINTS)]
         raise WindowError(
             f"no sign change of the self-consistency residual found in "
@@ -396,9 +445,16 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     :func:`escape_radius`), starting from the first pass's eigenvector
     carried over to the new grid.  Levels of such problems are
     quasi-bound, and this wall placement is what defines their reported
-    position.  Within a pass, only the first iterate's eigenpair comes
-    from bisection unless a refinement is rejected (see
-    :func:`nth_eigenpair`).
+    position.
+
+    Every eigenpair is refined from a start vector (see
+    :func:`nth_eigenpair`): the nonrelativistic estimate, the single
+    eigensolve of an eta-infinite pair and the first iterate of the first
+    pass start from the level-n eigenvector of their own operator on a
+    coarse grid (see :func:`_coarse_seed`), and every later iterate from
+    the one before it.  Bisection on the full grid runs only when a
+    refinement is rejected, or when the grid has no more than
+    COARSE_POINT_COUNT points.
 
     Raises WindowError (with a sweep of the window attached) when no
     sign change shows up, ConvergenceError when the residual stays
@@ -411,12 +467,12 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
 
     if math.isinf(pair.eta):
         # operator is energy independent; one eigensolve settles it
-        diag, off = effective_operator(potential, pair, qn.l, 0.0, base)
-        energy, vec, _ = nth_eigenpair(diag, off, qn.n)
+        energy, vec, bisected = _nonrelativistic_pair(potential, pair, qn,
+                                                      base)
         return _solution(potential, pair, qn, base, energy, vec, 1, 0.0,
-                         (), 1, grid is None)
+                         (), int(bisected), grid is None)
 
-    e_nr = _nonrelativistic_estimate(potential, pair, qn, base)
+    e_nr, _, bisections = _nonrelativistic_pair(potential, pair, qn, base)
     quasi_bound = _is_confining(potential)
     if window is None:
         if quasi_bound:
@@ -432,8 +488,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
-    energy, residual, vec, nodes_along, bisections = _solve_on_grid(
+    energy, residual, vec, nodes_along, first_bisections = _solve_on_grid(
         potential, pair, qn, work_grid, window, e_nr)
+    bisections += first_bisections
 
     if work_grid is not base:
         wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)

@@ -343,6 +343,19 @@ class TestCompareCommand:
         assert "sqrt_method" in out
         assert "max |diff|" in out
 
+    def test_cornell_reports_no_bisection(self, capsys):
+        # every eigensolve of the level refines a start vector
+        code, out, _ = run(capsys, "compare", "--potential",
+                           "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
+                           "--m2", "1.45", "--n", "1", "--l", "1",
+                           "--format", "csv")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines())
+        values = dict(zip(header, row))
+        assert header.index("oracle_bisections") == \
+            header.index("oracle_residual") + 1
+        assert int(values["oracle_bisections"]) == 0
+
     def test_json_summary(self, capsys):
         code, out, _ = run(capsys, "compare", "--potential",
                            "oscillator:k=1", "--m1", "1.31", "--m2", "1.31",
@@ -354,6 +367,7 @@ class TestCompareCommand:
         row = payload["rows"][0]
         assert 2 <= row["oracle_iterations"] <= 20
         assert 0.0 <= row["oracle_residual"] <= 1e-10
+        assert row["oracle_bisections"] == 0
 
     def test_csv_carries_oracle_diagnostics(self, capsys):
         code, out, _ = run(capsys, "compare", "--potential",
@@ -372,6 +386,8 @@ class TestCompareCommand:
         payload = json.loads(out)
         assert payload["summary"]["failed"] == 2
         assert len(payload["rows"]) == 2
+        assert all(row["oracle_bisections"] is None
+                   for row in payload["rows"])
         assert code == 3
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from slet.engine import QuantumNumbers
+from slet import oracle
 from slet.errors import (
     LevelIdentificationError,
+    ResolutionWarning,
     SupercriticalCouplingError,
     WindowError,
 )
 from slet.oracle import (
+    GridOperator,
     RadialGrid,
     count_nodes,
     default_grid,
@@ -152,7 +156,44 @@ class TestNonrelativisticSpectra:
             assert sol.binding_energy == pytest.approx(exact, rel=1e-3)
             assert sol.node_count == n
             assert sol.residual == 0.0
-            assert sol.bisection_solves == 1
+            # the single eigensolve refines a coarse-grid start vector
+            assert sol.bisection_solves == 0
+
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_grid_operator_is_bit_identical(self, l, cornell_pot, pair_145):
+        # one GridOperator called at several trial energies gives the
+        # bytes of a fresh operator and of the formula written out
+        grid = RadialGrid(1e-4, 20.0, 1000)
+        operator = GridOperator(cornell_pot, pair_145, l, grid)
+        r = grid.points
+        mu, eta = pair_145.mu, pair_145.eta
+        v = cornell_pot.evaluate(r)
+        for e in (0.7, -0.3, 0.0, 2.5):
+            diag, off = operator(e)
+            fresh_diag, fresh_off = effective_operator(cornell_pot, pair_145,
+                                                       l, e, grid)
+            veff = v - v * v / (2.0 * eta) + e * v / eta
+            if l > 0:
+                veff = veff + l * (l + 1) / (2.0 * mu * r * r)
+            assert np.array_equal(diag, fresh_diag)
+            assert np.array_equal(diag, 1.0 / (mu * grid.h**2) + veff)
+            assert np.array_equal(off, fresh_off)
+
+    def test_grid_operator_warns_like_effective_operator(self,
+                                                         oscillator_pot):
+        pair = ParticlePair.equal(1.31, relativistic=False)
+        coarse = RadialGrid(1e-4, 40.0, 999)
+        operator = GridOperator(oscillator_pot, pair, 0, coarse)
+        for e, warns in ((200.0, True), (2.0, False), (300.0, True)):
+            with warnings.catch_warnings(record=True) as built:
+                warnings.simplefilter("always")
+                operator(e)
+            with warnings.catch_warnings(record=True) as fresh:
+                warnings.simplefilter("always")
+                effective_operator(oscillator_pot, pair, 0, e, coarse)
+            categories = [w.category for w in built]
+            assert categories == [w.category for w in fresh]
+            assert categories == ([ResolutionWarning] if warns else [])
 
     def test_e_trial_enters_only_through_coupling(self, cornell_pot,
                                                   pair_145):
@@ -195,6 +236,21 @@ class TestFallToCenter:
 
 
 class TestReducedCoulomb:
+    def test_fine_grid_single_solve_matches_referee(self, coulomb_pot):
+        # eta infinite: one seeded eigensolve on 32,000 points against a
+        # full-precision bisection of the same operator.  The bound is
+        # absolute: |E| is 6e-3 to 2.3e-2 GeV while the operator's norm
+        # is about 1e5, so rounding alone is far above 1e-11 relative
+        pair = ParticlePair.equal(1.45, relativistic=False)
+        for n, rmax in [(0, 120.0), (1, 150.0)]:
+            grid = RadialGrid(1e-5, rmax, 32000)
+            sol = solve_selfconsistent(coulomb_pot, pair,
+                                       QuantumNumbers(n, 0), grid)
+            diag, off = effective_operator(coulomb_pot, pair, 0, 0.0, grid)
+            referee, _ = bisection_reference(diag, off, n)
+            assert sol.bisection_solves == 0
+            assert sol.binding_energy == pytest.approx(referee, abs=1e-11)
+
     def test_implicit_closed_form(self, coulomb_pot, pair_145):
         for n, rmax in [(0, 120.0), (1, 150.0)]:
             exact = reduced_coulomb_binding(1.45, 0.25, n, 0)
@@ -251,12 +307,40 @@ class TestNewtonIteration:
         for key, sol in oracle_results.items():
             assert sol.outer_iterations <= 20, key
 
-    def test_one_bisection_per_wall_pass(self, oracle_results):
-        # every level here runs two wall passes; within a pass each
-        # iterate refines the previous eigenvector, so only a pass's
-        # first eigenpair may need bisection
+    def test_no_bisection_on_default_grids(self, oracle_results):
+        # every eigensolve refines a start vector: the estimate and the
+        # first iterate one from the coarse grid, every later iterate the
+        # previous eigenvector; none of them may fall back to bisection
         for key, sol in oracle_results.items():
-            assert 1 <= sol.bisection_solves <= 2, key
+            assert sol.bisection_solves == 0, key
+
+    @pytest.mark.parametrize("system, n, l", [
+        ("cornell", 1, 1), ("oscillator", 2, 2), ("coulomb", 2, 0)])
+    @pytest.mark.parametrize("seed", ["next level", "ones"])
+    def test_rejected_coarse_start_falls_back(self, monkeypatch, system, n,
+                                              l, seed, cornell_pot,
+                                              oscillator_pot, coulomb_pot,
+                                              pair_131, pair_145):
+        # the start vector decides the cost of a solve, never its result:
+        # a start that converges to level n + 1, or to no level in
+        # particular, is rejected and the pair comes from bisection
+        pot, pair = {"cornell": (cornell_pot, pair_145),
+                     "oscillator": (oscillator_pot, pair_131),
+                     "coulomb": (coulomb_pot, pair_145)}[system]
+        qn = QuantumNumbers(n, l)
+        expected = solve_selfconsistent(pot, pair, qn).binding_energy
+
+        def wrong_start(potential, pair, l, grid, e_trial, n):
+            if seed == "ones":
+                return np.ones(grid.point_count)
+            diag, off = effective_operator(potential, pair, l, e_trial, grid)
+            return nth_eigenpair(diag, off, n + 1)[1]
+
+        monkeypatch.setattr(oracle, "_coarse_seed", wrong_start)
+        sol = solve_selfconsistent(pot, pair, qn)
+        assert sol.binding_energy == pytest.approx(expected, rel=1e-10)
+        assert sol.bisection_solves >= 1
+        assert sol.node_count == n
 
     def test_excited_coulomb_in_level_sized_box(self, coulomb_pot, pair_145):
         for n in (3, 4, 5):
