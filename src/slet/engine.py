@@ -341,16 +341,6 @@ def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
                + (11 + 30 * n + 30 * n * n) * e3 * e3) / omega)
 
 
-def _series_alpha(mu: float, omega: float, n: int, eps, delta):
-    """(alpha1, alpha2) from the order-4 series of the perturbed oscillator."""
-    terms = {1: ((1, eps[0]), (3, eps[2])), 2: ((2, eps[1]), (4, eps[3])),
-             3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
-             4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))}
-    problem = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
-                                   terms_by_order=terms)
-    return pt.alpha_from_series(pt.rspt_coefficients(problem))
-
-
 def correction_energies(r0: float, denominator: float, alpha1: float,
                         alpha2: float, lbar: float, mu: float, beta: float):
     """Second and third correction terms of the assembled eigenvalue.
@@ -392,9 +382,9 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     with _stage("taylor_coefficients"):
         coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
                                      geo.omega, n)
-    with _stage("alpha2"):
-        alpha1, alpha2 = _series_alpha(pair.mu, geo.omega, n, coeffs.eps,
-                                        coeffs.delta)
+    series = pt.rspt_coefficients(pt.AnharmonicProblem(
+        pair.mu, geo.omega, n, coeffs.eps, coeffs.delta))
+    alpha1, alpha2 = series.c2, series.c4
     e2_term, e3_term = correction_energies(r0, denominator, alpha1, alpha2,
                                            lbar, pair.mu, beta)
     binding = e0 + e2_term + e3_term

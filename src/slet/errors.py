@@ -65,10 +65,6 @@ class InternalInconsistencyError(SletError):
     """A quantity violated an identity it satisfies by construction."""
 
 
-class ParityViolationError(InternalInconsistencyError):
-    """Odd-order series coefficients are not numerically zero."""
-
-
 class MultipleRootsWarning(RuntimeWarning):
     """More than one expansion point satisfied the root equation."""
 

@@ -287,7 +287,6 @@ class OracleSolution:
     grid: RadialGrid = field(repr=False)
     outer_iterations: int = 0
     residual: float = 0.0
-    scan_node_counts: tuple = ()
     bisection_solves: int = 0
 
 
@@ -349,8 +348,8 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     bisection.  Each iterate's eigenvector is the start vector of the
     next one's eigensolve; vec, when given, starts the first, and
     otherwise the first starts from the coarse grid (see
-    :func:`_coarse_seed`).  Returns (energy, |g|, eigenvector, node count
-    of every iterate, number of eigenpairs that needed bisection).
+    :func:`_coarse_seed`).  Returns (energy, |g|, eigenvector, number of
+    eigensolves, number of eigenpairs that needed bisection).
     """
     eta = pair.eta
     operator = GridOperator(potential, pair, qn.l, grid)
@@ -359,7 +358,6 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     below = above = None
     energy = float(min(max(start, lo), hi))
     previous = math.inf
-    nodes_along = []
     bisections = 0
     for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
         diag, off = operator(energy)
@@ -367,7 +365,6 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
             vec = _coarse_seed(potential, pair, qn.l, grid, energy, qn.n)
         lam, vec, bisected = nth_eigenpair(diag, off, qn.n, vec)
         bisections += bisected
-        nodes_along.append(count_nodes(vec))
         value = lam - energy - energy**2 / (2.0 * eta)
         slope = float(vec @ (operator.v * vec)) / eta - 1.0 - energy / eta
         step = -value / slope if slope < 0.0 else math.nan
@@ -376,7 +373,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
         # tolerance, so convergence also counts once it stops falling
         if abs(value) <= RESIDUAL_TOLERANCE and (
                 abs(step) <= xtol or abs(value) > 0.1 * previous):
-            return energy, abs(value), vec, tuple(nodes_along), bisections
+            return energy, abs(value), vec, evaluations, bisections
         previous = abs(value)
         if value >= 0.0:
             below = energy
@@ -402,7 +399,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
 
 
 def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
-              nodes_along, bisections, default_box):
+              bisections, default_box):
     """Check the converged eigenvector and package the result."""
     nodes = count_nodes(vec)
     if nodes != qn.n:
@@ -417,24 +414,23 @@ def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
                           mass=energy + pair.total_mass,
                           node_count=nodes, wavefunction=vec / norm,
                           grid=grid, outer_iterations=evaluations,
-                          residual=residual, scan_node_counts=nodes_along,
-                          bisection_solves=bisections)
+                          residual=residual, bisection_solves=bisections)
 
 
 def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
-                         qn: QuantumNumbers, grid: RadialGrid | None = None,
-                         window: tuple | None = None) -> OracleSolution:
+                         qn: QuantumNumbers,
+                         grid: RadialGrid | None = None) -> OracleSolution:
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
     Finds the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a Newton
     iteration with the Hellmann-Feynman slope, started from the
     nonrelativistic eigenvalue estimate and safeguarded by bisection
     inside a physically bounded window, down to |g| <= RESIDUAL_TOLERANCE.
-    The default window runs from -1.8 (m1 + m2), clipped above -eta
-    where the right-hand side stops being monotone, up to 50 times the
-    estimate; for relativistic confining problems it starts just below
-    the estimate, so no iterate probes energies whose escape region has
-    entered the box.
+    The window is computed here, not passed: it runs from -1.8 (m1 + m2),
+    clipped above -eta where the right-hand side stops being monotone,
+    up to 50 times the estimate; for relativistic confining problems it
+    starts just below the estimate, so no iterate probes energies whose
+    escape region has entered the box.
 
     When no grid is given, a level-sized one is built (see
     :func:`default_grid`).  For relativistic confining potentials the
@@ -470,16 +466,15 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         energy, vec, bisected = _nonrelativistic_pair(potential, pair, qn,
                                                       base)
         return _solution(potential, pair, qn, base, energy, vec, 1, 0.0,
-                         (), int(bisected), grid is None)
+                         int(bisected), grid is None)
 
     e_nr, _, bisections = _nonrelativistic_pair(potential, pair, qn, base)
     quasi_bound = _is_confining(potential)
-    if window is None:
-        if quasi_bound:
-            lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
-        else:
-            lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
-        window = (lo, 50.0 * max(abs(e_nr), 0.02))
+    if quasi_bound:
+        lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
+    else:
+        lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
+    window = (lo, 50.0 * max(abs(e_nr), 0.02))
 
     work_grid = base
     if quasi_bound:
@@ -488,7 +483,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
-    energy, residual, vec, nodes_along, first_bisections = _solve_on_grid(
+    energy, residual, vec, evaluations, first_bisections = _solve_on_grid(
         potential, pair, qn, work_grid, window, e_nr)
     bisections += first_bisections
 
@@ -501,12 +496,11 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             # the first pass's eigenvector, with nothing beyond its wall
             guess = np.interp(work_grid.points, first.points, vec,
                               right=0.0)
-            energy, residual, vec, more_nodes, more_bisections = \
+            energy, residual, vec, more_evaluations, more_bisections = \
                 _solve_on_grid(potential, pair, qn, work_grid, window,
                                energy, guess)
-            nodes_along += more_nodes
+            evaluations += more_evaluations
             bisections += more_bisections
 
     return _solution(potential, pair, qn, work_grid, energy, vec,
-                     1 + len(nodes_along), residual, nodes_along, bisections,
-                     grid is None)
+                     1 + evaluations, residual, bisections, grid is None)

@@ -11,8 +11,10 @@ expansion parameter lambda:
                 + lambda^3 (delta1 x + delta3 x^3 + delta5 x^5)
                 + lambda^4 (delta2 x^2 + delta4 x^4 + delta6 x^6)
 
-The energy corrections alpha1 and alpha2 consumed by the radial solver
-are the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
+The ten coefficients eps1..4 and delta1..6 are the whole input: this
+layout is fixed by the expansion, and this module alone knows it.  The
+energy corrections alpha1 and alpha2 consumed by the radial solver are
+the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
 single level n.  They are computed here by the standard order-by-order
 recursion, with x acting on vectors through the ladder recurrence
 (x v)_k = a_k v_{k+1} + a_{k-1} v_{k-1}, a_k = sqrt((k+1)/(2 mu omega)),
@@ -24,25 +26,22 @@ of n: psi_3 spans n - 9 .. n + 9.  No power above x^6 acts on a vector,
 so every vector the recursion forms lies in the window of states
 n - 15 .. n + 15 (clamped at 0) and equals its untruncated value there.
 The cost is the same at every level n.
+
+Every odd-order term carries an odd power of x, so psi_k holds only
+states of the level's parity for even k and only states of the other
+parity for odd k; every other entry is a sum of exact zeros.  The
+odd-order coefficients c1 and c3 are therefore exactly 0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
 
-from .errors import ParityViolationError
-
-# powers of x allowed at each lambda order (parity fixed by the expansion)
-ALLOWED_POWERS = {1: (1, 3), 2: (2, 4), 3: (1, 3, 5), 4: (2, 4, 6)}
-
 # psi_3 reaches 9 quanta from the level and x^6 six more
 WINDOW_HALF_WIDTH = 15
-
-# |c1| and |c3| above this mean terms were assembled at the wrong orders
-PARITY_TOLERANCE = 1e-10
 
 
 def _ladder_coefficients(mu: float, omega: float, first: int,
@@ -90,33 +89,26 @@ def position_power_matrix(mu: float, omega: float, basis_size: int,
 
 @dataclass(frozen=True)
 class AnharmonicProblem:
-    """One perturbed oscillator level and its terms grouped by order.
+    """Level ``level`` of h(lambda) in the module docstring.
 
-    ``terms_by_order`` maps a lambda order in {1, 2, 3, 4} to a sequence
-    of (power, coefficient) pairs; the powers must follow the parity
-    pattern of :data:`ALLOWED_POWERS`.
+    ``eps`` holds eps1..eps4 and ``delta`` holds delta1..delta6.
     """
 
     mu: float
     omega: float
     level: int
-    terms_by_order: dict = field(default_factory=dict)
+    eps: tuple
+    delta: tuple
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("level must be a non-negative integer")
         if not self.mu * self.omega > 0.0:
             raise ValueError("mu * omega must be positive")
-        for order, terms in self.terms_by_order.items():
-            if order not in ALLOWED_POWERS:
-                raise ValueError(f"unsupported perturbation order {order}")
-            for power, coeff in terms:
-                if power not in ALLOWED_POWERS[order]:
-                    raise ValueError(
-                        f"x^{power} is not admissible at order {order}; "
-                        f"allowed powers are {ALLOWED_POWERS[order]}")
-                if not isfinite(coeff):
-                    raise ValueError("perturbation coefficients must be finite")
+        if len(self.eps) != 4 or len(self.delta) != 6:
+            raise ValueError("need four eps and six delta coefficients")
+        if not all(isfinite(c) for c in (*self.eps, *self.delta)):
+            raise ValueError("perturbation coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -151,27 +143,24 @@ def _run_series(problem: AnharmonicProblem,
     gap[at] = np.inf
     green = 1.0 / gap
 
-    terms = [(order, power, coeff)
-             for order, pairs in problem.terms_by_order.items()
-             for power, coeff in pairs]
+    e, d = problem.eps, problem.delta
+    # (order, power, coefficient), in the order of h(lambda)
+    terms = ((1, 1, e[0]), (1, 3, e[2]), (2, 2, e[1]), (2, 4, e[3]),
+             (3, 1, d[0]), (3, 3, d[2]), (3, 5, d[4]),
+             (4, 2, d[1]), (4, 4, d[3]), (4, 6, d[5]))
     # chain[k, p] = x^p psi_k
-    chain = np.zeros((4, 1 + max((p for _, p, _ in terms), default=0),
-                      size + 2))
+    chain = np.zeros((4, 7, size + 2))
     chain[0, 0, at] = 1.0
     energies = []
     for k in (1, 2, 3, 4):
-        # psi_{k-1} meets the orders j <= 5 - k
+        # psi_{k-1} meets the orders j <= 5 - k, whose top power is 7 - k
         row = chain[k - 1]
-        reach = max((q for j, q, _ in terms if j + k <= 5), default=0)
-        for p in range(1, reach + 1):
+        for p in range(1, 8 - k):
             # (x v)_i = a_i v_{i+1} + a_{i-1} v_{i-1}
             row[p, 1:-1] = up * row[p - 1, 2:] + down * row[p - 1, :-2]
         # sum of W_j psi_{k-j}, term by term in a fixed order
-        used = [(k - j, p, c) for j, p, c in terms if j <= k]
-        applied = np.zeros(size + 2)
-        if used:
-            src, pw, cf = zip(*used)
-            applied = (np.array(cf)[:, None] * chain[src, pw]).sum(axis=0)
+        src, pw, cf = zip(*((k - j, p, c) for j, p, c in terms if j <= k))
+        applied = (np.array(cf)[:, None] * chain[src, pw]).sum(axis=0)
         energies.append(float(applied[at]))
         if k < 4:  # c4 needs psi_0..psi_3 only
             # E_k psi_0 drops out: green is zero at n
@@ -190,16 +179,3 @@ def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
     """
     return _run_series(problem, WINDOW_HALF_WIDTH)
 
-
-def alpha_from_series(coeffs: SeriesCoefficients):
-    """Extract (alpha1, alpha2) = (c2, c4) after checking parity zeros.
-
-    The odd-order coefficients vanish for any admissible problem (see
-    PARITY_TOLERANCE).
-    """
-    for name, value in (("c1", coeffs.c1), ("c3", coeffs.c3)):
-        if abs(value) > PARITY_TOLERANCE:
-            raise ParityViolationError(
-                f"odd-order coefficient {name} = {value!r} is not zero; "
-                "perturbation terms are mis-assigned")
-    return coeffs.c2, coeffs.c4

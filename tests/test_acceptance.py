@@ -139,10 +139,8 @@ def test_criterion_06_alpha1_dual_path(table2_solutions, table3_solutions):
         eps_bar = rng.uniform(-1.0, 1.0, 4)
         scale = 2.0 * mu * omega
         eps = [e * scale ** ((i + 1) / 2.0) for i, e in enumerate(eps_bar)]
-        problem = pt.AnharmonicProblem(
-            mu=mu, omega=omega, level=n,
-            terms_by_order={1: ((1, eps[0]), (3, eps[2])),
-                            2: ((2, eps[1]), (4, eps[3]))})
+        problem = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
+                                       eps=tuple(eps), delta=(0,) * 6)
         c2 = pt.rspt_coefficients(problem).c2
         closed = alpha1_closed_form(n, omega, eps_bar)
         gap = abs(c2 - closed)
@@ -286,10 +284,7 @@ def test_criterion_10_property_suites():
         delta = rng.uniform(-1, 1, 6)
         problem = pt.AnharmonicProblem(
             mu=mu, omega=omega, level=int(rng.integers(0, 4)),
-            terms_by_order={1: ((1, eps[0]), (3, eps[2])),
-                            2: ((2, eps[1]), (4, eps[3])),
-                            3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
-                            4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))})
+            eps=tuple(eps), delta=tuple(delta))
         c = pt.rspt_coefficients(problem)
         if abs(c.c1) > 1e-10 or abs(c.c3) > 1e-10:
             failures.append("parity zeros violated")
@@ -298,13 +293,13 @@ def test_criterion_10_property_suites():
     ebar1 = 0.63
     e1 = ebar1 * math.sqrt(2 * mu * omega)
     linear_only = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
-                                       terms_by_order={1: ((1, e1),)})
+                                       eps=(e1, 0, 0, 0), delta=(0,) * 6)
     c = pt.rspt_coefficients(linear_only)
     if abs(c.c2 - (-ebar1**2 / omega)) > 1e-10:
         failures.append("displaced-oscillator check")
     e2 = 0.07
     quad_only = pt.AnharmonicProblem(mu=1.1, omega=0.8, level=2,
-                                     terms_by_order={2: ((2, e2),)})
+                                     eps=(0, e2, 0, 0), delta=(0,) * 6)
     c = pt.rspt_coefficients(quad_only)
     if abs(c.c2 - 2.5 * e2 / (1.1 * 0.8)) > 1e-10:
         failures.append("quadratic-shift c2")

@@ -433,17 +433,17 @@ class TestQuasiBoundMachinery:
             assert v_wall > sol.binding_energy
             assert v_wall < 2.0 * etas[tid] + sol.binding_energy + 0.2
 
-    def test_level_continuity_along_scan(self, cornell_pot, pair_145):
-        sol = solve_selfconsistent(cornell_pot, pair_145,
-                                   QuantumNumbers(1, 1))
-        assert sol.scan_node_counts
-        assert all(c == 1 for c in sol.scan_node_counts)
-
-    def test_window_error_carries_sweep(self, cornell_pot, pair_145):
-        with pytest.raises(WindowError) as info:
-            solve_selfconsistent(cornell_pot, pair_145, QuantumNumbers(0, 0),
-                                 window=(5.0, 6.0))
-        assert len(info.value.sweep) > 2
+    def test_window_error_carries_sweep(self, oscillator_pot):
+        # at m = 0.3 GeV these levels lie far above 2 eta, where g(E)
+        # keeps one sign across the whole window
+        pair = ParticlePair.equal(0.3)
+        for n, l in ((2, 0), (1, 1)):
+            with pytest.raises(WindowError) as info:
+                solve_selfconsistent(oscillator_pot, pair,
+                                     QuantumNumbers(n, l))
+            sweep = info.value.sweep
+            assert len(sweep) == oracle.FAILURE_SWEEP_POINTS
+            assert all(math.isfinite(g) for _, g in sweep)
 
     def test_wavefunction_normalized(self, oracle_results):
         sol = oracle_results[(3, 0, 0)]

@@ -4,13 +4,9 @@ import pytest
 
 from slet import engine
 from slet.engine import alpha1_closed_form
-from slet.errors import ParityViolationError
 from slet.perturbation import (
-    ALLOWED_POWERS,
     WINDOW_HALF_WIDTH,
     AnharmonicProblem,
-    SeriesCoefficients,
-    alpha_from_series,
     position_matrix,
     _run_series,
     position_power_matrix,
@@ -25,23 +21,24 @@ def bars_to_raw(mu, omega, eps_bar):
 
 
 def make_problem(mu, omega, n, eps_bar=(0, 0, 0, 0)):
-    e1, e2, e3, e4 = bars_to_raw(mu, omega, eps_bar)
     return AnharmonicProblem(mu=mu, omega=omega, level=n,
-                             terms_by_order={1: ((1, e1), (3, e3)),
-                                             2: ((2, e2), (4, e4))})
+                             eps=bars_to_raw(mu, omega, eps_bar),
+                             delta=(0,) * 6)
 
 
 def termination_problems():
-    """Three problems at each of six levels, every admissible power set."""
+    """Three problems at each of six levels, every coefficient set."""
     rng = np.random.default_rng(41)
     for n in (0, 1, 4, 15, 60, 200):
         for _ in range(3):
-            terms = {order: tuple((p, rng.uniform(-90.0, 90.0))
-                                  for p in powers)
-                     for order, powers in ALLOWED_POWERS.items()}
+            # drawn in the order eps1, eps3, eps2, eps4, delta1, delta3,
+            # delta5, delta2, delta4, delta6
+            e1, e3, e2, e4, d1, d3, d5, d2, d4, d6 = (
+                rng.uniform(-90.0, 90.0) for _ in range(10))
             yield AnharmonicProblem(mu=rng.uniform(0.3, 3.0),
                                     omega=rng.uniform(0.05, 4.0),
-                                    level=n, terms_by_order=terms)
+                                    level=n, eps=(e1, e2, e3, e4),
+                                    delta=(d1, d2, d3, d4, d5, d6))
 
 
 class TestPositionMatrix:
@@ -91,9 +88,10 @@ class TestLadderAgainstDensePowers:
         off = m != n
         second = -e * e * np.sum(x4[off]**2 / ((m[off] - n) * omega))
         quartic = rspt_coefficients(AnharmonicProblem(
-            mu=mu, omega=omega, level=n, terms_by_order={2: ((4, e),)}))
+            mu=mu, omega=omega, level=n, eps=(0, 0, 0, e), delta=(0,) * 6))
         sextic = rspt_coefficients(AnharmonicProblem(
-            mu=mu, omega=omega, level=n, terms_by_order={4: ((6, d),)}))
+            mu=mu, omega=omega, level=n, eps=(0,) * 4,
+            delta=(0, 0, 0, 0, 0, d)))
         assert quartic.c2 == pytest.approx(e * x4[n], rel=1e-13)
         assert quartic.c4 == pytest.approx(second, rel=1e-12)
         assert sextic.c4 == pytest.approx(d * x6, rel=1e-13)
@@ -118,7 +116,7 @@ class TestExactlySolvable:
         c2_exact = (n + 0.5) * e2 / (mu * omega)
         c4_exact = -(n + 0.5) * e2**2 / (2.0 * mu**2 * omega**3)
         problem = AnharmonicProblem(mu=mu, omega=omega, level=n,
-                                    terms_by_order={2: ((2, e2),)})
+                                    eps=(0, e2, 0, 0), delta=(0,) * 6)
         c = rspt_coefficients(problem)
         assert c.c2 == pytest.approx(c2_exact, rel=1e-10)
         assert c.c4 == pytest.approx(c4_exact, rel=1e-10)
@@ -128,7 +126,7 @@ class TestExactlySolvable:
         # <n|x^4|n> identity: alpha1 = 3 (1 + 2n + 2n^2) ebar4
         mu, omega, ebar4 = 0.66, 2.1, 0.11
         problem = make_problem(mu, omega, n, (0, 0, 0, ebar4))
-        alpha1, _ = alpha_from_series(rspt_coefficients(problem))
+        alpha1 = rspt_coefficients(problem).c2
         assert alpha1 == pytest.approx(factor * ebar4, rel=1e-12)
 
 
@@ -141,10 +139,7 @@ class TestSeriesStructure:
             delta = rng.uniform(-1, 1, 6)
             problem = AnharmonicProblem(
                 mu=mu, omega=omega, level=int(rng.integers(0, 4)),
-                terms_by_order={1: ((1, eps[0]), (3, eps[2])),
-                                2: ((2, eps[1]), (4, eps[3])),
-                                3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
-                                4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))})
+                eps=eps, delta=tuple(delta))
             c = rspt_coefficients(problem)
             assert abs(c.c1) <= 1e-10
             assert abs(c.c3) <= 1e-10
@@ -187,18 +182,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             _run_series(problem, WINDOW_HALF_WIDTH - 1)
 
-    def test_parity_pattern_enforced(self):
-        with pytest.raises(ValueError):
+    def test_coefficients_checked(self):
+        with pytest.raises(ValueError, match="four eps and six delta"):
             AnharmonicProblem(mu=1.0, omega=1.0, level=0,
-                              terms_by_order={1: ((2, 0.1),)})
-        with pytest.raises(ValueError):
-            AnharmonicProblem(mu=1.0, omega=1.0, level=0,
-                              terms_by_order={5: ((1, 0.1),)})
-
-    def test_alpha_from_series(self):
-        assert alpha_from_series(SeriesCoefficients(0, 0, 0, 0)) == (0.0, 0.0)
-        with pytest.raises(ParityViolationError):
-            alpha_from_series(SeriesCoefficients(1e-3, 0.5, 0, 0.1))
+                              eps=(0.1, 0.2, 0.3), delta=(0,) * 6)
+        with pytest.raises(ValueError, match="finite"):
+            AnharmonicProblem(mu=1.0, omega=1.0, level=0, eps=(0,) * 4,
+                              delta=(0, 0, float("nan"), 0, 0, 0))
 
     def test_exact_termination(self):
         # every vector the series forms lies within WINDOW_HALF_WIDTH
@@ -221,6 +211,11 @@ def exact_series(problem, digits=50):
     with mpmath.workdps(digits):
         mu_omega2 = 2 * mpmath.mpf(problem.mu) * mpmath.mpf(problem.omega)
         omega, n = mpmath.mpf(problem.omega), problem.level
+        e, d = problem.eps, problem.delta
+        # (power, coefficient) pairs of each lambda order
+        layout = {1: ((1, e[0]), (3, e[2])), 2: ((2, e[1]), (4, e[3])),
+                  3: ((1, d[0]), (3, d[2]), (5, d[4])),
+                  4: ((2, d[1]), (4, d[3]), (6, d[5]))}
 
         def times_x(vec):
             out = {}
@@ -234,7 +229,7 @@ def exact_series(problem, digits=50):
 
         def apply_w(order, vec):
             out = {}
-            for power, coeff in problem.terms_by_order.get(order, ()):
+            for power, coeff in layout[order]:
                 term = vec
                 for _ in range(power):
                     term = times_x(term)
@@ -263,13 +258,7 @@ def _engine_problem(spec, mass, n, l):
     pair = ParticlePair.equal(mass)
     sol = engine.solve(parse_potential(spec), pair,
                        engine.QuantumNumbers(n, l))
-    eps, delta = sol.eps, sol.delta
-    return AnharmonicProblem(
-        mu=pair.mu, omega=sol.omega, level=n,
-        terms_by_order={1: ((1, eps[0]), (3, eps[2])),
-                        2: ((2, eps[1]), (4, eps[3])),
-                        3: ((1, delta[0]), (3, delta[2]), (5, delta[4])),
-                        4: ((2, delta[1]), (4, delta[3]), (6, delta[5]))})
+    return AnharmonicProblem(pair.mu, sol.omega, n, sol.eps, sol.delta)
 
 
 class TestExactArithmeticReferee:
