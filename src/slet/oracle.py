@@ -191,12 +191,8 @@ def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
 
 
 def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
-    """(n+1)-th smallest eigenvalue via Sturm-count bisection (LAPACK)."""
-    if n >= diag.size:
-        raise ValueError("eigenvalue index exceeds matrix size")
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
-                            eigvals_only=True, tol=BISECTION_TOLERANCE)
-    return float(vals[0])
+    """(n+1)-th smallest eigenvalue by bisection; see :func:`nth_eigenpair`."""
+    return nth_eigenpair(diag, off, n)[0]
 
 
 def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
@@ -458,7 +454,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     eigenvector's node count is not n or, in the default box of a
     non-confining potential, the energy lies in the continuum.
     """
-    fall_to_center_check(potential, pair, qn.l).raise_if_failed()
+    fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
 
     if math.isinf(pair.eta):

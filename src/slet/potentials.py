@@ -213,44 +213,31 @@ def gamma_from_stack(stack, eta: float, order: int):
     return stack[order] - vsq / (2.0 * eta)
 
 
-@dataclass(frozen=True)
-class FallToCenterResult:
-    """Outcome of the inverse-square stability check."""
-
-    passed: bool
-    strength: float
-    margin: float
-    reason: str = ""
-
-    def raise_if_failed(self):
-        """Raise SupercriticalCouplingError when the check did not pass."""
-        if not self.passed:
-            raise SupercriticalCouplingError(
-                f"effective inverse-square strength {self.strength:g} is "
-                f"below the -1/4 bound (margin {self.margin:g})"
-                + (f"; {self.reason}" if self.reason else ""))
-
-
 def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
-                         l: int) -> FallToCenterResult:
-    """Check the effective inverse-square core against the -1/4 bound.
+                         l: int) -> float:
+    """Margin s + 1/4 of the effective inverse-square core over the bound.
 
     A -alpha/r potential squared inside gamma produces an attractive
     -alpha^2/(2 eta r^2) core; the combined strength in units of
     1/(2 mu r^2) is s = l(l+1) - mu alpha^2 / eta and must stay above
     -1/4.  Potentials with explicit powers below -1 are refused outright
     (their square is even more singular).  Below the bound the discrete
-    spectrum is not bounded below, so both solvers refuse such input.
+    spectrum is not bounded below, so both solvers refuse such input:
+    SupercriticalCouplingError is raised unless the margin is positive.
     """
     bad = potential.singular_powers()
     if bad:
-        return FallToCenterResult(
-            passed=False, strength=-math.inf, margin=-math.inf,
-            reason=f"potential has non-integrable powers {bad}")
-    alpha = potential.coulomb_strength()
-    s = float(l * (l + 1)) - pair.mu * alpha**2 / pair.eta
+        s = -math.inf
+    else:
+        alpha = potential.coulomb_strength()
+        s = float(l * (l + 1)) - pair.mu * alpha**2 / pair.eta
     margin = s + 0.25
-    return FallToCenterResult(passed=margin > 0.0, strength=s, margin=margin)
+    if not margin > 0.0:
+        raise SupercriticalCouplingError(
+            f"effective inverse-square strength {s:g} is below the -1/4 "
+            f"bound (margin {margin:g})"
+            + (f"; potential has non-integrable powers {bad}" if bad else ""))
+    return margin
 
 
 # parameter names of each kind, in the order its constructor takes them

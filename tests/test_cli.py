@@ -392,8 +392,10 @@ class TestCompareCommand:
 
 
 class TestBreakdownCommand:
+    """``solve --breakdown``: every intermediate of each SLET solve."""
+
     def test_text_dump(self, capsys):
-        code, out, _ = run(capsys, "breakdown", "--potential",
+        code, out, _ = run(capsys, "solve", "--breakdown", "--potential",
                            "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
                            "--m2", "1.45", "--n", "1", "--l", "1")
         assert code == 0
@@ -403,7 +405,7 @@ class TestBreakdownCommand:
 
     def test_json_with_sentinel_xi(self, capsys):
         # xi is infinite in nonrelativistic mode and must serialize as null
-        code, out, _ = run(capsys, "breakdown", "--potential",
+        code, out, _ = run(capsys, "solve", "--breakdown", "--potential",
                            "oscillator:k=1", "--m1", "1.31", "--m2", "1.31",
                            "--nonrelativistic", "--n", "0", "--l", "0",
                            "--format", "json")
@@ -414,7 +416,7 @@ class TestBreakdownCommand:
             1.5 / (0.655 ** 0.5), rel=1e-10)
 
     def test_json_carries_every_diagnostic(self, capsys):
-        code, out, _ = run(capsys, "breakdown", "--potential",
+        code, out, _ = run(capsys, "solve", "--breakdown", "--potential",
                            "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
                            "--m2", "1.45", "--n", "1", "--l", "1",
                            "--format", "json")
@@ -424,7 +426,7 @@ class TestBreakdownCommand:
             f.name for f in dataclasses.fields(engine.SolveDiagnostics)}
 
     def test_csv_refused(self, capsys):
-        code, out, err = run(capsys, "breakdown", "--potential",
+        code, out, err = run(capsys, "solve", "--breakdown", "--potential",
                              "oscillator:k=1", "--m1", "1.31", "--m2",
                              "1.31", "--format", "csv")
         assert code == 2
@@ -435,29 +437,31 @@ class TestBreakdownCommand:
                                         ("--rmax", "5")])
     def test_grid_options_refused(self, capsys, option):
         # a breakdown is a SLET solve, which has no grid
-        code, out, err = run(capsys, "breakdown", "--potential",
+        code, out, err = run(capsys, "solve", "--breakdown", "--potential",
                              "oscillator:k=1", "--m1", "1.31", "--m2",
                              "1.31", *option)
         assert code == 2
         assert out == ""
         assert "--grid-points and --rmax" in err
 
-    def test_level_range_flag_refused(self, capsys):
+    def test_level_range_dumps_each_level(self, capsys):
+        code, out, _ = run(capsys, "solve", "--breakdown", "--potential",
+                           "oscillator:k=1", "--m1", "1.31", "--m2", "1.31",
+                           "--n-range", "0:1", "--l-range", "0:1",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        levels = [(b["n"], b["l"]) for b in payload["breakdowns"]]
+        assert levels == [(r["n"], r["l"]) for r in payload["records"]]
+        assert levels == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_removed_subcommand(self, capsys):
         code, out, err = run(capsys, "breakdown", "--potential",
                              "oscillator:k=1", "--m1", "1.31", "--m2",
-                             "1.31", "--n-range", "0:1")
+                             "1.31")
         assert code == 2
         assert out == ""
-        assert "one level" in err
-
-    def test_level_range_from_config_refused(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("potential=oscillator:k=1\nm1=1.31\nm2=1.31\n"
-                       "n-range=0:1\n")
-        code, out, err = run(capsys, "breakdown", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "one level" in err
+        assert "invalid choice: 'breakdown'" in err
 
 
 # a value for each option that changes the base run's report, where the
@@ -469,21 +473,28 @@ SAMPLE_VALUES = {
     "--format": "csv", "--out": "report.out"}
 RUN_OPTIONS = {"--potential": "oscillator:k=1", "--m1": "1.31",
                "--m2": "1.31", "--format": "json"}
+# "breakdown" is ``solve --breakdown``, run with every solve option but
+# the two that would turn its breakdown off or refuse it
 BASE_OPTIONS = {"solve": dict(RUN_OPTIONS, **{"--method": "both"}),
-                "compare": RUN_OPTIONS, "breakdown": RUN_OPTIONS,
+                "compare": RUN_OPTIONS,
+                "breakdown": dict(RUN_OPTIONS, **{"--breakdown": True}),
                 "table": {}}
+BREAKDOWN_FIXED = ("--method", "--breakdown")
 
 
 def _long_options():
-    """(subcommand, option, sample value) for every long option but
-    --help and --config; a flag comes once set and once left off."""
+    """(command, option, sample value) for every long option but --help
+    and --config; a flag comes once set and once left off."""
     _, commands = cli.build_parser()
     cases = []
-    for command, parser in commands.items():
+    forms = [*commands.items(), ("breakdown", commands["solve"])]
+    for command, parser in forms:
         for action in parser._actions:
             for option in action.option_strings:
                 if not option.startswith("--") or option in ("--help",
                                                              "--config"):
+                    continue
+                if command == "breakdown" and option in BREAKDOWN_FIXED:
                     continue
                 if action.nargs == 0:
                     cases += [(command, option, True),
@@ -498,7 +509,8 @@ class TestConfigMatchesFlags:
 
     @staticmethod
     def _argv(command, options):
-        argv = [command] + (["1"] if command == "table" else [])
+        argv = ["solve" if command == "breakdown" else command]
+        argv += ["1"] if command == "table" else []
         for option, value in options.items():
             argv += [option] if value is True else [option, value]
         return argv

@@ -420,6 +420,8 @@ class TestFullSolve:
         with pytest.raises(SupercriticalCouplingError) as info:
             solve(pot, ParticlePair.equal(1.0), QuantumNumbers(n, 0))
         assert info.value.stage == "fall_to_center"
+        assert "strength -0.36 is below the -1/4 bound (margin -0.11)" \
+            in str(info.value)
 
     def test_monotone_in_n_and_l(self, table2_solutions, table3_solutions):
         for sols in (table2_solutions, table3_solutions):

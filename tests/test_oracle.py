@@ -67,6 +67,17 @@ class TestBoxSpectrum:
             assert nth_eigenvalue(diag, off, k) == pytest.approx(
                 exact, rel=1e-3)
 
+    def test_eigenvalue_reads_eigenpair(self, box):
+        # bitwise: the eigenvalue LAPACK's bisection gives with or
+        # without eigenvectors is the same
+        _, _, diag, off = box
+        for k in range(4):
+            value = nth_eigenvalue(diag, off, k)
+            assert value == nth_eigenpair(diag, off, k)[0]
+            assert value == eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="i",
+                select_range=(k, k), tol=np.finfo(float).tiny)[0]
+
     def test_ordering_and_ratio(self, box):
         _, _, diag, off = box
         lam = [nth_eigenvalue(diag, off, k) for k in range(3)]
@@ -208,31 +219,38 @@ class TestNonrelativisticSpectra:
 
 class TestFallToCenter:
     def test_coulomb_margin(self, coulomb_pot, pair_145):
-        res = fall_to_center_check(coulomb_pot, pair_145, 0)
-        assert res.passed
-        assert res.strength == pytest.approx(-0.015625, rel=1e-12)
-        assert res.margin == pytest.approx(0.234375, rel=1e-12)
+        margin = fall_to_center_check(coulomb_pot, pair_145, 0)
+        # strength s = -mu alpha^2/eta = -0.015625
+        assert margin == pytest.approx(0.234375, rel=1e-12)
 
     def test_centrifugal_dominance(self, coulomb_pot, pair_145):
-        res = fall_to_center_check(coulomb_pot, pair_145, 1)
-        assert res.passed and res.strength > 1.5
+        assert fall_to_center_check(coulomb_pot, pair_145, 1) > 1.75
 
     def test_regular_potential(self, oscillator_pot, pair_131):
         for l in (0, 2):
-            res = fall_to_center_check(oscillator_pot, pair_131, l)
-            assert res.passed
-            assert res.margin == pytest.approx(l * (l + 1) + 0.25, rel=1e-12)
+            margin = fall_to_center_check(oscillator_pot, pair_131, l)
+            assert margin == pytest.approx(l * (l + 1) + 0.25, rel=1e-12)
 
     def test_supercritical_refused(self):
+        # mu alpha^2/eta = 0.5 * 9 / 2 = 2.25
         pot = PotentialModel.coulomb(3.0)
         pair = ParticlePair.equal(1.0)
-        assert not fall_to_center_check(pot, pair, 0).passed
-        with pytest.raises(SupercriticalCouplingError):
+        message = ("effective inverse-square strength -2.25 is below the "
+                   "-1/4 bound (margin -2)")
+        with pytest.raises(SupercriticalCouplingError) as info:
+            fall_to_center_check(pot, pair, 0)
+        assert str(info.value) == message
+        with pytest.raises(SupercriticalCouplingError) as info:
             solve_selfconsistent(pot, pair, QuantumNumbers(0, 0))
+        assert str(info.value) == message
 
     def test_inverse_square_term_refused(self, pair_145):
         pot = PotentialModel.custom([(-0.1, -2.0), (0.18, 1.0)])
-        assert not fall_to_center_check(pot, pair_145, 0).passed
+        with pytest.raises(SupercriticalCouplingError) as info:
+            fall_to_center_check(pot, pair_145, 0)
+        assert str(info.value) == (
+            "effective inverse-square strength -inf is below the -1/4 bound "
+            "(margin -inf); potential has non-integrable powers (-2.0,)")
 
 
 class TestReducedCoulomb:
