@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from . import engine, fixtures, oracle
-from .errors import ConvergenceError, SletError, UnphysicalRegimeError
+from .errors import SletError, UnphysicalRegimeError
 from .potentials import ParticlePair, PotentialModel, parse_potential
 
 EXIT_OK = 0
@@ -102,8 +102,8 @@ def _record(manifest, n, l, method, **values) -> SolveRecord:
 
 def _status(exc: SletError) -> str:
     """``error:<Class>@<stage>``, or ``error:<Class>`` without a stage."""
-    stage = getattr(exc, "stage", None)
-    return f"error:{type(exc).__name__}" + (f"@{stage}" if stage else "")
+    return (f"error:{type(exc).__name__}"
+            + (f"@{exc.stage}" if exc.stage else ""))
 
 
 def solve_level(manifest: RunManifest, n: int, l: int, method: str):
@@ -171,26 +171,27 @@ def run_table(table_id: int):
 
     Returns (records, divergences, offending) where divergences maps
     (n, l) to computed minus printed and offending lists the cells whose
-    divergence exceeds the table's tolerance.
+    divergence exceeds the table's tolerance.  If a cell fails, the first
+    error is raised once every cell has been tried.
     """
     fixtures.verify_integrity()
     fix = fixtures.TABLES[table_id]
-    manifest = RunManifest(potential=parse_potential(fix.potential),
-                           m1=fix.m1, m2=fix.m2, levels=list(fix.grid()))
-    method = "closed-form" if table_id == 1 else "slet"
+    records, _, first_error = run_solve(RunManifest(
+        potential=parse_potential(fix.potential), m1=fix.m1, m2=fix.m2,
+        levels=fix.grid(), method="closed-form" if table_id == 1 else "slet"))
+    if first_error is not None:
+        raise first_error
     tolerance = fixtures.SLET_TOLERANCES[table_id]
-    target = fix.cells(fix.slet_row)
+    target = fix.rows["slet"]
 
-    records = []
     divergences = {}
     offending = []
-    for n, l in manifest.levels:
-        rec, _ = solve_level(manifest, n, l, method)
-        records.append(rec)
-        gap = rec.E_binding_GeV - target[(n, l)]
-        divergences[(n, l)] = gap
+    for rec in records:
+        printed = target[(rec.n, rec.l)]
+        gap = rec.E_binding_GeV - printed
+        divergences[(rec.n, rec.l)] = gap
         if abs(gap) > tolerance:
-            offending.append((n, l, rec.E_binding_GeV, target[(n, l)], gap))
+            offending.append((rec.n, rec.l, rec.E_binding_GeV, printed, gap))
     return records, divergences, offending
 
 
@@ -227,11 +228,8 @@ def run_compare(manifest: RunManifest):
         except SletError as exc:
             row["status"] = _status(exc)
         if fix is not None:
-            cells = fix.cells(fix.slet_row)
-            if (n, l) in cells:
-                row["fixture_slet_GeV"] = cells[(n, l)]
-            for label in fix.comparison_labels():
-                cells = fix.cells(label)
+            for label in ("slet", *fixtures.COMPARISON_ROWS):
+                cells = fix.rows.get(label, {})
                 if (n, l) in cells:
                     row[f"fixture_{label}_GeV"] = cells[(n, l)]
         rows.append(row)
@@ -307,7 +305,7 @@ def render_breakdown_text(info) -> str:
 
 def render_table_text(table_id, records, divergences, offending) -> str:
     fix = fixtures.TABLES[table_id]
-    target = fix.cells(fix.slet_row)
+    target = fix.rows["slet"]
     ns = sorted({n for n, _ in target})
     ls = sorted({l for _, l in target})
     computed = {(r.n, r.l): r.E_binding_GeV for r in records}
@@ -506,14 +504,9 @@ def manifest_from_args(args, method: str) -> RunManifest:
         grid_points=args.grid_points, rmax=args.rmax)
 
 
-def _exit_code_for(exc) -> int:
-    if isinstance(exc, UnphysicalRegimeError):
-        return EXIT_UNPHYSICAL
-    if isinstance(exc, ConvergenceError):
-        return EXIT_NO_CONVERGENCE
-    if isinstance(exc, ValueError):
-        return EXIT_INVALID_INPUT
-    return EXIT_NO_CONVERGENCE
+def _exit_code_for(exc: SletError) -> int:
+    return (EXIT_UNPHYSICAL if isinstance(exc, UnphysicalRegimeError)
+            else EXIT_NO_CONVERGENCE)
 
 
 def cmd_solve(args) -> int:
@@ -581,8 +574,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SletError as exc:
-        stage = getattr(exc, "stage", None)
-        where = f" [{stage}]" if stage else ""
+        where = f" [{exc.stage}]" if exc.stage else ""
         print(f"error{where}: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

@@ -141,8 +141,7 @@ def _stage(name: str):
         yield
     except SletError as exc:
         exc.stage = name
-        if not str(exc).startswith(f"{name}:"):
-            exc.args = (f"{name}: {exc}",) + exc.args[1:]
+        exc.args = (f"{name}: {exc}",) + exc.args[1:]
         raise
 
 
@@ -375,13 +374,10 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         geo = geometry_at(potential, pair, r0)
     stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
-    with _stage("leading_energy"):
-        e0 = leading_energy(stack[0], pair, r0, geo.Q)
+    e0 = leading_energy(stack[0], pair, r0, geo.Q)
     denominator = energy_denominator(pair, r0, geo.Q)
-
-    with _stage("taylor_coefficients"):
-        coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
-                                     geo.omega, n)
+    coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
+                                 geo.omega, n)
     series = pt.rspt_coefficients(pt.AnharmonicProblem(
         pair.mu, geo.omega, n, coeffs.eps, coeffs.delta))
     alpha1, alpha2 = series.c2, series.c4

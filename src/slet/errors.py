@@ -1,12 +1,15 @@
 """Exception hierarchy shared by the solver stack.
 
 The CLI maps these onto exit codes: bad input (ValueError and parse
-failures) -> 2, convergence failures -> 3, unphysical regimes -> 4.
+failures) -> 2, unphysical regimes -> 4, every other solver failure -> 3.
 """
 
 
 class SletError(Exception):
-    """Base class for solver failures."""
+    """Base class for solver failures.  ``stage`` names the expansion stage
+    that raised one (fall_to_center, solve_r0 or geometry), else None."""
+
+    stage = None
 
 
 class UnsupportedOrderError(SletError, ValueError):

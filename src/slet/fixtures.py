@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
 
-# row labels that are reproduction targets vs. read-only context
-TARGET_ROWS = ("slet", "exact")
+# row labels of the read-only context methods
 COMPARISON_ROWS = ("sqrt_method", "integral_method", "miller_method")
 
 # |computed - printed| gate per table, GeV
@@ -40,21 +39,14 @@ class ReferenceTable:
     m1: float
     m2: float
     rows: dict
-    slet_row: str = "slet"
-
-    def cells(self, label):
-        return self.rows[label]
 
     def grid(self):
-        """Sorted (n, l) keys of the reproduction-target row."""
-        return sorted(self.rows[self.slet_row])
-
-    def comparison_labels(self):
-        return tuple(lbl for lbl in self.rows if lbl in COMPARISON_ROWS)
+        """Sorted (n, l) keys of the reproduction-target ``slet`` row."""
+        return sorted(self.rows["slet"])
 
 
-def _row(values, l=0, n0=0):
-    return {(n0 + i, l): v for i, v in enumerate(values)}
+def _row(values, l=0):
+    return {(i, l): v for i, v in enumerate(values)}
 
 
 def _rows3(values_by_l):
@@ -170,12 +162,8 @@ def canonical_serialization() -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def fixture_digest() -> str:
-    return hashlib.sha256(canonical_serialization().encode()).hexdigest()
-
-
 def verify_integrity():
-    digest = fixture_digest()
+    digest = hashlib.sha256(canonical_serialization().encode()).hexdigest()
     if digest != FIXTURE_SHA256:
         raise InternalInconsistencyError(
             f"reference-table checksum mismatch: {digest} != {FIXTURE_SHA256}")

@@ -457,14 +457,13 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
 
+    e_nr, vec, bisected = _nonrelativistic_pair(potential, pair, qn, base)
+    bisections = int(bisected)
     if math.isinf(pair.eta):
         # operator is energy independent; one eigensolve settles it
-        energy, vec, bisected = _nonrelativistic_pair(potential, pair, qn,
-                                                      base)
-        return _solution(potential, pair, qn, base, energy, vec, 1, 0.0,
-                         int(bisected), grid is None)
+        return _solution(potential, pair, qn, base, e_nr, vec, 1, 0.0,
+                         bisections, grid is None)
 
-    e_nr, _, bisections = _nonrelativistic_pair(potential, pair, qn, base)
     quasi_bound = _is_confining(potential)
     if quasi_bound:
         lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05

@@ -59,8 +59,6 @@ class ParticlePair:
 
     @property
     def eta(self) -> float:
-        if not self.relativistic:
-            return math.inf
         return self.nu / self.mu**2
 
     @property

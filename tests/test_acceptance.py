@@ -50,7 +50,7 @@ def report(number, name, failures, extra=""):
 
 def test_criterion_01_coulomb_closed_form():
     failures = []
-    for (n, _), printed in sorted(TABLE1.cells("slet").items()):
+    for (n, _), printed in sorted(TABLE1.rows["slet"].items()):
         got = coulomb_closed_form(M_COULOMB, ALPHA, n).E0
         if abs(got - printed) > 1e-5:
             failures.append(f"n={n}: {got:.6f} vs printed {printed}")
@@ -59,7 +59,7 @@ def test_criterion_01_coulomb_closed_form():
 
 def test_criterion_02_coulomb_exact_reference():
     failures = []
-    for (n, _), printed in sorted(TABLE1.cells("exact").items()):
+    for (n, _), printed in sorted(TABLE1.rows["exact"].items()):
         got = coulomb_reference(M_COULOMB, ALPHA, n).exact_binding
         if abs(got - printed) > 1e-6:
             failures.append(f"n={n}: {got:.7f} vs printed {printed}")
@@ -78,7 +78,7 @@ def test_criterion_03_bound_saturation_identity():
 
 def _table_gate(number, fixture, solutions):
     tolerance = SLET_TOLERANCES[fixture.table_id]
-    printed = fixture.cells(fixture.slet_row)
+    printed = fixture.rows["slet"]
     partial_sums = PRINTED_PARTIAL_SUMS.get(fixture.table_id, {})
     failures = []
     worst = worst_full = 0.0
@@ -239,7 +239,7 @@ def test_criterion_09_oracle_vs_slet(table2_solutions, table3_solutions,
     # the square-root-method columns solve the unreduced equation, so
     # they are context: matched loosely where the reduction error is
     # small (table 3), reported only for table 2 where it is not
-    for (n, l), printed in TABLE3.cells("sqrt_method").items():
+    for (n, l), printed in TABLE3.rows["sqrt_method"].items():
         if n <= 2 and l <= 2:
             gap = oracle_results[(3, n, l)].binding_energy - printed
             if abs(gap) > 2e-2:
@@ -247,7 +247,7 @@ def test_criterion_09_oracle_vs_slet(table2_solutions, table3_solutions,
                     f"table 3 unreduced-method context (n={n},l={l}): "
                     f"{abs(gap):.2e}")
     t2_gaps = [abs(oracle_results[(2, n, l)].binding_energy
-                   - TABLE2.cells("sqrt_method")[(n, l)])
+                   - TABLE2.rows["sqrt_method"][(n, l)])
                for n in range(3) for l in range(3)]
     print(f"  table 2 vs unreduced-equation values (context only): "
           f"max |gap| {max(t2_gaps):.2e}")

@@ -1,11 +1,17 @@
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from slet import cli, engine, fixtures
+from slet import cli, engine, errors, fixtures
 from slet.cli import CSV_HEADER, main
-from slet.errors import InternalInconsistencyError
+from slet.errors import (
+    BracketingError,
+    InternalInconsistencyError,
+    SletError,
+    UnphysicalRegimeError,
+)
 
 
 def run(capsys, *argv):
@@ -134,21 +140,6 @@ class TestSolveCommand:
         # exact sentinel value (2n+l+3/2)/sqrt(mu) at n=l=0
         value = float(out.splitlines()[1].split(",")[6])
         assert value == pytest.approx(1.5 / (0.655 ** 0.5), rel=1e-9)
-
-    def test_breakdown_flag(self, capsys):
-        code, out, _ = run(capsys, "solve", "--potential", "oscillator:k=1",
-                           "--m1", "1.31", "--m2", "1.31", "--breakdown")
-        assert code == 0
-        assert "eps_bar" in out and "E2_term" in out
-
-    def test_breakdown_flag_refuses_csv(self, capsys):
-        # a breakdown has no CSV form: refused rather than dropped
-        code, out, err = run(capsys, "solve", "--potential",
-                             "oscillator:k=1", "--m1", "1.31", "--m2",
-                             "1.31", "--breakdown", "--format", "csv")
-        assert code == 2
-        assert out == ""
-        assert "json" in err and "text" in err
 
     @pytest.mark.parametrize("method", ["oracle", "closed-form"])
     def test_breakdown_flag_refused_without_slet(self, capsys, method):
@@ -307,6 +298,23 @@ class TestTableCommand:
         assert code == 5
         assert "OFFENDING n=0 l=0" in out
 
+    def test_failed_cell_exits_3_without_report(self, capsys, monkeypatch):
+        # one failed cell stops the table before anything is written
+        solve = engine.solve
+
+        def failing(potential, pair, qn):
+            if (qn.n, qn.l) == (1, 2):
+                exc = BracketingError("solve_r0: no sign change")
+                exc.stage = "solve_r0"
+                raise exc
+            return solve(potential, pair, qn)
+
+        monkeypatch.setattr(engine, "solve", failing)
+        code, out, err = run(capsys, "table", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error [solve_r0]: solve_r0: no sign change\n"
+
     def test_checksum_guard(self, monkeypatch):
         monkeypatch.setattr(fixtures, "FIXTURE_SHA256", "0" * 64)
         with pytest.raises(InternalInconsistencyError):
@@ -399,8 +407,8 @@ class TestBreakdownCommand:
                            "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
                            "--m2", "1.45", "--n", "1", "--l", "1")
         assert code == 0
-        for key in ("r0", "omega", "lbar", "alpha1", "alpha2", "delta_bar",
-                    "q_lbar_gap"):
+        for key in ("r0", "omega", "lbar", "alpha1", "alpha2", "E2_term",
+                    "eps_bar", "delta_bar", "q_lbar_gap"):
             assert key in out
 
     def test_json_with_sentinel_xi(self, capsys):
@@ -568,7 +576,7 @@ class TestFixtures:
     def test_monotone_rows(self):
         # printed energies grow with n at fixed l and with l at fixed n
         for fix in fixtures.TABLES.values():
-            cells = fix.cells(fix.slet_row)
+            cells = fix.rows["slet"]
             for (n, l), value in cells.items():
                 if (n + 1, l) in cells:
                     assert cells[(n + 1, l)] > value
@@ -576,6 +584,23 @@ class TestFixtures:
                     assert cells[(n, l + 1)] > value
 
     def test_comparison_rows_not_targets(self):
+        # besides the slet target and table 1's exact levels every row is
+        # a context method, which compare reports beside the slet row
+        assert not {"slet", "exact"} & set(fixtures.COMPARISON_ROWS)
         for fix in fixtures.TABLES.values():
-            for label in fix.comparison_labels():
-                assert label not in fixtures.TARGET_ROWS
+            assert "slet" in fix.rows
+            assert set(fix.rows) - {"slet", "exact"} <= set(
+                fixtures.COMPARISON_ROWS)
+
+
+# every SletError a solve can raise; the two that are also ValueErrors
+# (parse and derivative-order errors) reach main's exit-2 arm first
+SOLVE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                if issubclass(cls, SletError)
+                and not issubclass(cls, ValueError)]
+
+
+@pytest.mark.parametrize("cls", SOLVE_ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_for(cls):
+    expect = 4 if issubclass(cls, UnphysicalRegimeError) else 3
+    assert cli._exit_code_for(cls("message")) == expect

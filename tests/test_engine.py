@@ -22,6 +22,7 @@ from slet.engine import (
 )
 from slet.errors import (
     BracketingError,
+    MultipleRootsWarning,
     NoHarmonicRegimeError,
     NonMonotonePointError,
     SupercriticalCouplingError,
@@ -177,6 +178,23 @@ class TestSolveR0:
         pot = PotentialModel.custom([(-0.5, 1.0)])  # decreasing everywhere
         with pytest.raises(BracketingError):
             solve_r0(pot, pair_145, QuantumNumbers(0, 0))
+
+    def test_multiple_roots_keep_lowest_leading_energy(self, pair_145):
+        # the r0 equation has a root near 0.958 and one near 3.126; the
+        # second has the lower leading energy and is kept, with a warning
+        pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
+        qn = QuantumNumbers(0, 0)
+        with pytest.warns(MultipleRootsWarning, match="2 expansion points"):
+            sol = solve(pot, pair_145, qn)
+        assert sol.diagnostics.r0_root_count == 2
+        assert sol.r0 == pytest.approx(3.12638, abs=1e-5)
+        assert sol.E0 == pytest.approx(2.61534, abs=1e-5)
+        other = brentq(lambda r: r0_residual(pot, pair_145, qn, r), 0.5, 1.0)
+        assert other == pytest.approx(0.95777, abs=1e-5)
+        e0_other = leading_energy(pot.evaluate(other), pair_145, other,
+                                  geometry_at(pot, pair_145, other).Q)
+        assert e0_other == pytest.approx(2.77511, abs=1e-5)
+        assert sol.E0 < e0_other
 
 
 class TestLeadingEnergy:
