@@ -11,8 +11,9 @@ Options are defined once, in :func:`build_parser`.  ``--config FILE``
 gives their values as ``key=value`` lines, which the flags' own actions
 parse and the command line overrides (see :func:`load_config`).
 
-Exit codes: 0 success, 2 invalid input, 3 convergence failure,
-4 unphysical regime, 5 table divergence beyond tolerance.
+Exit codes of solve and table: 0 success, 2 invalid input, 3 convergence
+failure, 4 unphysical regime, 5 table divergence beyond tolerance.
+compare exits 3 when every level fails, whatever the error, else 0.
 
 Output formats are ``text`` (default, energies at 6 significant digits),
 ``csv`` (full float precision, stable byte-for-byte across runs) and

@@ -370,8 +370,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
         r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
-    with _stage("geometry"):
-        geo = geometry_at(potential, pair, r0)
+    geo = geometry_at(potential, pair, r0)
     stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
     e0 = leading_energy(stack[0], pair, r0, geo.Q)

@@ -1,13 +1,14 @@
 """Exception hierarchy shared by the solver stack.
 
-The CLI maps these onto exit codes: bad input (ValueError and parse
-failures) -> 2, unphysical regimes -> 4, every other solver failure -> 3.
+The CLI maps these onto exit codes of solve and table: bad input
+(ValueError and parse failures) -> 2, unphysical regimes -> 4, every
+other solver failure -> 3; compare exits 3 only when every level fails.
 """
 
 
 class SletError(Exception):
     """Base class for solver failures.  ``stage`` names the expansion stage
-    that raised one (fall_to_center, solve_r0 or geometry), else None."""
+    that raised one (fall_to_center or solve_r0), else None."""
 
     stage = None
 
@@ -73,4 +74,4 @@ class MultipleRootsWarning(RuntimeWarning):
 
 
 class ResolutionWarning(RuntimeWarning):
-    """Radial grid looks too coarse for the probed energy scale."""
+    """Radial grid looks too coarse for a returned level's energy."""

@@ -20,10 +20,11 @@ and its eigenvector has exactly n nodes, which by Sturm's oscillation
 theorem singles out level n; otherwise LAPACK's Sturm-sequence
 bisection, run to full precision, extracts the pair, indexing levels
 exactly.  The eigenvector gives the Newton slope by the Hellmann-Feynman
-theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta, and its node count is
-checked against the requested radial quantum number.  The default box
-is sized from the potential's length scales and, for potentials that do
-not confine, from the level.
+theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta.  The returned level alone
+is checked: its node count against the requested radial quantum number,
+and its energy's local wave number against the grid spacing.  The
+default box is sized from the potential's length scales and, for
+potentials that do not confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
 attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
@@ -152,36 +153,26 @@ class GridOperator:
     off-diagonal do not depend on the trial energy, so they are built
     once; calling the operator at a trial energy adds E V/eta and returns
     (diagonal, off-diagonal) for the three-point stencil with Dirichlet
-    ends.  Each call warns when the local wave number at its trial energy
-    resolves to fewer than roughly a dozen points per oscillation (the
-    singular region next to r_min is excluded from that estimate).
+    ends.
     """
 
     def __init__(self, potential: PotentialModel, pair: ParticlePair, l: int,
                  grid: RadialGrid):
         r = grid.points
         self.grid = grid
-        self.mu, self.eta = pair.mu, pair.eta
+        self.eta = pair.eta
         self.v = potential.evaluate(r)
         self.static = self.v - self.v * self.v / (2.0 * self.eta)
-        self.centrifugal = (l * (l + 1) / (2.0 * self.mu * r * r) if l > 0
-                            else None)
-        self.inv_h2 = 1.0 / (self.mu * grid.h**2)
+        self.centrifugal = l * (l + 1) / (2.0 * pair.mu * r * r)
+        self.inv_h2 = 1.0 / (pair.mu * grid.h**2)
         self.off = np.full(grid.point_count - 1, -0.5 * self.inv_h2)
 
+    def effective_potential(self, e_trial: float) -> np.ndarray:
+        """Diagonal of H(e_trial) without the kinetic term."""
+        return self.static + e_trial * self.v / self.eta + self.centrifugal
+
     def __call__(self, e_trial: float):
-        grid, mu, eta = self.grid, self.mu, self.eta
-        veff = self.static + e_trial * self.v / eta
-        if self.centrifugal is not None:
-            veff = veff + self.centrifugal
-        lam_trial = e_trial + e_trial**2 / (2.0 * eta)
-        interior = veff[grid.point_count // 100:]
-        kinetic = lam_trial - float(np.min(interior))
-        if kinetic > 0.0 and math.sqrt(2.0 * mu * kinetic) * grid.h > 0.5:
-            warnings.warn(
-                f"grid spacing h = {grid.h:g} resolves the trial energy "
-                f"{e_trial:g} poorly; refine the grid", ResolutionWarning)
-        return self.inv_h2 + veff, self.off
+        return self.inv_h2 + self.effective_potential(e_trial), self.off
 
 
 def effective_operator(potential: PotentialModel, pair: ParticlePair, l: int,
@@ -197,7 +188,7 @@ def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
 
 def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
                   start: np.ndarray | None = None):
-    """Eigenvalue, normalized eigenvector and whether bisection ran.
+    """Eigenvalue, unit eigenvector (sign arbitrary) and whether bisection ran.
 
     With a start vector, the pair is refined by Rayleigh-quotient
     iteration: each step solves (T - lambda I) y = x with LAPACK's
@@ -227,12 +218,7 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
                                       select_range=(n, n),
                                       tol=BISECTION_TOLERANCE)
         pair = float(vals[0]), vecs[:, 0]
-    value, vec = pair
-    # fix the overall sign so the first sizable lobe points up
-    big = np.nonzero(np.abs(vec) > 1e-8 * np.max(np.abs(vec)))[0]
-    if big.size and vec[big[0]] < 0.0:
-        vec = -vec
-    return value, vec, bisected
+    return (*pair, bisected)
 
 
 def _refined_pair(diag, off, n, start):
@@ -296,20 +282,9 @@ def _coarse_seed(potential, pair, l, grid, e_trial, n):
     if grid.point_count <= COARSE_POINT_COUNT:
         return None
     coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
-    # the full grid's own operator warns about its resolution
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResolutionWarning)
-        diag, off = GridOperator(potential, pair, l, coarse)(e_trial)
+    diag, off = GridOperator(potential, pair, l, coarse)(e_trial)
     _, vec, _ = nth_eigenpair(diag, off, n)
     return np.interp(grid.points, coarse.points, vec)
-
-
-def _nonrelativistic_pair(potential, pair, qn, grid):
-    """nth_eigenpair of the eta-infinite operator, from a coarse start."""
-    nr_pair = pair.as_nonrelativistic()
-    diag, off = effective_operator(potential, nr_pair, qn.l, 0.0, grid)
-    start = _coarse_seed(potential, nr_pair, qn.l, grid, 0.0, qn.n)
-    return nth_eigenpair(diag, off, qn.n, start)
 
 
 def escape_radius(potential: PotentialModel, pair: ParticlePair,
@@ -334,8 +309,8 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     return float(brentq(f, lo, search_hi, rtol=1e-10))
 
 
-def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
-    """Safeguarded Newton iteration for the root of g(E) on a fixed grid.
+def _solve_on_grid(potential, pair, qn, operator, window, start, vec=None):
+    """Safeguarded Newton iteration for the root of g(E) on operator's grid.
 
     The slope comes with the eigenvector: by Hellmann-Feynman
     d lambda_n / dE = <psi|V|psi>/eta, so g'(E) = <psi|V|psi>/eta - 1 - E/eta.
@@ -347,8 +322,7 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
     :func:`_coarse_seed`).  Returns (energy, |g|, eigenvector, number of
     eigensolves, number of eigenpairs that needed bisection).
     """
-    eta = pair.eta
-    operator = GridOperator(potential, pair, qn.l, grid)
+    eta, grid = pair.eta, operator.grid
     lo, hi = window
     # latest iterates below the root (g >= 0) and above it (g < 0)
     below = above = None
@@ -394,9 +368,16 @@ def _solve_on_grid(potential, pair, qn, grid, window, start, vec=None):
         f"{RESIDUAL_TOLERANCE:g} after {evaluations} evaluations")
 
 
-def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
-              bisections, default_box):
-    """Check the converged eigenvector and package the result."""
+def _solution(potential, pair, qn, operator, energy, vec, evaluations,
+              residual, bisections, default_box):
+    """Check the converged level on operator's grid and package the result.
+
+    Warns when the grid resolves the local wave number at the energy with
+    fewer than roughly a dozen points per oscillation (the singular
+    region next to r_min excluded), and turns the eigenvector's first
+    sizable lobe up.
+    """
+    grid = operator.grid
     nodes = count_nodes(vec)
     if nodes != qn.n:
         raise LevelIdentificationError(
@@ -405,6 +386,16 @@ def _solution(potential, pair, qn, grid, energy, vec, evaluations, residual,
         raise LevelIdentificationError(
             f"level ({qn.n},{qn.l}) converged to the unbound energy "
             f"{energy:g}; the box r_max = {grid.r_max:g} cannot hold it")
+    veff = operator.effective_potential(energy)
+    kinetic = (energy + energy**2 / (2.0 * pair.eta)
+               - float(np.min(veff[grid.point_count // 100:])))
+    if kinetic > 0.0 and math.sqrt(2.0 * pair.mu * kinetic) * grid.h > 0.5:
+        warnings.warn(
+            f"grid spacing h = {grid.h:g} resolves the energy {energy:g} "
+            "poorly; refine the grid", ResolutionWarning)
+    big = np.nonzero(np.abs(vec) > 1e-8 * np.max(np.abs(vec)))[0]
+    if big.size and vec[big[0]] < 0.0:
+        vec = -vec
     norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
     return OracleSolution(binding_energy=energy,
                           mass=energy + pair.total_mass,
@@ -452,16 +443,21 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     sign change shows up, ConvergenceError when the residual stays
     above tolerance, and LevelIdentificationError when the converged
     eigenvector's node count is not n or, in the default box of a
-    non-confining potential, the energy lies in the continuum.
+    non-confining potential, the energy lies in the continuum.  A returned
+    level whose energy the grid resolves poorly issues one
+    ResolutionWarning (see :func:`_solution`).
     """
     fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
 
-    e_nr, vec, bisected = _nonrelativistic_pair(potential, pair, qn, base)
+    nr_pair = pair.as_nonrelativistic()
+    operator = GridOperator(potential, nr_pair, qn.l, base)
+    start = _coarse_seed(potential, nr_pair, qn.l, base, 0.0, qn.n)
+    e_nr, vec, bisected = nth_eigenpair(*operator(0.0), qn.n, start)
     bisections = int(bisected)
     if math.isinf(pair.eta):
         # operator is energy independent; one eigensolve settles it
-        return _solution(potential, pair, qn, base, e_nr, vec, 1, 0.0,
+        return _solution(potential, pair, qn, operator, e_nr, vec, 1, 0.0,
                          bisections, grid is None)
 
     quasi_bound = _is_confining(potential)
@@ -478,8 +474,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
+    operator = GridOperator(potential, pair, qn.l, work_grid)
     energy, residual, vec, evaluations, first_bisections = _solve_on_grid(
-        potential, pair, qn, work_grid, window, e_nr)
+        potential, pair, qn, operator, window, e_nr)
     bisections += first_bisections
 
     if work_grid is not base:
@@ -488,14 +485,15 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             first = work_grid
             work_grid = RadialGrid(base.r_min, min(wall, base.r_max),
                                    base.point_count)
+            operator = GridOperator(potential, pair, qn.l, work_grid)
             # the first pass's eigenvector, with nothing beyond its wall
             guess = np.interp(work_grid.points, first.points, vec,
                               right=0.0)
             energy, residual, vec, more_evaluations, more_bisections = \
-                _solve_on_grid(potential, pair, qn, work_grid, window,
+                _solve_on_grid(potential, pair, qn, operator, window,
                                energy, guess)
             evaluations += more_evaluations
             bisections += more_bisections
 
-    return _solution(potential, pair, qn, work_grid, energy, vec,
+    return _solution(potential, pair, qn, operator, energy, vec,
                      1 + evaluations, residual, bisections, grid is None)
