@@ -217,17 +217,23 @@ def run_compare(manifest: RunManifest):
                "difference_GeV": None, "oracle_iterations": None,
                "oracle_residual": None, "oracle_bisections": None,
                "status": "ok"}
+        # each method fills its own fields; the first failure names the row
         try:
-            rec_s, _ = solve_level(manifest, n, l, "slet")
+            row["E_slet_GeV"] = solve_level(manifest, n, l,
+                                            "slet")[0].E_binding_GeV
+        except SletError as exc:
+            row["status"] = _status(exc)
+        try:
             rec_o, sol_o = solve_level(manifest, n, l, "oracle")
-            row["E_slet_GeV"] = rec_s.E_binding_GeV
             row["E_oracle_GeV"] = rec_o.E_binding_GeV
-            row["difference_GeV"] = rec_s.E_binding_GeV - rec_o.E_binding_GeV
             row["oracle_iterations"] = sol_o.outer_iterations
             row["oracle_residual"] = sol_o.residual
             row["oracle_bisections"] = sol_o.bisection_solves
         except SletError as exc:
-            row["status"] = _status(exc)
+            if row["status"] == "ok":
+                row["status"] = _status(exc)
+        if row["status"] == "ok":
+            row["difference_GeV"] = row["E_slet_GeV"] - row["E_oracle_GeV"]
         if fix is not None:
             for label in ("slet", *fixtures.COMPARISON_ROWS):
                 cells = fix.rows.get(label, {})

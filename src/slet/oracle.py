@@ -12,9 +12,13 @@ finite differences, Dirichlet ends).  The operator's energy-independent
 pieces are built once per grid, and between Newton iterates it moves only
 by (Delta E/eta) V on its diagonal, so each iterate refines the previous
 iterate's eigenvector by Rayleigh-quotient iteration, one tridiagonal
-solve per step.  An eigensolve with no previous iterate starts instead
-from the same operator's level-n eigenvector on a coarse grid over the
-same span, interpolated onto the full grid.  A refined pair is accepted
+solve per step.  A level makes one cold eigensolve: bisection, to a loose
+tolerance, for the nonrelativistic operator's level-n eigenvector on a
+coarse grid, which starts the nonrelativistic estimate on the full grid.
+The first Newton iterate starts at the root of the self-consistency
+condition to first order in the operator's energy dependence, from the
+estimate's eigenvector refined on a coarse grid over the first pass's
+span and interpolated onto its full grid.  A refined pair is accepted
 only when its residual has settled at the rounding floor of the operator
 and its eigenvector has exactly n nodes, which by Sturm's oscillation
 theorem singles out level n; otherwise LAPACK's Sturm-sequence
@@ -93,6 +97,12 @@ COARSE_POINT_COUNT = 1000
 # absolute tolerance of LAPACK's bisection; the smallest positive value
 # runs it to rounding level instead of its default eps * |T|
 BISECTION_TOLERANCE = np.finfo(float).tiny
+# a coarse-grid eigenvector only starts a refinement, so its bisection
+# stops at this fraction of the operator's row-sum norm; an absolute
+# 1e-4 GeV is coarser than the level spacing of light Coulomb levels
+SEED_TOLERANCE = 1e-6
+# points of the geometric grid on which escape_radius brackets its root
+ESCAPE_BRACKET_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,8 @@ def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
 
 
 def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
-                  start: np.ndarray | None = None):
+                  start: np.ndarray | None = None,
+                  tol: float = BISECTION_TOLERANCE):
     """Eigenvalue, unit eigenvector (sign arbitrary) and whether bisection ran.
 
     With a start vector, the pair is refined by Rayleigh-quotient
@@ -200,10 +211,11 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
     start that converges to another level is rejected.  Without a start
     vector, or when the refinement is rejected, does not settle within
     MAX_REFINEMENT_STEPS, or meets a singular or non-finite solve, the
-    pair comes from LAPACK's Sturm-sequence bisection at
-    BISECTION_TOLERANCE.  The grid solver passes a start to every call on
-    a grid finer than COARSE_POINT_COUNT, so there bisection is only the
-    fallback.  Returns (eigenvalue, eigenvector, bisected).
+    pair comes from LAPACK's Sturm-sequence bisection at the absolute
+    tolerance tol, by default BISECTION_TOLERANCE (full precision).  The
+    grid solver passes a start to every call on a grid finer than
+    COARSE_POINT_COUNT, so there bisection is only the fallback.  Returns
+    (eigenvalue, eigenvector, bisected).
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
@@ -215,16 +227,15 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
     bisected = pair is None
     if bisected:
         vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(n, n),
-                                      tol=BISECTION_TOLERANCE)
+                                      select_range=(n, n), tol=tol)
         pair = float(vals[0]), vecs[:, 0]
     return (*pair, bisected)
 
 
 def _refined_pair(diag, off, n, start):
     """Rayleigh-quotient iteration from start; None unless it settles on n."""
-    scale = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
-    tolerance = REFINEMENT_RESIDUAL * np.finfo(float).eps * scale
+    tolerance = REFINEMENT_RESIDUAL * np.finfo(float).eps * _row_sum_norm(
+        diag, off)
     vec = start
     for _ in range(MAX_REFINEMENT_STEPS):
         norm = float(np.linalg.norm(vec))
@@ -241,6 +252,11 @@ def _refined_pair(diag, off, n, start):
         if info != 0:
             return None
     return None
+
+
+def _row_sum_norm(diag, off) -> float:
+    """Upper bound on the row-sum norm of the tridiagonal matrix."""
+    return float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
 
 
 def count_nodes(vec: np.ndarray) -> int:
@@ -272,18 +288,26 @@ class OracleSolution:
     bisection_solves: int = 0
 
 
-def _coarse_seed(potential, pair, l, grid, e_trial, n):
+def _coarse_seed(potential, pair, l, grid, e_trial, n, start=None):
     """Start vector for level n of H(e_trial) on grid, or None.
 
     The same operator is built on COARSE_POINT_COUNT points over the same
-    [r_min, r_max], its level-n eigenvector is taken by bisection and
-    interpolated onto grid.  A grid no finer than that has no start.
+    [r_min, r_max] and its level-n eigenvector is interpolated onto grid.
+    That eigenvector is refined from start, a (points, values) pair
+    sampled onto the coarse grid, when one is given; otherwise, or when
+    the refinement is rejected, it comes from bisection stopped at
+    SEED_TOLERANCE times the operator's row-sum norm, since a start
+    vector needs no sharper eigenvalue.  A grid no finer than
+    COARSE_POINT_COUNT has no start.
     """
     if grid.point_count <= COARSE_POINT_COUNT:
         return None
     coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
     diag, off = GridOperator(potential, pair, l, coarse)(e_trial)
-    _, vec, _ = nth_eigenpair(diag, off, n)
+    if start is not None:
+        start = np.interp(coarse.points, *start)
+    _, vec, _ = nth_eigenpair(diag, off, n, start,
+                              SEED_TOLERANCE * _row_sum_norm(diag, off))
     return np.interp(grid.points, coarse.points, vec)
 
 
@@ -296,43 +320,67 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     V = 2 eta + E.  A Dirichlet wall placed there keeps the whole
     classically forbidden barrier inside the box while perturbing the
     quasi-bound state the least, so it is where the default grid ends.
+    One array evaluation of V on ESCAPE_BRACKET_POINTS geometrically
+    spaced radii over [1e-3, search_hi] brackets the innermost crossing,
+    and Brent's method (rtol 1e-10) finds it inside that one panel.
     Returns None when the target value is never reached.
     """
     target = 2.0 * pair.eta + max(energy, 0.0)
+    # np.geomspace costs twice as much as the evaluation; the ends are
+    # set exactly, so the None cases compare V at 1e-3 and search_hi
+    r = np.exp(np.linspace(math.log(1e-3), math.log(search_hi),
+                           ESCAPE_BRACKET_POINTS))
+    r[0], r[-1] = 1e-3, search_hi
 
-    def f(r):
-        return potential.evaluate(r) - target
+    def f(x):
+        return potential.evaluate(x) - target
 
-    lo = 1e-3
-    if f(search_hi) <= 0.0 or f(lo) >= 0.0:
+    values = f(r)
+    if values[-1] <= 0.0 or values[0] >= 0.0:
         return None
-    return float(brentq(f, lo, search_hi, rtol=1e-10))
+    i = int(np.argmax(values > 0.0))
+    return float(brentq(f, r[i - 1], r[i], rtol=1e-10))
 
 
-def _solve_on_grid(potential, pair, qn, operator, window, start, vec=None):
+def _first_order_start(v, vec, e_nr, eta):
+    """Root of E + E^2/(2 eta) = e_nr - <V^2>/(2 eta) + E <V>/eta, or e_nr.
+
+    The right-hand side is lambda_n(E) to first order in the energy
+    dependence of the operator, with the expectations of V (sampled as v)
+    taken in the unit nonrelativistic eigenvector vec.  Of the two roots
+    the larger one tends to e_nr as eta grows; e_nr itself is returned
+    when the discriminant is negative.
+    """
+    weight = vec * vec
+    mean_v = float(weight @ v)
+    # E^2 + 2 b E - c = 0
+    b = eta - mean_v
+    c = 2.0 * eta * e_nr - float(weight @ (v * v))
+    discriminant = b * b + c
+    return e_nr if discriminant < 0.0 else -b + math.sqrt(discriminant)
+
+
+def _solve_on_grid(pair, qn, operator, window, energy, vec):
     """Safeguarded Newton iteration for the root of g(E) on operator's grid.
 
     The slope comes with the eigenvector: by Hellmann-Feynman
     d lambda_n / dE = <psi|V|psi>/eta, so g'(E) = <psi|V|psi>/eta - 1 - E/eta.
     Iterates keep a sign bracket [g >= 0, g < 0] inside the window, and a
     step that leaves it, or a slope that is not negative, is replaced by
-    bisection.  Each iterate's eigenvector is the start vector of the
-    next one's eigensolve; vec, when given, starts the first, and
-    otherwise the first starts from the coarse grid (see
-    :func:`_coarse_seed`).  Returns (energy, |g|, eigenvector, number of
-    eigensolves, number of eigenpairs that needed bisection).
+    bisection.  The iteration starts at energy, inside the window, from
+    the start vector vec (bisection when None), and each iterate's
+    eigenvector is the start vector of the next one's eigensolve.
+    Returns (energy, |g|, eigenvector, number of eigensolves, number of
+    eigenpairs that needed bisection).
     """
-    eta, grid = pair.eta, operator.grid
+    eta = pair.eta
     lo, hi = window
     # latest iterates below the root (g >= 0) and above it (g < 0)
     below = above = None
-    energy = float(min(max(start, lo), hi))
     previous = math.inf
     bisections = 0
     for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
         diag, off = operator(energy)
-        if vec is None:
-            vec = _coarse_seed(potential, pair, qn.l, grid, energy, qn.n)
         lam, vec, bisected = nth_eigenpair(diag, off, qn.n, vec)
         bisections += bisected
         value = lam - energy - energy**2 / (2.0 * eta)
@@ -410,14 +458,15 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
     Finds the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a Newton
-    iteration with the Hellmann-Feynman slope, started from the
-    nonrelativistic eigenvalue estimate and safeguarded by bisection
+    iteration with the Hellmann-Feynman slope, safeguarded by bisection
     inside a physically bounded window, down to |g| <= RESIDUAL_TOLERANCE.
     The window is computed here, not passed: it runs from -1.8 (m1 + m2),
     clipped above -eta where the right-hand side stops being monotone,
-    up to 50 times the estimate; for relativistic confining problems it
-    starts just below the estimate, so no iterate probes energies whose
-    escape region has entered the box.
+    up to 50 times the nonrelativistic estimate e_nr; for relativistic
+    confining problems it starts just below the estimate, so no iterate
+    probes energies whose escape region has entered the box.  The
+    iteration starts at the first-order root (see
+    :func:`_first_order_start`), clipped into the window.
 
     When no grid is given, a level-sized one is built (see
     :func:`default_grid`).  For relativistic confining potentials the
@@ -431,12 +480,15 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     position.
 
     Every eigenpair is refined from a start vector (see
-    :func:`nth_eigenpair`): the nonrelativistic estimate, the single
-    eigensolve of an eta-infinite pair and the first iterate of the first
-    pass start from the level-n eigenvector of their own operator on a
-    coarse grid (see :func:`_coarse_seed`), and every later iterate from
-    the one before it.  Bisection on the full grid runs only when a
-    refinement is rejected, or when the grid has no more than
+    :func:`nth_eigenpair`), and a level makes one cold eigensolve: the
+    level-n eigenvector of the nonrelativistic operator on a coarse grid
+    (see :func:`_coarse_seed`) starts the estimate, which is also the
+    single eigensolve of an eta-infinite pair.  The estimate's eigenvector,
+    refined on the coarse grid over the first pass's span at the start
+    energy, starts the first iterate, and every later iterate starts from
+    the one before it.  Bisection runs on a coarse grid only when that
+    refinement is rejected, and on the full grid only when a full-grid
+    refinement is rejected or the grid has no more than
     COARSE_POINT_COUNT points.
 
     Raises WindowError (with a sweep of the window attached) when no
@@ -465,7 +517,10 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
     else:
         lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
-    window = (lo, 50.0 * max(abs(e_nr), 0.02))
+    hi = 50.0 * max(abs(e_nr), 0.02)
+    window = lo, hi
+    energy = min(max(_first_order_start(operator.v, vec, e_nr, pair.eta),
+                     lo), hi)
 
     work_grid = base
     if quasi_bound:
@@ -475,8 +530,10 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
     operator = GridOperator(potential, pair, qn.l, work_grid)
+    seed = _coarse_seed(potential, pair, qn.l, work_grid, energy, qn.n,
+                        (base.points, vec))
     energy, residual, vec, evaluations, first_bisections = _solve_on_grid(
-        potential, pair, qn, operator, window, e_nr)
+        pair, qn, operator, window, energy, seed)
     bisections += first_bisections
 
     if work_grid is not base:
@@ -490,8 +547,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             guess = np.interp(work_grid.points, first.points, vec,
                               right=0.0)
             energy, residual, vec, more_evaluations, more_bisections = \
-                _solve_on_grid(potential, pair, qn, operator, window,
-                               energy, guess)
+                _solve_on_grid(pair, qn, operator, window, energy, guess)
             evaluations += more_evaluations
             bisections += more_bisections
 

@@ -387,6 +387,34 @@ class TestCompareCommand:
         assert int(values["oracle_iterations"]) >= 2
         assert float(values["oracle_residual"]) <= 1e-10
 
+    def test_grid_failure_keeps_expansion_energy(self, capsys):
+        # the grid solver finds no root for this light level, and the
+        # expansion's energy stays in the row
+        level = ("--potential", "oscillator:k=1", "--m1", "0.3", "--m2",
+                 "0.3", "--n", "1", "--l", "0", "--format", "json")
+        code, out, _ = run(capsys, "solve", "--method", "slet", *level)
+        assert code == 0
+        expected = json.loads(out)["records"][0]["E_binding_GeV"]
+        assert expected == pytest.approx(4.51382, abs=5e-6)
+        code, out, _ = run(capsys, "compare", *level)
+        row = json.loads(out)["rows"][0]
+        assert row["E_slet_GeV"] == expected
+        assert row["E_oracle_GeV"] is None
+        assert row["difference_GeV"] is None
+        assert row["oracle_iterations"] is None
+        assert row["status"] == "error:WindowError"
+        assert code == 3
+
+    def test_both_failing_name_expansion_first(self, capsys):
+        code, out, _ = run(capsys, "compare", "--potential",
+                           "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",
+                           "--n", "0", "--l", "0", "--format", "json")
+        row = json.loads(out)["rows"][0]
+        assert row["status"] == \
+            "error:SupercriticalCouplingError@fall_to_center"
+        assert row["E_slet_GeV"] is None and row["E_oracle_GeV"] is None
+        assert code == 3
+
     def test_partial_failure_keeps_rows(self, capsys):
         code, out, _ = run(capsys, "compare", "--potential",
                            "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",

@@ -323,9 +323,10 @@ class TestNewtonIteration:
             assert sol.outer_iterations <= 20, key
 
     def test_no_bisection_on_default_grids(self, oracle_results):
-        # every eigensolve refines a start vector: the estimate and the
-        # first iterate one from the coarse grid, every later iterate the
-        # previous eigenvector; none of them may fall back to bisection
+        # every eigensolve refines a start vector: the estimate one from
+        # the coarse grid, the first iterate the estimate's vector refined
+        # on the coarse grid, every later iterate the previous
+        # eigenvector; none of them may fall back to bisection
         for key, sol in oracle_results.items():
             assert sol.bisection_solves == 0, key
 
@@ -345,7 +346,7 @@ class TestNewtonIteration:
         qn = QuantumNumbers(n, l)
         expected = solve_selfconsistent(pot, pair, qn).binding_energy
 
-        def wrong_start(potential, pair, l, grid, e_trial, n):
+        def wrong_start(potential, pair, l, grid, e_trial, n, start=None):
             if seed == "ones":
                 return np.ones(grid.point_count)
             diag, off = effective_operator(potential, pair, l, e_trial, grid)
@@ -356,6 +357,64 @@ class TestNewtonIteration:
         assert sol.binding_energy == pytest.approx(expected, rel=1e-10)
         assert sol.bisection_solves >= 1
         assert sol.node_count == n
+
+    def test_compare_levels_converge_in_few_eigensolves(
+            self, oracle_results, coulomb_pot, pair_145):
+        # the first pass starts at the first-order root, not at the
+        # nonrelativistic estimate: 197 eigensolves over the 24 levels
+        # of `slet compare`'s benchmark when it started at the estimate,
+        # 11-13 on each oscillator level
+        coulomb = [solve_selfconsistent(coulomb_pot, pair_145,
+                                        QuantumNumbers(n, 0))
+                   for n in range(6)]
+        counts = {key: sol.outer_iterations
+                  for key, sol in oracle_results.items()}
+        assert sum(counts.values()) + sum(
+            sol.outer_iterations for sol in coulomb) <= 175
+        for (tid, n, l), count in counts.items():
+            if tid == 2:
+                assert count <= 11, (n, l)
+
+    @pytest.mark.parametrize("system, n, l", [("cornell", 1, 1),
+                                              ("coulomb", 2, 0)])
+    def test_one_lapack_bisection_per_level(self, monkeypatch, system, n, l,
+                                            cornell_pot, coulomb_pot,
+                                            pair_145):
+        # the estimate's coarse-grid eigenpair is the level's only cold
+        # eigensolve; the first pass refines the estimate's vector
+        pot = {"cornell": cornell_pot, "coulomb": coulomb_pot}[system]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("tol"))
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+        sol = solve_selfconsistent(pot, pair_145, QuantumNumbers(n, l))
+        assert sol.node_count == n
+        assert sol.bisection_solves == 0
+        assert len(calls) == 1
+        # a seed's bisection stops well short of full precision
+        assert calls[0] > oracle.BISECTION_TOLERANCE
+
+    def test_light_levels_converge(self, cornell_pot, coulomb_pot):
+        # at m = 0.3 GeV the first-order start lies farthest from the
+        # nonrelativistic estimate; started at the estimate, these 45
+        # levels took 413 eigensolves, 13 of them full-grid bisections
+        pair = ParticlePair.equal(0.3)
+        sols = [solve_selfconsistent(pot, pair, QuantumNumbers(n, l))
+                for pot in (cornell_pot, coulomb_pot,
+                            PotentialModel.linear(0.18))
+                for n in range(5) for l in range(3)]
+        assert [sol.node_count for sol in sols] == [
+            n for _ in range(3) for n in range(5) for _ in range(3)]
+        assert sum(sol.outer_iterations for sol in sols) <= 413
+        assert sum(sol.bisection_solves for sol in sols) <= 13
+
+    def test_light_oscillator_ground_level(self, oscillator_pot):
+        sol = solve_selfconsistent(oscillator_pot, ParticlePair.equal(0.3),
+                                   QuantumNumbers(0, 0))
+        assert sol.binding_energy == pytest.approx(2.6179976786, abs=1e-10)
 
     def test_excited_coulomb_in_level_sized_box(self, coulomb_pot, pair_145):
         for n in (3, 4, 5):
@@ -436,6 +495,30 @@ class TestQuasiBoundMachinery:
         r = escape_radius(cornell_pot, pair_145, 0.5, 1e3)
         assert cornell_pot.evaluate(r) == pytest.approx(
             2.0 * pair_145.eta + 0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("system", ["cornell", "oscillator", "linear"])
+    @pytest.mark.parametrize("energy", [-0.4, 0.5, 3.0])
+    def test_escape_radius_matches_full_bracket(self, system, energy,
+                                                cornell_pot, oscillator_pot,
+                                                pair_145):
+        # the reference runs Brent over the whole search range, to
+        # rounding level
+        pot = {"cornell": cornell_pot, "oscillator": oscillator_pot,
+               "linear": PotentialModel.linear(0.18)}[system]
+        target = 2.0 * pair_145.eta + max(energy, 0.0)
+        reference = brentq(lambda r: pot.evaluate(r) - target, 1e-3, 1e3,
+                           xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        r = escape_radius(pot, pair_145, energy, 1e3)
+        assert r == pytest.approx(reference, rel=2e-10)
+
+    def test_escape_radius_unreached(self, cornell_pot, coulomb_pot,
+                                     pair_145):
+        # V stays below the target, reaches it only beyond the search
+        # range, or starts above it
+        repulsive = PotentialModel.custom([(100.0, -1.0), (0.18, 1.0)])
+        assert escape_radius(coulomb_pot, pair_145, 0.5, 1e3) is None
+        assert escape_radius(cornell_pot, pair_145, 0.5, 10.0) is None
+        assert escape_radius(repulsive, pair_145, 0.5, 1e3) is None
 
     def test_wall_inside_forbidden_band(self, oracle_results):
         # the solver's wall must sit between the level's inner turning
