@@ -89,6 +89,9 @@ class SolveRecord:
     omega: float | None = None
     alpha1: float | None = None
     alpha2: float | None = None
+    oracle_iterations: int | None = None
+    oracle_residual: float | None = None
+    oracle_bisections: int | None = None
     status: str = "ok"
 
 
@@ -119,7 +122,10 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
     elif method == "oracle":
         sol = oracle.solve_selfconsistent(manifest.potential, pair, qn,
                                           grid=manifest.grid(qn))
-        values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass)
+        values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass,
+                      oracle_iterations=sol.outer_iterations,
+                      oracle_residual=sol.residual,
+                      oracle_bisections=sol.bisection_solves)
     elif method == "closed-form":
         if (manifest.potential.kind != "coulomb" or manifest.m1 != manifest.m2
                 or l != 0 or manifest.nonrelativistic):
@@ -208,32 +214,23 @@ def _matching_fixture(manifest: RunManifest):
 
 
 def run_compare(manifest: RunManifest):
-    """Per-level records {n, l, slet, oracle, diff, oracle diagnostics,
-    fixtures, status}."""
+    """(rows, summary) built from each level's pair of :func:`run_solve`
+    records.  A row's status is the first that is not ok, the expansion's
+    before the grid solver's; its difference is set when both succeed."""
     fix = _matching_fixture(manifest)
+    records, _, _ = run_solve(dataclasses.replace(manifest, method="both"))
     rows = []
-    for n, l in manifest.levels:
-        row = {"n": n, "l": l, "E_slet_GeV": None, "E_oracle_GeV": None,
-               "difference_GeV": None, "oracle_iterations": None,
-               "oracle_residual": None, "oracle_bisections": None,
-               "status": "ok"}
-        # each method fills its own fields; the first failure names the row
-        try:
-            row["E_slet_GeV"] = solve_level(manifest, n, l,
-                                            "slet")[0].E_binding_GeV
-        except SletError as exc:
-            row["status"] = _status(exc)
-        try:
-            rec_o, sol_o = solve_level(manifest, n, l, "oracle")
-            row["E_oracle_GeV"] = rec_o.E_binding_GeV
-            row["oracle_iterations"] = sol_o.outer_iterations
-            row["oracle_residual"] = sol_o.residual
-            row["oracle_bisections"] = sol_o.bisection_solves
-        except SletError as exc:
-            if row["status"] == "ok":
-                row["status"] = _status(exc)
-        if row["status"] == "ok":
-            row["difference_GeV"] = row["E_slet_GeV"] - row["E_oracle_GeV"]
+    for expansion, grid in zip(records[::2], records[1::2]):
+        n, l = expansion.n, expansion.l
+        status = next((r.status for r in (expansion, grid)
+                       if r.status != "ok"), "ok")
+        row = {"n": n, "l": l, "E_slet_GeV": expansion.E_binding_GeV,
+               "E_oracle_GeV": grid.E_binding_GeV,
+               "difference_GeV": (expansion.E_binding_GeV - grid.E_binding_GeV
+                                  if status == "ok" else None),
+               "oracle_iterations": grid.oracle_iterations,
+               "oracle_residual": grid.oracle_residual,
+               "oracle_bisections": grid.oracle_bisections, "status": status}
         if fix is not None:
             for label in ("slet", *fixtures.COMPARISON_ROWS):
                 cells = fix.rows.get(label, {})

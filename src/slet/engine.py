@@ -158,7 +158,7 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
     points.  Both run the same array arithmetic, so each array element
     equals the scalar result at that radius.
     """
-    r = np.atleast_1d(np.asarray(r0, dtype=float))
+    r = np.asarray(r0, dtype=float)
     _, v1, v2 = potential.derivatives(r, 2)
     mu = pair.mu
     with np.errstate(all="ignore"):
@@ -169,7 +169,7 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
         bracket = 3.0 + r * v2 / v1 - 2.0 * s / (s + w)
         omega = np.sqrt(bracket) / mu
     if np.ndim(r0) == 0:
-        r, v1, bracket = float(r[0]), float(v1[0]), float(bracket[0])
+        r, v1, bracket = float(r), float(v1), float(bracket)
         if not v1 > 0.0:
             raise NonMonotonePointError(
                 f"V'(r0) = {v1:g} at r0 = {r:g}; the expansion needs an "
@@ -177,8 +177,7 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
         if bracket < 0.0:
             raise NoHarmonicRegimeError(
                 f"squared frequency bracket is {bracket:g} at r0 = {r:g}")
-        return Geometry(xi=float(xi[0]), Q=float(q[0]),
-                        omega=float(omega[0]))
+        return Geometry(xi=float(xi), Q=float(q), omega=float(omega))
     bad = ~(v1 > 0.0) | (bracket < 0.0)
     return Geometry(xi=np.where(bad, np.nan, xi), Q=np.where(bad, np.nan, q),
                     omega=np.where(bad, np.nan, omega))

@@ -50,15 +50,8 @@ class BracketingError(ConvergenceError):
 
 
 class WindowError(ConvergenceError):
-    """The eigenvalue self-consistency scan found no sign change.
-
-    Carries the scanned (energy, residual) pairs in the ``sweep``
-    attribute for diagnosis.
-    """
-
-    def __init__(self, message, sweep=None):
-        super().__init__(message)
-        self.sweep = sweep or []
+    """The self-consistency residual kept one sign across the energy
+    window, which the message names."""
 
 
 class LevelIdentificationError(ConvergenceError):

@@ -26,9 +26,11 @@ bisection, run to full precision, extracts the pair, indexing levels
 exactly.  The eigenvector gives the Newton slope by the Hellmann-Feynman
 theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta.  The returned level alone
 is checked: its node count against the requested radial quantum number,
-and its energy's local wave number against the grid spacing.  The
-default box is sized from the potential's length scales and, for
-potentials that do not confine, from the level.
+and its energy's local wave number against the grid spacing; a level
+whose residual keeps one sign over the window fails as the Newton
+iteration gives up, with no further eigensolve.  The default box is
+sized from the potential's length scales and, for potentials that do
+not confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
 attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
@@ -77,8 +79,6 @@ FIRST_PASS_ENERGY_FRACTION = 0.7
 # cap on eigensolves per outer pass; bisection alone shrinks a 50 GeV
 # window to the 1e-13 step tolerance in about 50
 MAX_OUTER_EVALUATIONS = 100
-# residual samples across the window attached to a WindowError
-FAILURE_SWEEP_POINTS = 48
 # |g(E)| at which the outer iteration may stop
 RESIDUAL_TOLERANCE = 1e-10
 # eigenvector entries below this fraction of the largest carry no node
@@ -405,12 +405,9 @@ def _solve_on_grid(pair, qn, operator, window, energy, vec):
         energy = trial if left < trial < right else 0.5 * (left + right)
 
     if below is None or above is None:
-        sweep = [(e, nth_eigenvalue(*operator(e), qn.n) - e
-                  - e**2 / (2.0 * eta))
-                 for e in np.linspace(lo, hi, FAILURE_SWEEP_POINTS)]
         raise WindowError(
             f"no sign change of the self-consistency residual found in "
-            f"[{lo:g}, {hi:g}]; sweep attached", sweep=sweep)
+            f"[{lo:g}, {hi:g}]")
     raise ConvergenceError(
         f"self-consistency residual {previous:g} above tolerance "
         f"{RESIDUAL_TOLERANCE:g} after {evaluations} evaluations")
@@ -441,7 +438,7 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
         warnings.warn(
             f"grid spacing h = {grid.h:g} resolves the energy {energy:g} "
             "poorly; refine the grid", ResolutionWarning)
-    big = np.nonzero(np.abs(vec) > 1e-8 * np.max(np.abs(vec)))[0]
+    big = np.nonzero(np.abs(vec) > NODE_THRESHOLD * np.max(np.abs(vec)))[0]
     if big.size and vec[big[0]] < 0.0:
         vec = -vec
     norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
@@ -491,9 +488,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     refinement is rejected or the grid has no more than
     COARSE_POINT_COUNT points.
 
-    Raises WindowError (with a sweep of the window attached) when no
-    sign change shows up, ConvergenceError when the residual stays
-    above tolerance, and LevelIdentificationError when the converged
+    Raises WindowError, whose message names the window, when no sign
+    change shows up, ConvergenceError when the residual stays above
+    tolerance, and LevelIdentificationError when the converged
     eigenvector's node count is not n or, in the default box of a
     non-confining potential, the energy lies in the continuum.  A returned
     level whose energy the grid resolves poorly issues one

@@ -143,9 +143,9 @@ class PotentialModel:
             raise UnsupportedOrderError(
                 f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {upto}")
         rr = np.asarray(r, dtype=float)
-        if np.any(rr <= 0.0):
+        if (rr <= 0.0).any():
             raise ValueError("r must be positive")
-        stack = [np.zeros_like(rr) for _ in range(upto + 1)]
+        stack = [0.0 * rr for _ in range(upto + 1)]
         for c, p in self.terms:
             fac = c
             for k in range(upto + 1):
@@ -153,7 +153,7 @@ class PotentialModel:
                     break
                 stack[k] = stack[k] + fac * rr ** (p - k)
                 fac *= p - k
-        return [float(v) if v.ndim == 0 else v for v in stack]
+        return [float(v) if np.ndim(v) == 0 else v for v in stack]
 
     def evaluate(self, r):
         """V(r) for scalar or array r > 0."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from slet import cli, engine, errors, fixtures
+from slet import cli, engine, errors, fixtures, oracle
 from slet.cli import CSV_HEADER, main
 from slet.errors import (
     BracketingError,
@@ -12,6 +12,7 @@ from slet.errors import (
     SletError,
     UnphysicalRegimeError,
 )
+from slet.potentials import ParticlePair, parse_potential
 
 
 def run(capsys, *argv):
@@ -184,6 +185,29 @@ class TestSolveCommand:
         assert len(rows) == 2
         assert rows[0].split(",")[5] == "slet"
         assert rows[1].split(",")[5] == "oracle"
+
+    def test_oracle_records_carry_grid_counts(self, capsys):
+        # the grid solver's counts reach solve records as they come out
+        # of solve_selfconsistent; expansion records leave them null
+        code, out, _ = run(capsys, "solve", "--potential",
+                           "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
+                           "--m2", "1.45", "--n-range", "0:1",
+                           "--l-range", "1:1", "--method", "both",
+                           "--format", "json")
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [r["method"] for r in records] == ["slet", "oracle"] * 2
+        pair = ParticlePair(1.45, 1.45)
+        pot = parse_potential("cornell:alpha=0.25,b=0.18")
+        for expansion, grid in zip(records[::2], records[1::2]):
+            assert expansion["oracle_iterations"] is None
+            assert expansion["oracle_residual"] is None
+            assert expansion["oracle_bisections"] is None
+            sol = oracle.solve_selfconsistent(
+                pot, pair, engine.QuantumNumbers(grid["n"], grid["l"]))
+            assert grid["oracle_iterations"] == sol.outer_iterations
+            assert grid["oracle_residual"] == sol.residual
+            assert grid["oracle_bisections"] == sol.bisection_solves
 
 
 class TestConfigFile:

@@ -122,6 +122,18 @@ class TestArrayForm:
         if name != "decreasing":
             solve_r0(pot, pair, qn)  # the scan, under the same filter
 
+    @pytest.mark.parametrize("r", [0.7, np.float64(0.7)], ids=type)
+    def test_scalar_results_are_python_floats(self, cornell_pot, pair_145,
+                                              r):
+        # a scalar radius stays 0-d all the way, and what comes out is a
+        # plain float, so no np.float64 reaches a CSV cell's repr
+        geo = geometry_at(cornell_pot, pair_145, r)
+        assert [type(v) for v in (geo.xi, geo.Q, geo.omega)] == [float] * 3
+        stack = cornell_pot.derivatives(r, 6)
+        assert [type(v) for v in stack] == [float] * 7
+        assert type(r0_residual(cornell_pot, pair_145,
+                                QuantumNumbers(1, 1), r)) is float
+
 
 class TestShift:
     def test_direct_substitution(self, pair_145):

@@ -531,17 +531,32 @@ class TestQuasiBoundMachinery:
             assert v_wall > sol.binding_energy
             assert v_wall < 2.0 * etas[tid] + sol.binding_energy + 0.2
 
-    def test_window_error_carries_sweep(self, oscillator_pot):
+    def test_window_error_costs_no_extra_eigensolve(self, oscillator_pot,
+                                                    monkeypatch):
         # at m = 0.3 GeV these levels lie far above 2 eta, where g(E)
-        # keeps one sign across the whole window
+        # keeps one sign across the whole window; the failure is raised
+        # as the iteration gives up, with no eigensolve beyond its own
         pair = ParticlePair.equal(0.3)
+        calls = {"value": 0, "full_grid": 0}
+        pair_solver = oracle.nth_eigenpair
+
+        def counted_value(*args, **kwargs):
+            calls["value"] += 1
+            return nth_eigenvalue(*args, **kwargs)
+
+        def counted_pair(diag, *args, **kwargs):
+            calls["full_grid"] += diag.size > oracle.COARSE_POINT_COUNT
+            return pair_solver(diag, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "nth_eigenvalue", counted_value)
+        monkeypatch.setattr(oracle, "nth_eigenpair", counted_pair)
         for n, l in ((2, 0), (1, 1)):
-            with pytest.raises(WindowError) as info:
+            calls.update(value=0, full_grid=0)
+            with pytest.raises(WindowError, match=r"in \[[-0-9.]+, [0-9.]+\]"):
                 solve_selfconsistent(oscillator_pot, pair,
                                      QuantumNumbers(n, l))
-            sweep = info.value.sweep
-            assert len(sweep) == oracle.FAILURE_SWEEP_POINTS
-            assert all(math.isfinite(g) for _, g in sweep)
+            assert calls["value"] == 0
+            assert 0 < calls["full_grid"] <= oracle.MAX_OUTER_EVALUATIONS + 1
 
     def test_wavefunction_normalized(self, oracle_results):
         sol = oracle_results[(3, 0, 0)]
