@@ -50,8 +50,8 @@ class BracketingError(ConvergenceError):
 
 
 class WindowError(ConvergenceError):
-    """The self-consistency residual kept one sign across the energy
-    window, which the message names."""
+    """The grid solver's level settled outside its energy window, which
+    the message names."""
 
 
 class LevelIdentificationError(ConvergenceError):

@@ -5,32 +5,18 @@ The equation being solved is nonlinear in the energy: the operator
     H(E) = -(1/2 mu) d^2/dr^2 + l(l+1)/(2 mu r^2) + gamma(r) + E V(r)/eta
 
 must reproduce its own trial energy through lambda_n(E) = E + E^2/(2 eta),
-where lambda_n is the (n+1)-th smallest eigenvalue.  The solver finds
-the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a safeguarded Newton
-iteration around an inner symmetric tridiagonal eigenproblem (three-point
-finite differences, Dirichlet ends).  The operator's energy-independent
-pieces are built once per grid, and between Newton iterates it moves only
-by (Delta E/eta) V on its diagonal, so each iterate refines the previous
-iterate's eigenvector by Rayleigh-quotient iteration, one tridiagonal
-solve per step.  A level makes one cold eigensolve: bisection, to a loose
-tolerance, for the nonrelativistic operator's level-n eigenvector on a
-coarse grid, which starts the nonrelativistic estimate on the full grid.
-The first Newton iterate starts at the root of the self-consistency
-condition to first order in the operator's energy dependence, from the
-estimate's eigenvector refined on a coarse grid over the first pass's
-span and interpolated onto its full grid.  A refined pair is accepted
-only when its residual has settled at the rounding floor of the operator
-and its eigenvector has exactly n nodes, which by Sturm's oscillation
-theorem singles out level n; otherwise LAPACK's Sturm-sequence
-bisection, run to full precision, extracts the pair, indexing levels
-exactly.  The eigenvector gives the Newton slope by the Hellmann-Feynman
-theorem, g'(E) = <psi|V|psi>/eta - 1 - E/eta.  The returned level alone
-is checked: its node count against the requested radial quantum number,
-and its energy's local wave number against the grid spacing; a level
-whose residual keeps one sign over the window fails as the Newton
-iteration gives up, with no further eigensolve.  The default box is
-sized from the potential's length scales and, for potentials that do
-not confine, from the level.
+where lambda_n is the (n+1)-th smallest eigenvalue.  On three-point
+finite differences with Dirichlet ends that is T(E) psi = 0 for the
+symmetric tridiagonal T(E) = H(E) - (E + E^2/(2 eta)) I, which depends on
+E only through its diagonal.  The solver finds (E, psi) by nonlinear
+Rayleigh-quotient iteration (Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)),
+one tridiagonal solve per step, from start vectors taken on a coarse
+grid; with eta infinite it is Rayleigh-quotient iteration.  A level is
+accepted only with exactly n nodes, which by Sturm's oscillation theorem
+singles out level n, and LAPACK's Sturm-sequence bisection, which
+indexes levels exactly, supplies the start where a refinement is
+rejected.  The default box is sized from the potential's length scales
+and, for potentials that do not confine, from the level.
 
 For Coulomb-type potentials the -V^2/(2 eta) piece of gamma adds an
 attractive inverse-square core; :func:`~slet.potentials.fall_to_center_check`
@@ -76,23 +62,16 @@ R_MAX_SCALE_FACTOR = 40.0
 # values sit below it).
 FIRST_PASS_ENERGY_FRACTION = 0.7
 
-# cap on eigensolves per outer pass; bisection alone shrinks a 50 GeV
-# window to the 1e-13 step tolerance in about 50
-MAX_OUTER_EVALUATIONS = 100
-# |g(E)| at which the outer iteration may stop
-RESIDUAL_TOLERANCE = 1e-10
 # eigenvector entries below this fraction of the largest carry no node
 NODE_THRESHOLD = 1e-8
-# a refined eigenpair has settled once its residual |T x - lambda x| is
-# below this many machine epsilons times the operator's row-sum norm;
-# rounding alone leaves less than one
+# a refinement has settled once its residual |T(E) psi| is below this
+# many machine epsilons times the row-sum norm of T(E); rounding alone
+# leaves less than one
 REFINEMENT_RESIDUAL = 8.0
-# Rayleigh-quotient steps tried from a start vector before bisection;
-# a start from the previous Newton iterate settles in two
-MAX_REFINEMENT_STEPS = 4
-# points of the coarse grid whose level-n eigenvector starts the
-# refinement of an eigensolve that has no previous iterate; at 500 the
-# refinement is rejected on Cornell (1,0), (2,0) and Coulomb (4,0)
+# tridiagonal solves tried from a start vector before it is rejected
+MAX_REFINEMENT_STEPS = 8
+# points of the coarse grid whose level-n eigenvector starts a
+# full-grid refinement
 COARSE_POINT_COUNT = 1000
 # absolute tolerance of LAPACK's bisection; the smallest positive value
 # runs it to rounding level instead of its default eps * |T|
@@ -202,56 +181,92 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
     """Eigenvalue, unit eigenvector (sign arbitrary) and whether bisection ran.
 
     With a start vector, the pair is refined by Rayleigh-quotient
-    iteration: each step solves (T - lambda I) y = x with LAPACK's
-    tridiagonal solver and takes lambda as the Rayleigh quotient of x.
-    The refined pair is accepted once |T x - lambda x| falls below
-    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T
-    and x has exactly n nodes; by Sturm's oscillation theorem only the
-    (n+1)-th eigenvector of this Jacobi matrix has n sign changes, so a
-    start that converges to another level is rejected.  Without a start
-    vector, or when the refinement is rejected, does not settle within
-    MAX_REFINEMENT_STEPS, or meets a singular or non-finite solve, the
-    pair comes from LAPACK's Sturm-sequence bisection at the absolute
-    tolerance tol, by default BISECTION_TOLERANCE (full precision).  The
-    grid solver passes a start to every call on a grid finer than
-    COARSE_POINT_COUNT, so there bisection is only the fallback.  Returns
-    (eigenvalue, eigenvector, bisected).
+    iteration (:func:`_refine` with eta infinite), which accepts it only
+    once it has settled with exactly n nodes; by Sturm's oscillation
+    theorem only the (n+1)-th eigenvector of this Jacobi matrix has n
+    sign changes, so a start that converges to another level is
+    rejected.  Without a start vector, or when the refinement is
+    rejected, the pair comes from LAPACK's Sturm-sequence bisection at
+    the absolute tolerance tol, by default BISECTION_TOLERANCE (full
+    precision).  Returns (eigenvalue, eigenvector, bisected).
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
-    pair = None
     if start is not None:
         if start.shape != diag.shape:
             raise ValueError("start vector does not match the matrix size")
-        pair = _refined_pair(diag, off, n, start)
-    bisected = pair is None
-    if bisected:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(n, n), tol=tol)
-        pair = float(vals[0]), vecs[:, 0]
-    return (*pair, bisected)
+        value, vec, _, _, failure = _refine(diag, off, n, start)
+        if failure is None:
+            return value, vec, False
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
+                                  tol=tol)
+    return float(vals[0]), vecs[:, 0], True
 
 
-def _refined_pair(diag, off, n, start):
-    """Rayleigh-quotient iteration from start; None unless it settles on n."""
-    tolerance = REFINEMENT_RESIDUAL * np.finfo(float).eps * _row_sum_norm(
-        diag, off)
-    vec = start
-    for _ in range(MAX_REFINEMENT_STEPS):
-        norm = float(np.linalg.norm(vec))
+def _refine(diag, off, n, start, coupling=None, eta=math.inf):
+    """Nonlinear Rayleigh-quotient iteration for T(E) psi = 0 from start.
+
+    T(E) = H(0) + E diag(coupling) - (E + E^2/(2 eta)) I with H(0) =
+    (diag, off) and coupling = V/eta, None for eta infinite.  Each step
+    takes E as the root of psi^T T(E) psi = a + b E - E^2/(2 eta) for the
+    unit iterate psi, a = psi^T H(0) psi and b = <coupling> - 1:
+    E = 2 a / (sqrt(b^2 + 2 a/eta) - b), free of cancellation for b < 0
+    and equal to a for eta infinite.  a is summed in gradient form,
+    sum (d_i + o_{i-1} + o_i) psi_i^2 - sum o_i (psi_{i+1} - psi_i)^2,
+    since psi^T diag psi + 2 psi^T off psi cancels terms the size of the
+    kinetic diagonal.  The iteration settles once |T(E) psi| is at most
+    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T(E);
+    otherwise it solves T(E) y = T'(E) psi, T'(E) = diag(coupling - 1 -
+    E/eta), with LAPACK's dgtsv, and converges locally cubically.
+    Returns (E, psi, |T(E) psi|, solves, failure); failure is None for a
+    settled psi with n nodes, otherwise the SletError that rejects it.
+    """
+    weights = diag.copy()
+    weights[:-1] += off
+    weights[1:] += off
+    tolerance = REFINEMENT_RESIDUAL * np.finfo(float).eps
+    off_norm = 2.0 * float(np.max(np.abs(off)))
+    singular = ConvergenceError(
+        "a tridiagonal solve of the refinement is singular or not finite")
+    vec, solves = start, 0
+    while True:
+        norm = math.sqrt(float(vec @ vec))
         if not 0.0 < norm < math.inf:
-            return None
+            return math.nan, vec, math.inf, solves, singular
         vec = vec / norm
-        applied = diag * vec
+        weight = vec * vec
+        grad = vec[1:] - vec[:-1]
+        a = float(weight @ weights) - float(off @ (grad * grad))
+        b = -1.0 if coupling is None else float(weight @ coupling) - 1.0
+        discriminant = b * b + 2.0 * a / eta
+        if discriminant < 0.0:
+            return math.nan, vec, math.inf, solves, ConvergenceError(
+                "the Rayleigh functional has no real root")
+        energy = 2.0 * a / (math.sqrt(discriminant) - b)
+        shifted = diag - (energy + energy * energy / (2.0 * eta))
+        if coupling is not None:
+            shifted += energy * coupling
+        applied = shifted * vec
         applied[:-1] += off * vec[1:]
         applied[1:] += off * vec[:-1]
-        value = float(vec @ applied)
-        if np.linalg.norm(applied - value * vec) <= tolerance:
-            return (value, vec) if count_nodes(vec) == n else None
-        *_, vec, info = dgtsv(off, diag - value, off, vec, overwrite_d=1)
+        residual = math.sqrt(float(applied @ applied))
+        if residual <= tolerance * (float(np.max(np.abs(shifted)))
+                                    + off_norm):
+            nodes = count_nodes(vec)
+            return energy, vec, residual, solves, (
+                None if nodes == n else LevelIdentificationError(
+                    f"refined eigenvector has {nodes} nodes, expected {n}"))
+        if solves == MAX_REFINEMENT_STEPS:
+            return energy, vec, residual, solves, ConvergenceError(
+                f"refinement did not settle in {solves} tridiagonal "
+                f"solves; residual {residual:g}")
+        slope = -1.0 - energy / eta
+        rhs = vec * (slope if coupling is None else coupling + slope)
+        *_, vec, info = dgtsv(off, shifted, off, rhs, overwrite_d=1,
+                              overwrite_b=1)
+        solves += 1
         if info != 0:
-            return None
-    return None
+            return energy, vec, residual, solves, singular
 
 
 def _row_sum_norm(diag, off) -> float:
@@ -270,10 +285,13 @@ def count_nodes(vec: np.ndarray) -> int:
 class OracleSolution:
     """Self-consistent eigenvalue with its wavefunction and diagnostics.
 
-    outer_iterations counts every eigensolve, the nonrelativistic
-    estimate included; bisection_solves counts the eigensolves on the
-    solution's full-size grids that came from LAPACK bisection rather than
-    from refining a start vector (the coarse-grid eigenpairs that provide
+    outer_iterations counts the nonrelativistic estimate as one, then
+    every tridiagonal solve of the wall passes and every bisection.
+    residual is |T(E) psi| in GeV for the unit eigenvector, at most
+    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T(E),
+    and 0 for an eta-infinite pair.  bisection_solves counts the
+    eigensolves on the solution's full-size grids that came from LAPACK
+    bisection rather than from refining a start vector (coarse-grid
     start vectors are not counted).  On grids finer than
     COARSE_POINT_COUNT it is 0 unless a refinement was rejected.
     """
@@ -360,57 +378,36 @@ def _first_order_start(v, vec, e_nr, eta):
     return e_nr if discriminant < 0.0 else -b + math.sqrt(discriminant)
 
 
-def _solve_on_grid(pair, qn, operator, window, energy, vec):
-    """Safeguarded Newton iteration for the root of g(E) on operator's grid.
+def _settle(operator, n, window, energy, start):
+    """One wall pass: the level-n solution of T(E) psi = 0 on operator's grid.
 
-    The slope comes with the eigenvector: by Hellmann-Feynman
-    d lambda_n / dE = <psi|V|psi>/eta, so g'(E) = <psi|V|psi>/eta - 1 - E/eta.
-    Iterates keep a sign bracket [g >= 0, g < 0] inside the window, and a
-    step that leaves it, or a slope that is not negative, is replaced by
-    bisection.  The iteration starts at energy, inside the window, from
-    the start vector vec (bisection when None), and each iterate's
-    eigenvector is the start vector of the next one's eigensolve.
-    Returns (energy, |g|, eigenvector, number of eigensolves, number of
-    eigenpairs that needed bisection).
+    Refines start (see :func:`_refine`); a start that does not settle on
+    n nodes, or is None, is replaced once by the level-n eigenvector of
+    H(energy), the pass's start energy, from full-precision bisection.
+    Returns (energy, |T(E) psi|, psi, tridiagonal solves, bisections).
+    Raises the second refinement's failure, and WindowError, naming the
+    window, when the settled energy lies outside it.
     """
-    eta = pair.eta
-    lo, hi = window
-    # latest iterates below the root (g >= 0) and above it (g < 0)
-    below = above = None
-    previous = math.inf
-    bisections = 0
-    for evaluations in range(1, MAX_OUTER_EVALUATIONS + 1):
-        diag, off = operator(energy)
-        lam, vec, bisected = nth_eigenpair(diag, off, qn.n, vec)
-        bisections += bisected
-        value = lam - energy - energy**2 / (2.0 * eta)
-        slope = float(vec @ (operator.v * vec)) / eta - 1.0 - energy / eta
-        step = -value / slope if slope < 0.0 else math.nan
-        xtol = 1e-13 + 4.0 * np.finfo(float).eps * abs(energy)
-        # the residual has a floor set by the eigensolver's own
-        # tolerance, so convergence also counts once it stops falling
-        if abs(value) <= RESIDUAL_TOLERANCE and (
-                abs(step) <= xtol or abs(value) > 0.1 * previous):
-            return energy, abs(value), vec, evaluations, bisections
-        previous = abs(value)
-        if value >= 0.0:
-            below = energy
-        else:
-            above = energy
-        left = lo if below is None else below
-        right = hi if above is None else above
-        if right - left <= xtol:
+    diag, off = operator(0.0)
+    coupling = operator.v / operator.eta
+    solves = bisections = 0
+    while True:
+        if start is None:
+            _, start, _ = nth_eigenpair(*operator(energy), n)
+            bisections += 1
+        level, vec, residual, steps, failure = _refine(
+            diag, off, n, start, coupling, operator.eta)
+        solves += steps
+        if failure is None:
             break
-        trial = energy + step
-        energy = trial if left < trial < right else 0.5 * (left + right)
-
-    if below is None or above is None:
-        raise WindowError(
-            f"no sign change of the self-consistency residual found in "
-            f"[{lo:g}, {hi:g}]")
-    raise ConvergenceError(
-        f"self-consistency residual {previous:g} above tolerance "
-        f"{RESIDUAL_TOLERANCE:g} after {evaluations} evaluations")
+        if bisections:
+            raise failure
+        start = None
+    lo, hi = window
+    if not lo <= level <= hi:
+        raise WindowError(f"level n = {n} settled at {level:g}, outside the "
+                          f"energy window [{lo:g}, {hi:g}]")
+    return level, residual, vec, solves, bisections
 
 
 def _solution(potential, pair, qn, operator, energy, vec, evaluations,
@@ -454,16 +451,14 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                          grid: RadialGrid | None = None) -> OracleSolution:
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
-    Finds the root of g(E) = lambda_n(E) - E - E^2/(2 eta) by a Newton
-    iteration with the Hellmann-Feynman slope, safeguarded by bisection
-    inside a physically bounded window, down to |g| <= RESIDUAL_TOLERANCE.
-    The window is computed here, not passed: it runs from -1.8 (m1 + m2),
-    clipped above -eta where the right-hand side stops being monotone,
-    up to 50 times the nonrelativistic estimate e_nr; for relativistic
-    confining problems it starts just below the estimate, so no iterate
-    probes energies whose escape region has entered the box.  The
-    iteration starts at the first-order root (see
-    :func:`_first_order_start`), clipped into the window.
+    Solves T(E) psi = 0 by nonlinear Rayleigh-quotient iteration (see
+    :func:`_refine`) from the first-order root (see
+    :func:`_first_order_start`), clipped into a physically bounded energy
+    window.  The window is computed here, not passed: it runs from
+    -1.8 (m1 + m2), clipped above -eta where the right-hand side stops
+    being monotone, up to 50 times the nonrelativistic estimate e_nr; for
+    relativistic confining problems it starts just below the estimate.
+    A level that settles outside it fails.
 
     When no grid is given, a level-sized one is built (see
     :func:`default_grid`).  For relativistic confining potentials the
@@ -476,25 +471,21 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     quasi-bound, and this wall placement is what defines their reported
     position.
 
-    Every eigenpair is refined from a start vector (see
-    :func:`nth_eigenpair`), and a level makes one cold eigensolve: the
-    level-n eigenvector of the nonrelativistic operator on a coarse grid
-    (see :func:`_coarse_seed`) starts the estimate, which is also the
-    single eigensolve of an eta-infinite pair.  The estimate's eigenvector,
-    refined on the coarse grid over the first pass's span at the start
-    energy, starts the first iterate, and every later iterate starts from
-    the one before it.  Bisection runs on a coarse grid only when that
-    refinement is rejected, and on the full grid only when a full-grid
-    refinement is rejected or the grid has no more than
-    COARSE_POINT_COUNT points.
+    Every eigenpair is refined from a start vector, and a level makes
+    one cold eigensolve: the level-n eigenvector of the nonrelativistic
+    operator on a coarse grid (see :func:`_coarse_seed`) starts the
+    estimate (see :func:`nth_eigenpair`), the single eigensolve of an
+    eta-infinite pair.  The estimate's eigenvector, refined on the coarse
+    grid over the first pass's span at the start energy, starts the
+    first pass (see :func:`_settle`).
 
-    Raises WindowError, whose message names the window, when no sign
-    change shows up, ConvergenceError when the residual stays above
-    tolerance, and LevelIdentificationError when the converged
-    eigenvector's node count is not n or, in the default box of a
-    non-confining potential, the energy lies in the continuum.  A returned
-    level whose energy the grid resolves poorly issues one
-    ResolutionWarning (see :func:`_solution`).
+    Raises WindowError, whose message names the window, when a pass
+    settles outside it, ConvergenceError when a restarted pass does not
+    settle, and LevelIdentificationError when it settles on a node count
+    other than n or, in the default box of a non-confining potential,
+    the energy lies in the continuum.  A returned level whose energy the
+    grid resolves poorly issues one ResolutionWarning (see
+    :func:`_solution`).
     """
     fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
@@ -529,9 +520,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     operator = GridOperator(potential, pair, qn.l, work_grid)
     seed = _coarse_seed(potential, pair, qn.l, work_grid, energy, qn.n,
                         (base.points, vec))
-    energy, residual, vec, evaluations, first_bisections = _solve_on_grid(
-        pair, qn, operator, window, energy, seed)
-    bisections += first_bisections
+    energy, residual, vec, solves, more_bisections = _settle(
+        operator, qn.n, window, energy, seed)
+    bisections += more_bisections
 
     if work_grid is not base:
         wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
@@ -543,10 +534,11 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             # the first pass's eigenvector, with nothing beyond its wall
             guess = np.interp(work_grid.points, first.points, vec,
                               right=0.0)
-            energy, residual, vec, more_evaluations, more_bisections = \
-                _solve_on_grid(pair, qn, operator, window, energy, guess)
-            evaluations += more_evaluations
+            energy, residual, vec, more_solves, more_bisections = _settle(
+                operator, qn.n, window, energy, guess)
+            solves += more_solves
             bisections += more_bisections
 
     return _solution(potential, pair, qn, operator, energy, vec,
-                     1 + evaluations, residual, bisections, grid is None)
+                     1 + solves + bisections, residual, bisections,
+                     grid is None)

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from slet.engine import QuantumNumbers, solve
 from slet.fixtures import TABLE2, TABLE3
-from slet.oracle import solve_selfconsistent
+from slet.oracle import REFINEMENT_RESIDUAL, effective_operator, \
+    solve_selfconsistent
 from slet.potentials import ParticlePair, PotentialModel
 
 
@@ -56,3 +58,26 @@ def oracle_results(oscillator_pot, cornell_pot, pair_131, pair_145):
                 out[(tid, n, l)] = solve_selfconsistent(
                     pot, pair, QuantumNumbers(n, l))
     return out
+
+
+@pytest.fixture(scope="session")
+def level_residual():
+    """|T(E) psi| of a returned level and the bound it must meet.
+
+    T(E) = H(E) - (E + E^2/(2 eta)) I is rebuilt from
+    :func:`~slet.oracle.effective_operator` on the solution's grid and
+    applied to its wavefunction scaled to unit length; the bound is
+    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T(E).
+    """
+    def check(potential, pair, l, sol):
+        energy = sol.binding_energy
+        diag, off = effective_operator(potential, pair, l, energy, sol.grid)
+        diag = diag - (energy + energy * energy / (2.0 * pair.eta))
+        psi = sol.wavefunction / np.linalg.norm(sol.wavefunction)
+        applied = diag * psi
+        applied[:-1] += off * psi[1:]
+        applied[1:] += off * psi[:-1]
+        norm = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+        return (float(np.linalg.norm(applied)),
+                REFINEMENT_RESIDUAL * np.finfo(float).eps * float(norm))
+    return check
