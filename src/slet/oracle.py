@@ -10,11 +10,12 @@ finite differences with Dirichlet ends that is T(E) psi = 0 for the
 symmetric tridiagonal T(E) = H(E) - (E + E^2/(2 eta)) I, which depends on
 E only through its diagonal.  The solver finds (E, psi) by nonlinear
 Rayleigh-quotient iteration (Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)),
-one tridiagonal solve per step, from start vectors taken on a coarse
-grid; with eta infinite it is Rayleigh-quotient iteration.  A level is
-accepted only with exactly n nodes, which by Sturm's oscillation theorem
-singles out level n, and LAPACK's Sturm-sequence bisection, which
-indexes levels exactly, supplies the start where a refinement is
+one tridiagonal solve per step; with eta infinite it is Rayleigh-quotient
+iteration.  Each solve settles first on a coarse grid over the same span
+and then on the full grid, from the coarse vector.  A level is accepted
+only with exactly n nodes, which by Sturm's oscillation theorem singles
+out level n, and LAPACK's Sturm-sequence bisection, which indexes levels
+exactly, supplies the start where a pass has none or its refinement is
 rejected.  The default box is sized from the potential's length scales
 and, for potentials that do not confine, from the level.
 
@@ -25,7 +26,7 @@ stability bound, since their discrete spectrum is not bounded below
 under grid refinement.
 
 With a nonrelativistic pair (eta infinite) the operator loses its energy
-dependence and the solve reduces to a single eigenvalue extraction,
+dependence and the solve reduces to the nonrelativistic estimate alone,
 which is how the exact box / oscillator / Coulomb checks are run.
 """
 
@@ -70,13 +71,13 @@ NODE_THRESHOLD = 1e-8
 REFINEMENT_RESIDUAL = 8.0
 # tridiagonal solves tried from a start vector before it is rejected
 MAX_REFINEMENT_STEPS = 8
-# points of the coarse grid whose level-n eigenvector starts a
-# full-grid refinement
+# points of the coarse grid on which a pass settles first; its
+# eigenvector starts the pass on a finer grid
 COARSE_POINT_COUNT = 1000
 # absolute tolerance of LAPACK's bisection; the smallest positive value
 # runs it to rounding level instead of its default eps * |T|
 BISECTION_TOLERANCE = np.finfo(float).tiny
-# a coarse-grid eigenvector only starts a refinement, so its bisection
+# a bisected eigenvector only starts a refinement, so the bisection
 # stops at this fraction of the operator's row-sum norm; an absolute
 # 1e-4 GeV is coarser than the level spacing of light Coulomb levels
 SEED_TOLERANCE = 1e-6
@@ -176,38 +177,25 @@ def nth_eigenvalue(diag: np.ndarray, off: np.ndarray, n: int) -> float:
 
 
 def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
-                  start: np.ndarray | None = None,
                   tol: float = BISECTION_TOLERANCE):
-    """Eigenvalue, unit eigenvector (sign arbitrary) and whether bisection ran.
+    """(n+1)-th smallest eigenvalue and unit eigenvector (sign arbitrary).
 
-    With a start vector, the pair is refined by Rayleigh-quotient
-    iteration (:func:`_refine` with eta infinite), which accepts it only
-    once it has settled with exactly n nodes; by Sturm's oscillation
-    theorem only the (n+1)-th eigenvector of this Jacobi matrix has n
-    sign changes, so a start that converges to another level is
-    rejected.  Without a start vector, or when the refinement is
-    rejected, the pair comes from LAPACK's Sturm-sequence bisection at
-    the absolute tolerance tol, by default BISECTION_TOLERANCE (full
-    precision).  Returns (eigenvalue, eigenvector, bisected).
+    LAPACK's Sturm-sequence bisection indexes the level exactly; it runs
+    to the absolute tolerance tol, by default BISECTION_TOLERANCE (full
+    precision).
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
-    if start is not None:
-        if start.shape != diag.shape:
-            raise ValueError("start vector does not match the matrix size")
-        value, vec, _, _, failure = _refine(diag, off, n, start)
-        if failure is None:
-            return value, vec, False
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
                                   tol=tol)
-    return float(vals[0]), vecs[:, 0], True
+    return float(vals[0]), vecs[:, 0]
 
 
-def _refine(diag, off, n, start, coupling=None, eta=math.inf):
+def _refine(diag, off, n, start, coupling, eta):
     """Nonlinear Rayleigh-quotient iteration for T(E) psi = 0 from start.
 
     T(E) = H(0) + E diag(coupling) - (E + E^2/(2 eta)) I with H(0) =
-    (diag, off) and coupling = V/eta, None for eta infinite.  Each step
+    (diag, off) and coupling = V/eta, zero for eta infinite.  Each step
     takes E as the root of psi^T T(E) psi = a + b E - E^2/(2 eta) for the
     unit iterate psi, a = psi^T H(0) psi and b = <coupling> - 1:
     E = 2 a / (sqrt(b^2 + 2 a/eta) - b), free of cancellation for b < 0
@@ -237,15 +225,14 @@ def _refine(diag, off, n, start, coupling=None, eta=math.inf):
         weight = vec * vec
         grad = vec[1:] - vec[:-1]
         a = float(weight @ weights) - float(off @ (grad * grad))
-        b = -1.0 if coupling is None else float(weight @ coupling) - 1.0
+        b = float(weight @ coupling) - 1.0
         discriminant = b * b + 2.0 * a / eta
         if discriminant < 0.0:
             return math.nan, vec, math.inf, solves, ConvergenceError(
                 "the Rayleigh functional has no real root")
         energy = 2.0 * a / (math.sqrt(discriminant) - b)
         shifted = diag - (energy + energy * energy / (2.0 * eta))
-        if coupling is not None:
-            shifted += energy * coupling
+        shifted += energy * coupling
         applied = shifted * vec
         applied[:-1] += off * vec[1:]
         applied[1:] += off * vec[:-1]
@@ -261,7 +248,7 @@ def _refine(diag, off, n, start, coupling=None, eta=math.inf):
                 f"refinement did not settle in {solves} tridiagonal "
                 f"solves; residual {residual:g}")
         slope = -1.0 - energy / eta
-        rhs = vec * (slope if coupling is None else coupling + slope)
+        rhs = vec * (coupling + slope)
         *_, vec, info = dgtsv(off, shifted, off, rhs, overwrite_d=1,
                               overwrite_b=1)
         solves += 1
@@ -286,14 +273,14 @@ class OracleSolution:
     """Self-consistent eigenvalue with its wavefunction and diagnostics.
 
     outer_iterations counts the nonrelativistic estimate as one, then
-    every tridiagonal solve of the wall passes and every bisection.
-    residual is |T(E) psi| in GeV for the unit eigenvector, at most
-    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T(E),
-    and 0 for an eta-infinite pair.  bisection_solves counts the
-    eigensolves on the solution's full-size grids that came from LAPACK
-    bisection rather than from refining a start vector (coarse-grid
-    start vectors are not counted).  On grids finer than
-    COARSE_POINT_COUNT it is 0 unless a refinement was rejected.
+    every full-grid tridiagonal solve of the wall passes and every
+    full-grid bisection.  residual is |T(E) psi| in GeV for the unit
+    eigenvector, at most REFINEMENT_RESIDUAL machine epsilons times the
+    row-sum norm of T(E), for an eta-infinite pair too.  bisection_solves
+    counts the passes on the solution's full-size grids that restarted
+    from LAPACK bisection (passes on the coarse grid are not counted).
+    On grids finer than COARSE_POINT_COUNT it is 0 unless a refinement
+    was rejected.
     """
 
     binding_energy: float
@@ -304,29 +291,6 @@ class OracleSolution:
     outer_iterations: int = 0
     residual: float = 0.0
     bisection_solves: int = 0
-
-
-def _coarse_seed(potential, pair, l, grid, e_trial, n, start=None):
-    """Start vector for level n of H(e_trial) on grid, or None.
-
-    The same operator is built on COARSE_POINT_COUNT points over the same
-    [r_min, r_max] and its level-n eigenvector is interpolated onto grid.
-    That eigenvector is refined from start, a (points, values) pair
-    sampled onto the coarse grid, when one is given; otherwise, or when
-    the refinement is rejected, it comes from bisection stopped at
-    SEED_TOLERANCE times the operator's row-sum norm, since a start
-    vector needs no sharper eigenvalue.  A grid no finer than
-    COARSE_POINT_COUNT has no start.
-    """
-    if grid.point_count <= COARSE_POINT_COUNT:
-        return None
-    coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
-    diag, off = GridOperator(potential, pair, l, coarse)(e_trial)
-    if start is not None:
-        start = np.interp(coarse.points, *start)
-    _, vec, _ = nth_eigenpair(diag, off, n, start,
-                              SEED_TOLERANCE * _row_sum_norm(diag, off))
-    return np.interp(grid.points, coarse.points, vec)
 
 
 def escape_radius(potential: PotentialModel, pair: ParticlePair,
@@ -379,21 +343,25 @@ def _first_order_start(v, vec, e_nr, eta):
 
 
 def _settle(operator, n, window, energy, start):
-    """One wall pass: the level-n solution of T(E) psi = 0 on operator's grid.
+    """One pass: the level-n solution of T(E) psi = 0 on operator's grid.
 
     Refines start (see :func:`_refine`); a start that does not settle on
     n nodes, or is None, is replaced once by the level-n eigenvector of
-    H(energy), the pass's start energy, from full-precision bisection.
-    Returns (energy, |T(E) psi|, psi, tridiagonal solves, bisections).
-    Raises the second refinement's failure, and WindowError, naming the
-    window, when the settled energy lies outside it.
+    H(energy), the pass's start energy, from bisection stopped at
+    SEED_TOLERANCE times the operator's row-sum norm, since the
+    refinement finishes whatever vector it gets.  Returns (energy,
+    |T(E) psi|, psi, tridiagonal solves, bisections).  Raises the second
+    refinement's failure, and WindowError, naming the window, when the
+    settled energy lies outside it.
     """
     diag, off = operator(0.0)
     coupling = operator.v / operator.eta
     solves = bisections = 0
     while True:
         if start is None:
-            _, start, _ = nth_eigenpair(*operator(energy), n)
+            matrix = operator(energy)
+            _, start = nth_eigenpair(
+                *matrix, n, SEED_TOLERANCE * _row_sum_norm(*matrix))
             bisections += 1
         level, vec, residual, steps, failure = _refine(
             diag, off, n, start, coupling, operator.eta)
@@ -408,6 +376,29 @@ def _settle(operator, n, window, energy, start):
         raise WindowError(f"level n = {n} settled at {level:g}, outside the "
                           f"energy window [{lo:g}, {hi:g}]")
     return level, residual, vec, solves, bisections
+
+
+def _solve_on(potential, pair, l, grid, n, window, energy, start):
+    """:func:`_settle` on grid, started from the same pass on a coarse grid.
+
+    On a grid of more than COARSE_POINT_COUNT points the pass first
+    settles on COARSE_POINT_COUNT points over the same span, from start,
+    a (points, values) pair sampled onto the coarse grid, or None; its
+    vector, interpolated onto grid, starts the pass there.  A failure of
+    the coarse pass fails the solve, and its work is not returned.  A
+    grid no finer than COARSE_POINT_COUNT starts from bisection.
+    Returns grid's operator and its pass's result.
+    """
+    operator = GridOperator(potential, pair, l, grid)
+    if grid.point_count <= COARSE_POINT_COUNT:
+        return operator, _settle(operator, n, window, energy, None)
+    coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
+    if start is not None:
+        start = np.interp(coarse.points, *start)
+    vec = _settle(GridOperator(potential, pair, l, coarse), n, window,
+                  energy, start)[2]
+    return operator, _settle(operator, n, window, energy,
+                             np.interp(grid.points, coarse.points, vec))
 
 
 def _solution(potential, pair, qn, operator, energy, vec, evaluations,
@@ -471,13 +462,12 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     quasi-bound, and this wall placement is what defines their reported
     position.
 
-    Every eigenpair is refined from a start vector, and a level makes
-    one cold eigensolve: the level-n eigenvector of the nonrelativistic
-    operator on a coarse grid (see :func:`_coarse_seed`) starts the
-    estimate (see :func:`nth_eigenpair`), the single eigensolve of an
-    eta-infinite pair.  The estimate's eigenvector, refined on the coarse
-    grid over the first pass's span at the start energy, starts the
-    first pass (see :func:`_settle`).
+    Every pass refines a start vector (see :func:`_settle`), and a level
+    makes one cold eigensolve: the estimate, the single pass of an
+    eta-infinite pair, settles at window (-inf, inf) from the bisected
+    level-n eigenvector of the nonrelativistic operator on a coarse grid,
+    then on the full grid (see :func:`_solve_on`).  The first wall pass
+    runs the same way from the estimate's eigenvector.
 
     Raises WindowError, whose message names the window, when a pass
     settles outside it, ConvergenceError when a restarted pass does not
@@ -490,15 +480,13 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
 
-    nr_pair = pair.as_nonrelativistic()
-    operator = GridOperator(potential, nr_pair, qn.l, base)
-    start = _coarse_seed(potential, nr_pair, qn.l, base, 0.0, qn.n)
-    e_nr, vec, bisected = nth_eigenpair(*operator(0.0), qn.n, start)
-    bisections = int(bisected)
+    operator, (e_nr, residual, vec, _, bisections) = _solve_on(
+        potential, pair.as_nonrelativistic(), qn.l, base, qn.n,
+        (-math.inf, math.inf), 0.0, None)
     if math.isinf(pair.eta):
-        # operator is energy independent; one eigensolve settles it
-        return _solution(potential, pair, qn, operator, e_nr, vec, 1, 0.0,
-                         bisections, grid is None)
+        # operator is energy independent; the estimate is the level
+        return _solution(potential, pair, qn, operator, e_nr, vec, 1,
+                         residual, bisections, grid is None)
 
     quasi_bound = _is_confining(potential)
     if quasi_bound:
@@ -517,11 +505,9 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
                              10.0 * base.r_max)
         if wall is not None and wall < base.r_max:
             work_grid = RadialGrid(base.r_min, wall, base.point_count)
-    operator = GridOperator(potential, pair, qn.l, work_grid)
-    seed = _coarse_seed(potential, pair, qn.l, work_grid, energy, qn.n,
-                        (base.points, vec))
-    energy, residual, vec, solves, more_bisections = _settle(
-        operator, qn.n, window, energy, seed)
+    operator, (energy, residual, vec, solves, more_bisections) = _solve_on(
+        potential, pair, qn.l, work_grid, qn.n, window, energy,
+        (base.points, vec))
     bisections += more_bisections
 
     if work_grid is not base:
