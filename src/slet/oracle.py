@@ -11,8 +11,9 @@ symmetric tridiagonal T(E) = H(E) - (E + E^2/(2 eta)) I, which depends on
 E only through its diagonal.  The solver finds (E, psi) by nonlinear
 Rayleigh-quotient iteration (Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)),
 one tridiagonal solve per step; with eta infinite it is Rayleigh-quotient
-iteration.  Each solve settles first on a coarse grid over the same span
-and then on the full grid, from the coarse vector.  A level is accepted
+iteration.  Every pass but the last settles on a coarse grid over its
+own span; the last alone runs on the full grid, from the coarse
+vector.  A level is accepted
 only with exactly n nodes, which by Sturm's oscillation theorem singles
 out level n, and LAPACK's Sturm-sequence bisection, which indexes levels
 exactly, supplies the start where a pass has none or its refinement is
@@ -27,7 +28,8 @@ under grid refinement.
 
 With a nonrelativistic pair (eta infinite) the operator loses its energy
 dependence and the solve reduces to the nonrelativistic estimate alone,
-which is how the exact box / oscillator / Coulomb checks are run.
+settled on the coarse grid and then on the full one, which is how the
+exact box / oscillator / Coulomb checks are run.
 """
 
 from __future__ import annotations
@@ -71,8 +73,11 @@ NODE_THRESHOLD = 1e-8
 REFINEMENT_RESIDUAL = 8.0
 # tridiagonal solves tried from a start vector before it is rejected
 MAX_REFINEMENT_STEPS = 8
-# points of the coarse grid on which a pass settles first; its
-# eigenvector starts the pass on a finer grid
+# points of the coarse grid on which the nonrelativistic estimate and
+# the first wall pass settle; the last pass alone runs on the full grid,
+# from the coarse eigenvector.  The coarse energies set the window, the
+# start energy and both walls, so changing this count moves the
+# returned levels, not only the time they take
 COARSE_POINT_COUNT = 1000
 # absolute tolerance of LAPACK's bisection; the smallest positive value
 # runs it to rounding level instead of its default eps * |T|
@@ -273,14 +278,15 @@ class OracleSolution:
     """Self-consistent eigenvalue with its wavefunction and diagnostics.
 
     outer_iterations counts the nonrelativistic estimate as one, then
-    every full-grid tridiagonal solve of the wall passes and every
-    full-grid bisection.  residual is |T(E) psi| in GeV for the unit
-    eigenvector, at most REFINEMENT_RESIDUAL machine epsilons times the
-    row-sum norm of T(E), for an eta-infinite pair too.  bisection_solves
-    counts the passes on the solution's full-size grids that restarted
-    from LAPACK bisection (passes on the coarse grid are not counted).
-    On grids finer than COARSE_POINT_COUNT it is 0 unless a refinement
-    was rejected.
+    the tridiagonal solves and the bisections of the last pass, the one
+    on the solution's grid, for an eta-infinite pair too.  residual is
+    |T(E) psi| in GeV for the unit eigenvector, at most
+    REFINEMENT_RESIDUAL machine epsilons times the row-sum norm of T(E).
+    bisection_solves counts the restarts of the last pass from LAPACK
+    bisection (passes on the coarse grid are not counted).  On grids
+    finer than COARSE_POINT_COUNT it is 0 unless a refinement was
+    rejected; on a coarser grid the estimate is the last pass of an
+    eta-infinite pair, and it starts from bisection.
     """
 
     binding_energy: float
@@ -378,29 +384,6 @@ def _settle(operator, n, window, energy, start):
     return level, residual, vec, solves, bisections
 
 
-def _solve_on(potential, pair, l, grid, n, window, energy, start):
-    """:func:`_settle` on grid, started from the same pass on a coarse grid.
-
-    On a grid of more than COARSE_POINT_COUNT points the pass first
-    settles on COARSE_POINT_COUNT points over the same span, from start,
-    a (points, values) pair sampled onto the coarse grid, or None; its
-    vector, interpolated onto grid, starts the pass there.  A failure of
-    the coarse pass fails the solve, and its work is not returned.  A
-    grid no finer than COARSE_POINT_COUNT starts from bisection.
-    Returns grid's operator and its pass's result.
-    """
-    operator = GridOperator(potential, pair, l, grid)
-    if grid.point_count <= COARSE_POINT_COUNT:
-        return operator, _settle(operator, n, window, energy, None)
-    coarse = RadialGrid(grid.r_min, grid.r_max, COARSE_POINT_COUNT)
-    if start is not None:
-        start = np.interp(coarse.points, *start)
-    vec = _settle(GridOperator(potential, pair, l, coarse), n, window,
-                  energy, start)[2]
-    return operator, _settle(operator, n, window, energy,
-                             np.interp(grid.points, coarse.points, vec))
-
-
 def _solution(potential, pair, qn, operator, energy, vec, evaluations,
               residual, bisections, default_box):
     """Check the converged level on operator's grid and package the result.
@@ -411,10 +394,6 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
     sizable lobe up.
     """
     grid = operator.grid
-    nodes = count_nodes(vec)
-    if nodes != qn.n:
-        raise LevelIdentificationError(
-            f"converged eigenvector has {nodes} nodes, expected {qn.n}")
     if default_box and not _is_confining(potential) and energy >= 0.0:
         raise LevelIdentificationError(
             f"level ({qn.n},{qn.l}) converged to the unbound energy "
@@ -432,7 +411,7 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
     norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
     return OracleSolution(binding_energy=energy,
                           mass=energy + pair.total_mass,
-                          node_count=nodes, wavefunction=vec / norm,
+                          node_count=qn.n, wavefunction=vec / norm,
                           grid=grid, outer_iterations=evaluations,
                           residual=residual, bisection_solves=bisections)
 
@@ -455,19 +434,25 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     :func:`default_grid`).  For relativistic confining potentials the
     wall of either grid is moved in, never past r_max, to the escape
     radius of the turned-over effective potential at
-    FIRST_PASS_ENERGY_FRACTION of the estimate, and the solve is repeated
-    once with the wall re-placed at the first pass's energy (see
+    FIRST_PASS_ENERGY_FRACTION of the estimate, and the last pass runs
+    with the wall re-placed at the first pass's energy (see
     :func:`escape_radius`), starting from the first pass's eigenvector
     carried over to the new grid.  Levels of such problems are
     quasi-bound, and this wall placement is what defines their reported
     position.
 
-    Every pass refines a start vector (see :func:`_settle`), and a level
-    makes one cold eigensolve: the estimate, the single pass of an
-    eta-infinite pair, settles at window (-inf, inf) from the bisected
-    level-n eigenvector of the nonrelativistic operator on a coarse grid,
-    then on the full grid (see :func:`_solve_on`).  The first wall pass
-    runs the same way from the estimate's eigenvector.
+    Every pass refines a start vector (see :func:`_settle`), and only
+    the last runs on the full grid.  The estimate settles at window
+    (-inf, inf) from the bisected level-n eigenvector of the
+    nonrelativistic operator on COARSE_POINT_COUNT points over the base
+    grid's span, the level's one cold eigensolve.  Its energy e_nr sets
+    the window, the start energy and the first wall, and its eigenvector
+    starts the first wall pass, on COARSE_POINT_COUNT points over the
+    first wall's span (the base grid's when there is none).  The last
+    pass, the estimate's own for an eta-infinite pair, settles on the
+    full grid from the coarse eigenvector.  A grid of at most
+    COARSE_POINT_COUNT points is its own coarse grid, and a pass is not
+    repeated on a grid its vector already settled on.
 
     Raises WindowError, whose message names the window, when a pass
     settles outside it, ConvergenceError when a restarted pass does not
@@ -479,52 +464,50 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     """
     fall_to_center_check(potential, pair, qn.l)
     base = default_grid(potential, pair, qn) if grid is None else grid
+    coarse = (base if base.point_count <= COARSE_POINT_COUNT else
+              RadialGrid(base.r_min, base.r_max, COARSE_POINT_COUNT))
 
-    operator, (e_nr, residual, vec, _, bisections) = _solve_on(
-        potential, pair.as_nonrelativistic(), qn.l, base, qn.n,
-        (-math.inf, math.inf), 0.0, None)
-    if math.isinf(pair.eta):
-        # operator is energy independent; the estimate is the level
-        return _solution(potential, pair, qn, operator, e_nr, vec, 1,
-                         residual, bisections, grid is None)
+    operator = GridOperator(potential, pair.as_nonrelativistic(), qn.l,
+                            coarse)
+    energy, residual, vec, solves, bisections = _settle(
+        operator, qn.n, (-math.inf, math.inf), 0.0, None)
+    window, final = (-math.inf, math.inf), base
+    if not math.isinf(pair.eta):
+        e_nr = energy
+        quasi_bound = _is_confining(potential)
+        if quasi_bound:
+            lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
+        else:
+            lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
+        hi = 50.0 * max(abs(e_nr), 0.02)
+        window = lo, hi
+        energy = min(max(_first_order_start(operator.v, vec, e_nr, pair.eta),
+                         lo), hi)
 
-    quasi_bound = _is_confining(potential)
-    if quasi_bound:
-        lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
-    else:
-        lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
-    hi = 50.0 * max(abs(e_nr), 0.02)
-    window = lo, hi
-    energy = min(max(_first_order_start(operator.v, vec, e_nr, pair.eta),
-                     lo), hi)
-
-    work_grid = base
-    if quasi_bound:
-        wall = escape_radius(potential, pair,
-                             FIRST_PASS_ENERGY_FRACTION * e_nr,
-                             10.0 * base.r_max)
-        if wall is not None and wall < base.r_max:
-            work_grid = RadialGrid(base.r_min, wall, base.point_count)
-    operator, (energy, residual, vec, solves, more_bisections) = _solve_on(
-        potential, pair, qn.l, work_grid, qn.n, window, energy,
-        (base.points, vec))
-    bisections += more_bisections
-
-    if work_grid is not base:
-        wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
-        if wall is not None:
-            first = work_grid
-            work_grid = RadialGrid(base.r_min, min(wall, base.r_max),
+        first = coarse
+        if quasi_bound:
+            wall = escape_radius(potential, pair,
+                                 FIRST_PASS_ENERGY_FRACTION * e_nr,
+                                 10.0 * base.r_max)
+            if wall is not None and wall < base.r_max:
+                first = RadialGrid(base.r_min, wall, coarse.point_count)
+                final = RadialGrid(base.r_min, wall, base.point_count)
+        start = np.interp(first.points, coarse.points, vec)
+        operator = GridOperator(potential, pair, qn.l, first)
+        energy, residual, vec, solves, bisections = _settle(
+            operator, qn.n, window, energy, start)
+        if first is not coarse:
+            wall = escape_radius(potential, pair, energy, 10.0 * base.r_max)
+            if wall is not None:
+                final = RadialGrid(base.r_min, min(wall, base.r_max),
                                    base.point_count)
-            operator = GridOperator(potential, pair, qn.l, work_grid)
-            # the first pass's eigenvector, with nothing beyond its wall
-            guess = np.interp(work_grid.points, first.points, vec,
-                              right=0.0)
-            energy, residual, vec, more_solves, more_bisections = _settle(
-                operator, qn.n, window, energy, guess)
-            solves += more_solves
-            bisections += more_bisections
 
+    if final != operator.grid:
+        # the last pass's eigenvector, with nothing beyond its wall
+        start = np.interp(final.points, operator.grid.points, vec, right=0.0)
+        operator = GridOperator(potential, pair, qn.l, final)
+        energy, residual, vec, solves, bisections = _settle(
+            operator, qn.n, window, energy, start)
     return _solution(potential, pair, qn, operator, energy, vec,
                      1 + solves + bisections, residual, bisections,
                      grid is None)
