@@ -7,7 +7,7 @@ extremal turns it into a perturbed oscillator in the shifted angular
 momentum lbar = l - beta, with the shift beta chosen so the first
 subleading energy term vanishes.  The pipeline is:
 
-    solve_r0 -> geometry (xi, Q, omega) and one stack V^(0..6) at r0
+    solve_r0 -> one stack V^(0..6) at r0 -> geometry (xi, Q, omega)
     -> beta, lbar -> leading energy E0 -> eps1..4 -> closed-form alpha1
     -> delta1..6 -> one order-4 series (alpha1, alpha2) -> E2, E3
     -> binding energy and total mass
@@ -16,12 +16,12 @@ A nonrelativistic pair (eta = inf) runs through the same formulas.
 Q is treated as a continuous function Q(r0) while iterating and is
 identified with lbar^2 only at the converged point, where the root
 equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
-the root residual from its one geometry evaluation there, and E0, the
-Taylor coefficients and the denominator check all read the one stack.
-The reported correction coefficients alpha1 and alpha2 come from the
-perturbation module's order-by-order series.  The closed form for alpha1
-supplies the E2 that delta1 and delta2 need before the series can run,
-and checks the series' alpha1 afterwards.
+the root residual from its one geometry evaluation there, and the
+geometry, E0, the Taylor coefficients and the denominator check all read
+the one stack.  The reported correction coefficients alpha1 and alpha2
+come from the perturbation module's order-by-order series.  The closed
+form for alpha1, evaluated once, supplies the E2 that delta1 and delta2
+need before the series can run, and checks the series' alpha1 afterwards.
 """
 
 from __future__ import annotations
@@ -85,13 +85,15 @@ class TaylorCoefficients:
     """Perturbation inputs eps1..4, delta1..6 and their scaled versions.
 
     Bars divide eps_i by (2 mu omega)^(i/2) and delta_j by
-    (2 mu omega)^(j/2).
+    (2 mu omega)^(j/2).  alpha1_closed_form is the closed-form alpha1 of
+    eps_bar that went into delta1 and delta2.
     """
 
     eps: tuple
     delta: tuple
     eps_bar: tuple
     delta_bar: tuple
+    alpha1_closed_form: float
 
 
 @dataclass(frozen=True)
@@ -145,13 +147,14 @@ def _stage(name: str):
         raise
 
 
-def geometry_at(potential: PotentialModel, pair: ParticlePair,
-                r0) -> Geometry:
-    """xi, Q and omega evaluated at a trial expansion point.
+def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
+    """xi, Q and omega at a trial expansion point from the stack d.
 
-    With s = r0 V'(r0)/(2 eta) and w = sqrt(1 + s^2): xi = w/s,
-    Q = mu r0^3 V' (s + w) and (mu omega)^2 = 3 + r0 V''/V' - 2s/(s + w).
-    At eta = inf, s = 0 gives exactly Q = mu r0^3 V' and xi = inf.
+    d is V^(0..k)(r0) with k >= 2, as :meth:`PotentialModel.derivatives`
+    returns it; only V' = d[1] and V'' = d[2] are read.  With s = r0
+    V'(r0)/(2 eta) and w = sqrt(1 + s^2): xi = w/s, Q = mu r0^3 V' (s + w)
+    and (mu omega)^2 = 3 + r0 V''/V' - 2s/(s + w).  At eta = inf, s = 0
+    gives exactly Q = mu r0^3 V' and xi = inf.
     Requires V'(r0) > 0 and a non-negative squared frequency bracket.
     r0 may be a scalar or an array: a scalar gives floats and raises
     where a requirement fails, an array gives arrays with NaN at those
@@ -159,7 +162,7 @@ def geometry_at(potential: PotentialModel, pair: ParticlePair,
     equals the scalar result at that radius.
     """
     r = np.asarray(r0, dtype=float)
-    _, v1, v2 = potential.derivatives(r, 2)
+    v1, v2 = d[1], d[2]
     mu = pair.mu
     with np.errstate(all="ignore"):
         s = r * v1 / (2.0 * pair.eta)
@@ -214,7 +217,7 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
     1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
     or array r0 as in :func:`geometry_at`.
     """
-    geo = geometry_at(potential, pair, r0)
+    geo = geometry_at(potential.derivatives(r0, 2), pair, r0)
     _, lbar = shift_and_lbar(pair, qn.n, geo.omega, qn.l)
     value = 2.0 * (np.sqrt(geo.Q) - lbar)
     return float(value) if np.ndim(value) == 0 else value
@@ -269,9 +272,9 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
             "points were usable)")
 
     if len(unique) > 1:
-        energies = [leading_energy(potential.evaluate(r), pair, r,
-                                   geometry_at(potential, pair, r).Q)
-                    for r in unique]
+        stacks = [potential.derivatives(r, 2) for r in unique]
+        energies = [leading_energy(d[0], pair, r, geometry_at(d, pair, r).Q)
+                    for d, r in zip(stacks, unique)]
         best = int(np.argmin(energies))
         warnings.warn(
             f"{len(unique)} expansion points satisfy the root equation; "
@@ -293,7 +296,8 @@ def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
     E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D), with D from
     :func:`energy_denominator`.  The series cannot run before the deltas
     exist, so this alpha1 comes from :func:`alpha1_closed_form` of the
-    scaled eps, which are computed first.
+    scaled eps, which are computed first; the result carries it as
+    ``alpha1_closed_form``.
     """
     mu, eta = pair.mu, pair.eta
     inv_eta = 1.0 / eta
@@ -322,8 +326,8 @@ def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
     )
     delta_bar = tuple(dj / scale ** ((j + 1) / 2.0)
                       for j, dj in enumerate(delta))
-    return TaylorCoefficients(eps=eps, delta=delta,
-                              eps_bar=eps_bar, delta_bar=delta_bar)
+    return TaylorCoefficients(eps=eps, delta=delta, eps_bar=eps_bar,
+                              delta_bar=delta_bar, alpha1_closed_form=alpha1)
 
 
 def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
@@ -369,8 +373,8 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
         r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
-    geo = geometry_at(potential, pair, r0)
     stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
+    geo = geometry_at(stack, pair, r0)
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
     e0 = leading_energy(stack[0], pair, r0, geo.Q)
     denominator = energy_denominator(pair, r0, geo.Q)
@@ -383,7 +387,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
                                            lbar, pair.mu, beta)
     binding = e0 + e2_term + e3_term
 
-    closed1 = alpha1_closed_form(n, geo.omega, coeffs.eps_bar)
+    closed1 = coeffs.alpha1_closed_form
     gap = math.sqrt(geo.Q) - lbar
     diag = SolveDiagnostics(
         r0_residual=2.0 * gap, r0_function_calls=calls,

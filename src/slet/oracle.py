@@ -291,7 +291,6 @@ class OracleSolution:
 
     binding_energy: float
     mass: float
-    node_count: int
     wavefunction: np.ndarray = field(repr=False)
     grid: RadialGrid = field(repr=False)
     outer_iterations: int = 0
@@ -328,24 +327,6 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
         return None
     i = int(np.argmax(values > 0.0))
     return float(brentq(f, r[i - 1], r[i], rtol=1e-10))
-
-
-def _first_order_start(v, vec, e_nr, eta):
-    """Root of E + E^2/(2 eta) = e_nr - <V^2>/(2 eta) + E <V>/eta, or e_nr.
-
-    The right-hand side is lambda_n(E) to first order in the energy
-    dependence of the operator, with the expectations of V (sampled as v)
-    taken in the unit nonrelativistic eigenvector vec.  Of the two roots
-    the larger one tends to e_nr as eta grows; e_nr itself is returned
-    when the discriminant is negative.
-    """
-    weight = vec * vec
-    mean_v = float(weight @ v)
-    # E^2 + 2 b E - c = 0
-    b = eta - mean_v
-    c = 2.0 * eta * e_nr - float(weight @ (v * v))
-    discriminant = b * b + c
-    return e_nr if discriminant < 0.0 else -b + math.sqrt(discriminant)
 
 
 def _settle(operator, n, window, energy, start):
@@ -409,11 +390,10 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
     if big.size and vec[big[0]] < 0.0:
         vec = -vec
     norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
-    return OracleSolution(binding_energy=energy,
-                          mass=energy + pair.total_mass,
-                          node_count=qn.n, wavefunction=vec / norm,
-                          grid=grid, outer_iterations=evaluations,
-                          residual=residual, bisection_solves=bisections)
+    return OracleSolution(binding_energy=energy, mass=energy + pair.total_mass,
+                          wavefunction=vec / norm, grid=grid,
+                          outer_iterations=evaluations, residual=residual,
+                          bisection_solves=bisections)
 
 
 def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
@@ -422,12 +402,11 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     """Solve the energy-nonlinear eigenvalue problem for level (n, l).
 
     Solves T(E) psi = 0 by nonlinear Rayleigh-quotient iteration (see
-    :func:`_refine`) from the first-order root (see
-    :func:`_first_order_start`), clipped into a physically bounded energy
-    window.  The window is computed here, not passed: it runs from
-    -1.8 (m1 + m2), clipped above -eta where the right-hand side stops
-    being monotone, up to 50 times the nonrelativistic estimate e_nr; for
-    relativistic confining problems it starts just below the estimate.
+    :func:`_refine`) inside a physically bounded energy window.  The
+    window is computed here, not passed: it runs from -1.8 (m1 + m2),
+    clipped above -eta where the right-hand side stops being monotone, up
+    to 50 times the nonrelativistic estimate e_nr; for relativistic
+    confining problems it starts just below the estimate.
     A level that settles outside it fails.
 
     When no grid is given, a level-sized one is built (see
@@ -446,9 +425,10 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     (-inf, inf) from the bisected level-n eigenvector of the
     nonrelativistic operator on COARSE_POINT_COUNT points over the base
     grid's span, the level's one cold eigensolve.  Its energy e_nr sets
-    the window, the start energy and the first wall, and its eigenvector
-    starts the first wall pass, on COARSE_POINT_COUNT points over the
-    first wall's span (the base grid's when there is none).  The last
+    the window and the first wall, and its eigenvector starts the first
+    wall pass, on COARSE_POINT_COUNT points over the first wall's span
+    (the base grid's when there is none); a first wall pass that rejects
+    it restarts by bisecting H(e_nr).  The last
     pass, the estimate's own for an eta-infinite pair, settles on the
     full grid from the coarse eigenvector.  A grid of at most
     COARSE_POINT_COUNT points is its own coarse grid, and a pass is not
@@ -479,10 +459,7 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             lo = min(0.6 * e_nr, 1.4 * e_nr) - 0.05
         else:
             lo = max(-1.8 * pair.total_mass, -pair.eta * (1.0 - 1e-9))
-        hi = 50.0 * max(abs(e_nr), 0.02)
-        window = lo, hi
-        energy = min(max(_first_order_start(operator.v, vec, e_nr, pair.eta),
-                         lo), hi)
+        window = lo, 50.0 * max(abs(e_nr), 0.02)
 
         first = coarse
         if quasi_bound:

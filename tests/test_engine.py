@@ -52,7 +52,7 @@ def coulomb_r0_reference(m, alpha, n, l=0):
 class TestGeometry:
     def test_coulomb_closed_form_point(self, coulomb_pot, pair_145):
         cf = coulomb_closed_form(1.45, 0.25, 0)
-        geo = geometry_at(coulomb_pot, pair_145, cf.r0)
+        geo = geometry_at(coulomb_pot.derivatives(cf.r0, 2), pair_145, cf.r0)
         assert geo.Q == pytest.approx(1.0, rel=1e-10)
 
     def test_nonrelativistic_limit_of_q(self):
@@ -63,23 +63,23 @@ class TestGeometry:
         for m, rel in ((5e7, 1e-4), (5e11, 1e-10)):  # eta = 2m
             heavy = ParticlePair.equal(m)
             limit = heavy.mu * r0**3 * pot.derivative(r0, 1)
-            assert geometry_at(pot, heavy, r0).Q == pytest.approx(limit,
-                                                                  rel=rel)
+            geo = geometry_at(pot.derivatives(r0, 2), heavy, r0)
+            assert geo.Q == pytest.approx(limit, rel=rel)
         pair = ParticlePair.equal(1.31, relativistic=False)
-        geo = geometry_at(pot, pair, r0)
+        geo = geometry_at(pot.derivatives(r0, 2), pair, r0)
         assert geo.Q == pair.mu * r0**3 * pot.derivative(r0, 1)
         assert geo.xi == math.inf
 
     def test_omega_near_coulomb_ratio(self, coulomb_pot, pair_145):
         # the scaled frequency sits within 1% of 2/m for alpha = 0.25
         r0, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
-        geo = geometry_at(coulomb_pot, pair_145, r0)
+        geo = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145, r0)
         assert abs(geo.omega / (2.0 / 1.45) - 1.0) < 0.01
 
     def test_decreasing_point_rejected(self, pair_145):
         pot = PotentialModel.custom([(-0.5, 1.0)])
         with pytest.raises(NonMonotonePointError):
-            geometry_at(pot, pair_145, 1.0)
+            geometry_at(pot.derivatives(1.0, 2), pair_145, 1.0)
 
 
 ARRAY_POTENTIALS = {
@@ -101,13 +101,13 @@ class TestArrayForm:
         pair = ParticlePair.equal(1.45, relativistic)
         qn = QuantumNumbers(2, 1)
         radii = np.geomspace(1e-3, 1e4, 141)
-        geo = geometry_at(pot, pair, radii)
+        geo = geometry_at(pot.derivatives(radii, 2), pair, radii)
         residual = r0_residual(pot, pair, qn, radii)
         raised = set()
         for i, r in enumerate(radii):
             got = (geo.xi[i], geo.Q[i], geo.omega[i], residual[i])
             try:
-                one = geometry_at(pot, pair, float(r))
+                one = geometry_at(pot.derivatives(float(r), 2), pair, float(r))
             except (NonMonotonePointError, NoHarmonicRegimeError) as exc:
                 raised.add(type(exc))
                 assert np.isnan(got).all()
@@ -127,7 +127,7 @@ class TestArrayForm:
                                               r):
         # a scalar radius stays 0-d all the way, and what comes out is a
         # plain float, so no np.float64 reaches a CSV cell's repr
-        geo = geometry_at(cornell_pot, pair_145, r)
+        geo = geometry_at(cornell_pot.derivatives(r, 2), pair_145, r)
         assert [type(v) for v in (geo.xi, geo.Q, geo.omega)] == [float] * 3
         stack = cornell_pot.derivatives(r, 6)
         assert [type(v) for v in stack] == [float] * 7
@@ -181,7 +181,7 @@ class TestSolveR0:
         for n, l in [(0, 0), (2, 1), (4, 2)]:
             qn = QuantumNumbers(n, l)
             r0, _ = solve_r0(pot, pair, qn)
-            geo = geometry_at(pot, pair, r0)
+            geo = geometry_at(pot.derivatives(r0, 2), pair, r0)
             _, lbar = shift_and_lbar(pair, n, geo.omega, l)
             assert abs(math.sqrt(geo.Q) - lbar) / lbar <= 1e-8
             assert abs(r0_residual(pot, pair, qn, r0)) < 1e-9
@@ -204,7 +204,8 @@ class TestSolveR0:
         other = brentq(lambda r: r0_residual(pot, pair_145, qn, r), 0.5, 1.0)
         assert other == pytest.approx(0.95777, abs=1e-5)
         e0_other = leading_energy(pot.evaluate(other), pair_145, other,
-                                  geometry_at(pot, pair_145, other).Q)
+                                  geometry_at(pot.derivatives(other, 2),
+                                              pair_145, other).Q)
         assert e0_other == pytest.approx(2.77511, abs=1e-5)
         assert sol.E0 < e0_other
 
@@ -226,7 +227,7 @@ class TestLeadingEnergy:
     def test_denominator_identity(self, cornell_pot, pair_145):
         # sqrt(1 + Q/(mu eta r0^2)) equals 1 + (E0 - V(r0))/eta
         r0, _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
-        geo = geometry_at(cornell_pot, pair_145, r0)
+        geo = geometry_at(cornell_pot.derivatives(r0, 2), pair_145, r0)
         e0 = leading_energy(cornell_pot.evaluate(r0), pair_145, r0, geo.Q)
         d1 = energy_denominator(pair_145, r0, geo.Q)
         d2 = 1.0 + (e0 - cornell_pot.evaluate(r0)) / pair_145.eta
@@ -262,8 +263,8 @@ class TestTaylorCoefficients:
 
     def test_one_derivative_stack(self, cornell_pot, pair_145, monkeypatch):
         # a solve samples the potential only through derivative stacks;
-        # after the r0 search it takes at most two, both at r0 (the
-        # geometry and the V^(0..6) stack)
+        # after the r0 search it takes one, V^(0..6) at r0, from which the
+        # geometry, E0 and the Taylor coefficients all read
         calls = []
 
         def counting(name):
@@ -287,8 +288,7 @@ class TestTaylorCoefficients:
         names = [name for name, _ in calls]
         assert set(names) == {"derivatives", "solve_r0"}
         after = calls[names.index("solve_r0") + 1:]
-        assert 0 < len(after) <= 2
-        assert all(np.all(np.asarray(r) == sol.r0) for _, r in after)
+        assert after == [("derivatives", sol.r0)]
 
 
 class TestCorrectionEnergies:
@@ -412,6 +412,20 @@ class TestFullSolve:
         monkeypatch.setattr(perturbation, "rspt_coefficients", counted)
         solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
         assert len(calls) == 1
+
+    def test_one_closed_form_alpha1_per_solve(self, cornell_pot, pair_145,
+                                              monkeypatch):
+        # the closed form that seeds delta1 and delta2 is the one the
+        # diagnostics compare with the series
+        calls = []
+        original = engine.alpha1_closed_form
+
+        def counted(*args):
+            calls.append(original(*args))
+            return calls[-1]
+        monkeypatch.setattr(engine, "alpha1_closed_form", counted)
+        sol = solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
+        assert calls == [sol.diagnostics.alpha1_closed_form]
 
     def test_geometry_once_at_r0(self, monkeypatch):
         # one array scan plus the polish calls, then a single geometry

@@ -219,7 +219,7 @@ class TestNonrelativisticSpectra:
             sol = solve_selfconsistent(pot, pair, QuantumNumbers(n, l))
             exact = (2 * n + l + 1.5) / math.sqrt(pair.mu)
             assert sol.binding_energy == pytest.approx(exact, rel=1e-3)
-            assert sol.node_count == n
+            assert count_nodes(sol.wavefunction) == n
             assert sol.residual <= level_residual(pot, pair, l, sol)[1]
             # the full grid refines the level settled on the coarse grid
             assert sol.bisection_solves == 0
@@ -328,7 +328,7 @@ class TestReducedCoulomb:
                 coulomb_pot, pair_145, QuantumNumbers(n, 0),
                 grid=RadialGrid(1e-5, rmax, 32000))
             assert sol.binding_energy == pytest.approx(exact, abs=1e-6)
-            assert sol.node_count == n
+            assert count_nodes(sol.wavefunction) == n
 
     def test_domain_convergence(self, coulomb_pot, pair_145):
         base = solve_selfconsistent(coulomb_pot, pair_145,
@@ -416,7 +416,7 @@ class TestNewtonIteration:
         sol = solve_selfconsistent(pot, pair, qn)
         assert sol.binding_energy == pytest.approx(expected, rel=1e-10)
         assert sol.bisection_solves >= 1
-        assert sol.node_count == n
+        assert count_nodes(sol.wavefunction) == n
 
     def test_compare_levels_converge_in_few_eigensolves(
             self, oracle_results, coulomb_levels):
@@ -451,7 +451,7 @@ class TestNewtonIteration:
 
         monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
         sol = solve_selfconsistent(pot, pair_145, QuantumNumbers(n, l))
-        assert sol.node_count == n
+        assert count_nodes(sol.wavefunction) == n
         assert sol.bisection_solves == 0
         assert len(calls) == 1
         # a pass's bisection stops well short of full precision, since
@@ -484,7 +484,7 @@ class TestNewtonIteration:
         assert calls["builds"] == len(levels) + 1
 
     def test_light_levels_converge(self, cornell_pot, coulomb_pot):
-        # at m = 0.3 GeV the first-order start lies farthest from the
+        # at m = 0.3 GeV the relativistic levels lie farthest from the
         # nonrelativistic estimate.  These 45 levels take 140 counted
         # steps and no bisection (195 when every pass settled on the
         # full grid); Newton around an eigensolve took 360 and 6, and 413
@@ -495,7 +495,7 @@ class TestNewtonIteration:
                 for pot in (cornell_pot, coulomb_pot,
                             PotentialModel.linear(0.18))
                 for n in range(5) for l in range(3)]
-        assert [sol.node_count for sol in sols] == [
+        assert [count_nodes(sol.wavefunction) for sol in sols] == [
             n for _ in range(3) for n in range(5) for _ in range(3)]
         assert sum(sol.outer_iterations for sol in sols) <= 155
         assert sum(sol.bisection_solves for sol in sols) <= 2
