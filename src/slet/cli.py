@@ -63,13 +63,9 @@ class RunManifest:
         return ParticlePair(self.m1, self.m2,
                             relativistic=not self.nonrelativistic)
 
-    def grid(self, qn: engine.QuantumNumbers):
-        if self.grid_points is None and self.rmax is None:
-            return None
-        return oracle.default_grid(
-            self.potential, self.pair(), qn,
-            point_count=self.grid_points or oracle.DEFAULT_POINT_COUNT,
-            r_max=self.rmax)
+    def grid(self, qn: engine.QuantumNumbers) -> oracle.RadialGrid:
+        return oracle.default_grid(self.potential, self.pair(), qn,
+                                   self.grid_points, self.rmax)
 
 
 @dataclass
@@ -96,7 +92,6 @@ class SolveRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(SolveRecord))
-CSV_HEADER = ",".join(RECORD_FIELDS)
 
 
 def _record(manifest, n, l, method, **values) -> SolveRecord:
@@ -354,12 +349,8 @@ def _write_records(args, records, breakdowns=None, text=None, **fields):
     """Write solve records, with any breakdowns and extra JSON ``fields``.
 
     The text form is ``text`` when given, else the record table followed
-    by each breakdown.  A breakdown has no CSV form, so a CSV report that
-    asks for breakdowns is refused rather than written without them.
+    by each breakdown.
     """
-    if breakdowns is not None and args.format == "csv":
-        raise ValueError("a breakdown has no csv form; use --format json "
-                         "or --format text")
     payload = dict(fields, records=[dataclasses.asdict(r) for r in records])
     if breakdowns:
         payload["breakdowns"] = breakdowns
@@ -519,6 +510,10 @@ def cmd_solve(args) -> int:
         raise ValueError(f"--breakdown dumps the expansion's intermediates, "
                          f"which method {args.method} does not compute; "
                          "use --method slet or both")
+    if args.breakdown and args.format == "csv":
+        # refused before any solve rather than written without them
+        raise ValueError("a breakdown has no csv form; use --format json "
+                         "or --format text")
     records, solutions, first_error = run_solve(
         manifest_from_args(args, args.method))
     breakdowns = ([breakdown_dict(sol) for sol in solutions]

@@ -103,8 +103,9 @@ class RadialGrid:
     point_count: int = DEFAULT_POINT_COUNT
 
     def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValueError(f"need 0 < r_min < r_max < inf, got r_min = "
+                             f"{self.r_min!r}, r_max = {self.r_max!r}")
         if self.point_count < 500:
             raise ValueError("point_count must be at least 500")
 
@@ -123,22 +124,25 @@ def _is_confining(potential) -> bool:
 
 def default_grid(potential: PotentialModel, pair: ParticlePair,
                  qn: QuantumNumbers | None = None,
-                 point_count: int = DEFAULT_POINT_COUNT,
+                 point_count: int | None = None,
                  r_max: float | None = None) -> RadialGrid:
     """Grid sized from the potential's own length scales and the level.
 
-    r_max is 40 times the largest of
-    :meth:`PotentialModel.length_scales` and 1/GeV.  Excited levels of a
-    potential that does not confine reach further out, so there r_max is
-    multiplied by n + l + 1 of the level qn; ground levels, and every
-    level of a confining potential, keep the plain scale.
+    Each of point_count and r_max left at None is filled in: the point
+    count with DEFAULT_POINT_COUNT, and r_max with 40 times the largest
+    of :meth:`PotentialModel.length_scales` and 1/GeV.  Excited levels of
+    a potential that does not confine reach further out, so there that
+    r_max is multiplied by n + l + 1 of the level qn; ground levels, and
+    every level of a confining potential, keep the plain scale.
     """
     if r_max is None:
         scales = potential.length_scales(pair.mu)
         r_max = R_MAX_SCALE_FACTOR * max((1.0, *scales))
         if qn is not None and not _is_confining(potential):
             r_max *= qn.n + qn.l + 1
-    return RadialGrid(DEFAULT_R_MIN, r_max, point_count)
+    return RadialGrid(DEFAULT_R_MIN, r_max,
+                      DEFAULT_POINT_COUNT if point_count is None
+                      else point_count)
 
 
 class GridOperator:
@@ -366,7 +370,7 @@ def _settle(operator, n, window, energy, start):
 
 
 def _solution(potential, pair, qn, operator, energy, vec, evaluations,
-              residual, bisections, default_box):
+              residual, bisections, level_box):
     """Check the converged level on operator's grid and package the result.
 
     Warns when the grid resolves the local wave number at the energy with
@@ -375,7 +379,7 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
     sizable lobe up.
     """
     grid = operator.grid
-    if default_box and not _is_confining(potential) and energy >= 0.0:
+    if level_box and not _is_confining(potential) and energy >= 0.0:
         raise LevelIdentificationError(
             f"level ({qn.n},{qn.l}) converged to the unbound energy "
             f"{energy:g}; the box r_max = {grid.r_max:g} cannot hold it")
@@ -437,13 +441,15 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     Raises WindowError, whose message names the window, when a pass
     settles outside it, ConvergenceError when a restarted pass does not
     settle, and LevelIdentificationError when it settles on a node count
-    other than n or, in the default box of a non-confining potential,
+    other than n or, for a non-confining potential in a box with the
+    level-sized r_max of :func:`default_grid`, whatever its point count,
     the energy lies in the continuum.  A returned level whose energy the
     grid resolves poorly issues one ResolutionWarning (see
     :func:`_solution`).
     """
     fall_to_center_check(potential, pair, qn.l)
-    base = default_grid(potential, pair, qn) if grid is None else grid
+    level_sized = default_grid(potential, pair, qn)
+    base = level_sized if grid is None else grid
     coarse = (base if base.point_count <= COARSE_POINT_COUNT else
               RadialGrid(base.r_min, base.r_max, COARSE_POINT_COUNT))
 
@@ -487,4 +493,4 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
             operator, qn.n, window, energy, start)
     return _solution(potential, pair, qn, operator, energy, vec,
                      1 + solves + bisections, residual, bisections,
-                     grid is None)
+                     base.r_max == level_sized.r_max)

@@ -56,31 +56,21 @@ def _ladder_coefficients(mu: float, omega: float, first: int,
     return np.sqrt((k + 1.0) / (2.0 * mu * omega))
 
 
-def position_matrix(mu: float, omega: float, basis_size: int) -> np.ndarray:
-    """Coordinate operator in the oscillator eigenbasis.
-
-    Element (k, k+1) equals sqrt((k+1) / (2 mu omega)); the matrix is
-    symmetric and zero elsewhere.
-    """
-    if basis_size < 2:
-        raise ValueError("basis_size must be at least 2")
-    off = _ladder_coefficients(mu, omega, 0, basis_size - 1)
-    return np.diag(off, 1) + np.diag(off, -1)
-
-
 def position_power_matrix(mu: float, omega: float, basis_size: int,
                           power: int) -> np.ndarray:
-    """Exact x**power in the truncated basis.
+    """Exact x**power in the oscillator eigenbasis, truncated.
 
-    Built by repeated multiplication in a basis padded by ``power``
-    states and then cut back, so every retained element equals the
-    untruncated value and the result is exactly (power)-banded.
+    x has element (k, k+1) = sqrt((k+1) / (2 mu omega)) and its mirror.
+    The power is built by repeated multiplication in a basis padded by
+    ``power`` states and then cut back, so every retained element equals
+    the untruncated value and the result is exactly (power)-banded.
     """
     if power < 0:
         raise ValueError("power must be non-negative")
     if power == 0:
         return np.eye(basis_size)
-    x = position_matrix(mu, omega, basis_size + power)
+    off = _ladder_coefficients(mu, omega, 0, basis_size + power - 1)
+    x = np.diag(off, 1) + np.diag(off, -1)
     out = x
     for _ in range(power - 1):
         out = out @ x
@@ -121,19 +111,17 @@ class SeriesCoefficients:
     c4: float
 
 
-def _run_series(problem: AnharmonicProblem,
-                half_width: int) -> SeriesCoefficients:
-    """The recursion on the states level - half_width .. level + half_width.
+def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
+    """Eigenvalue series coefficients c1..c4 of level n.
 
-    Any half-width from WINDOW_HALF_WIDTH up gives the same numbers: the
-    states a wider window adds hold exact zeros throughout.
+    The recursion runs on the states n - WINDOW_HALF_WIDTH ..
+    n + WINDOW_HALF_WIDTH, the exact window of the module docstring: a
+    wider one gives the same numbers, since the states it adds hold
+    exact zeros throughout.
     """
-    if half_width < WINDOW_HALF_WIDTH:
-        # a narrower window truncates x^p psi_3 and silently changes c4
-        raise ValueError(f"half_width must be at least {WINDOW_HALF_WIDTH}")
     mu, omega, n = problem.mu, problem.omega, problem.level
-    first = max(0, n - half_width)
-    size = n + half_width + 1 - first
+    first = max(0, n - WINDOW_HALF_WIDTH)
+    size = n + WINDOW_HALF_WIDTH + 1 - first
     # slot i holds state first - 1 + i; slots 0 and size + 1 stay zero, as
     # the states outside the window do
     at = n - first + 1
@@ -169,13 +157,3 @@ def _run_series(problem: AnharmonicProblem,
                 rhs += energies[m - 1] * chain[k - m, 0]
             chain[k, 0] = green * rhs
     return SeriesCoefficients(*energies)
-
-
-def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
-    """Eigenvalue series coefficients c1..c4 of level n.
-
-    Runs in the exact window of ``WINDOW_HALF_WIDTH`` states on either
-    side of the level (see the module docstring).
-    """
-    return _run_series(problem, WINDOW_HALF_WIDTH)
-

@@ -44,8 +44,13 @@ class ParticlePair:
     relativistic: bool = True
 
     def __post_init__(self):
-        if not (self.m1 > 0.0 and self.m2 > 0.0):
-            raise ValueError("constituent masses must be positive")
+        for name, m in (("m1", self.m1), ("m2", self.m2)):
+            _require_positive(name, m)
+            try:
+                m**3  # nu takes the cube
+            except OverflowError:
+                raise ValueError(f"{name} = {m!r} GeV is too large: its "
+                                 "cube overflows") from None
 
     @property
     def mu(self) -> float:
@@ -74,8 +79,8 @@ class ParticlePair:
 
 
 def _require_positive(name, value):
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,9 @@ def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
         s = -math.inf
     else:
         alpha = potential.coulomb_strength()
-        s = float(l * (l + 1)) - pair.mu * alpha**2 / pair.eta
+        # alpha / eta before the second alpha: a coupling whose square
+        # overflows gives -inf here, or 0 with eta infinite
+        s = float(l * (l + 1)) - pair.mu * alpha / pair.eta * alpha
     margin = s + 0.25
     if not margin > 0.0:
         raise SupercriticalCouplingError(
@@ -299,6 +306,9 @@ def parse_potential(spec: str) -> PotentialModel:
         if not eq or name not in wanted:
             raise PotentialParseError(
                 f"bad parameter {item.strip()!r} for {kind}; expected {wanted}")
+        if name in params:
+            raise PotentialParseError(f"parameter {name!r} given twice in "
+                                      f"{spec!r}")
         try:
             params[name] = float(value)
         except ValueError as exc:

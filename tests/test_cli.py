@@ -5,7 +5,7 @@ import json
 import pytest
 
 from slet import cli, engine, errors, fixtures, oracle
-from slet.cli import CSV_HEADER, main
+from slet.cli import main
 from slet.errors import (
     BracketingError,
     InternalInconsistencyError,
@@ -13,6 +13,9 @@ from slet.errors import (
     UnphysicalRegimeError,
 )
 from slet.potentials import ParticlePair, parse_potential
+
+
+CSV_HEADER = ",".join(cli.RECORD_FIELDS)
 
 
 def run(capsys, *argv):
@@ -91,6 +94,26 @@ class TestSolveCommand:
             assert record["status"] == "ok"
             energies.append(record["E_binding_GeV"])
         assert energies[1] == energies[0]
+
+    def test_grid_points_keep_continuum_rule(self, capsys):
+        # the box keeps its level-sized r_max, so a level in the continuum
+        # is refused as it is without the flag
+        for extra in ((), ("--grid-points", "4000")):
+            code, out, _ = run(capsys, "solve", "--potential",
+                               "custom:0*r^0", "--m1", "1", "--m2", "1",
+                               "--method", "oracle", *extra)
+            assert code == 3
+            assert "error:LevelIdentificationError" in out
+
+    @pytest.mark.parametrize("count", ["0", "499"])
+    def test_too_few_grid_points_refused(self, capsys, count):
+        code, out, err = run(capsys, "solve", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", "--method", "oracle", "--grid-points",
+                             count)
+        assert code == 2
+        assert out == ""
+        assert "point_count must be at least 500" in err
 
     def test_mixing_level_styles_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "oscillator:k=1",
@@ -208,6 +231,37 @@ class TestSolveCommand:
             assert grid["oracle_iterations"] == sol.outer_iterations
             assert grid["oracle_residual"] == sol.residual
             assert grid["oracle_bisections"] == sol.bisection_solves
+
+
+CORNELL = "cornell:alpha=0.25,b=0.18"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("--potential", "oscillator:k=inf"), 2, "got inf"),
+    (("--potential", "linear:b=inf"), 2, "got inf"),
+    (("--potential", "coulomb:alpha=inf"), 2, "got inf"),
+    (("--potential", CORNELL, "--m1", "inf"), 2, "got inf"),
+    (("--potential", CORNELL, "--method", "oracle", "--rmax", "inf"), 2,
+     "r_max = inf"),
+    (("--potential", "coulomb:alpha=1e308"), 4, ""),
+    (("--potential", "coulomb:alpha=1e308", "--method", "oracle"), 4, ""),
+    (("--potential", CORNELL, "--m2", "1e300"), 2, "cube overflows"),
+    (("--potential", "cornell:alpha=0.25,b=0.18,alpha=9"), 2,
+     "'alpha' given twice"),
+], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
+        "alpha-1e308-slet", "alpha-1e308-oracle", "m2-1e300",
+        "repeated-alpha"])
+def test_bad_input_refused_without_traceback(capsys, argv, code, message):
+    # the later --m1/--m2 replaces the earlier one
+    got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",
+                        *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 4:
+        assert "error:SupercriticalCouplingError" in out
+    else:
+        assert out == ""
+        assert message in err
 
 
 class TestConfigFile:
@@ -501,6 +555,19 @@ class TestBreakdownCommand:
         assert code == 2
         assert out == ""
         assert "json" in err and "text" in err
+
+    def test_csv_refused_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved a level of a refused run")
+
+        monkeypatch.setattr(engine, "solve", no_solve)
+        code, out, err = run(capsys, "solve", "--breakdown", "--potential",
+                             "oscillator:k=1", "--m1", "1.31", "--m2",
+                             "1.31", "--n-range", "0:2", "--method", "both",
+                             "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "no csv form" in err
 
     @pytest.mark.parametrize("option", [("--grid-points", "2000"),
                                         ("--rmax", "5")])

@@ -295,6 +295,15 @@ class TestFallToCenter:
             solve_selfconsistent(pot, pair, QuantumNumbers(0, 0))
         assert str(info.value) == message
 
+    def test_overflowing_coupling(self):
+        # alpha^2 overflows a float; the core is supercritical for a
+        # relativistic pair and absent with eta infinite
+        pot = PotentialModel.coulomb(1e308)
+        with pytest.raises(SupercriticalCouplingError, match="-inf"):
+            fall_to_center_check(pot, ParticlePair.equal(1.45), 0)
+        nonrelativistic = ParticlePair.equal(1.45, relativistic=False)
+        assert fall_to_center_check(pot, nonrelativistic, 1) == 2.25
+
     def test_inverse_square_term_refused(self, pair_145):
         pot = PotentialModel.custom([(-0.1, -2.0), (0.18, 1.0)])
         with pytest.raises(SupercriticalCouplingError) as info:
@@ -708,6 +717,8 @@ class TestQuasiBoundMachinery:
             RadialGrid(1e-4, 10.0, 100)
         with pytest.raises(ValueError):
             RadialGrid(5.0, 1.0, 1000)
+        with pytest.raises(ValueError, match="r_max = inf"):
+            RadialGrid(1e-4, math.inf, 1000)
 
     @pytest.mark.parametrize("n, warns", [(5, 0), (20, 1), (60, 1)])
     def test_resolution_warned_once_at_returned_level(self, oscillator_pot,

@@ -2,13 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from slet import engine
+from slet import engine, perturbation
 from slet.engine import alpha1_closed_form
 from slet.perturbation import (
     WINDOW_HALF_WIDTH,
     AnharmonicProblem,
-    position_matrix,
-    _run_series,
     position_power_matrix,
     rspt_coefficients,
 )
@@ -43,7 +41,7 @@ def termination_problems():
 
 class TestPositionMatrix:
     def test_first_offdiagonal(self):
-        x = position_matrix(0.5, 1.0, 6)  # mu*omega = 1/2
+        x = position_power_matrix(0.5, 1.0, 6, 1)  # mu*omega = 1/2
         assert x[0, 1] == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(x, x.T)
 
@@ -69,9 +67,9 @@ class TestPositionMatrix:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            position_matrix(-1.0, 1.0, 10)
+            position_power_matrix(-1.0, 1.0, 10, 1)
         with pytest.raises(ValueError):
-            position_matrix(1.0, 1.0, 1)
+            position_power_matrix(1.0, 1.0, 10, -1)
 
 
 class TestLadderAgainstDensePowers:
@@ -158,10 +156,12 @@ class TestSeriesStructure:
             else:
                 assert abs(c.c2 - closed) < 1e-10
 
-    def test_basis_doubling_stability(self):
+    def test_basis_doubling_stability(self, monkeypatch):
         problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
         small = rspt_coefficients(problem)
-        big = _run_series(problem, 2 * WINDOW_HALF_WIDTH)
+        monkeypatch.setattr(perturbation, "WINDOW_HALF_WIDTH",
+                            2 * WINDOW_HALF_WIDTH)
+        big = rspt_coefficients(problem)
         assert big.c2 == pytest.approx(small.c2, rel=1e-9)
         assert big.c4 == pytest.approx(small.c4, rel=1e-9)
 
@@ -177,11 +177,6 @@ class TestSeriesStructure:
 
 
 class TestValidation:
-    def test_small_basis_rejected(self):
-        problem = make_problem(1.0, 1.0, 0, (0.1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            _run_series(problem, WINDOW_HALF_WIDTH - 1)
-
     def test_coefficients_checked(self):
         with pytest.raises(ValueError, match="four eps and six delta"):
             AnharmonicProblem(mu=1.0, omega=1.0, level=0,
@@ -190,15 +185,19 @@ class TestValidation:
             AnharmonicProblem(mu=1.0, omega=1.0, level=0, eps=(0,) * 4,
                               delta=(0, 0, float("nan"), 0, 0, 0))
 
-    def test_exact_termination(self):
+    def test_exact_termination(self, monkeypatch):
         # every vector the series forms lies within WINDOW_HALF_WIDTH
         # states of the level, so the minimal window gives the
         # coefficients of a window four times wider, with all orders set
-        for problem in termination_problems():
-            got = rspt_coefficients(problem)
-            ref = _run_series(problem, 4 * WINDOW_HALF_WIDTH)
-            assert got.c2 == pytest.approx(ref.c2, rel=1e-13)
-            assert got.c4 == pytest.approx(ref.c4, rel=1e-13)
+        problems = list(termination_problems())
+        assert len(problems) == 18
+        got = [rspt_coefficients(problem) for problem in problems]
+        monkeypatch.setattr(perturbation, "WINDOW_HALF_WIDTH",
+                            4 * WINDOW_HALF_WIDTH)
+        for mine, problem in zip(got, problems):
+            ref = rspt_coefficients(problem)
+            assert mine.c2 == pytest.approx(ref.c2, rel=1e-13)
+            assert mine.c4 == pytest.approx(ref.c4, rel=1e-13)
 
 
 def exact_series(problem, digits=50):

@@ -175,6 +175,12 @@ class TestParticlePair:
             ParticlePair(0.0, 1.0)
         with pytest.raises(ValueError):
             ParticlePair(1.0, -2.0)
+        for m in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ParticlePair(m, 1.0)
+        # the cube that nu takes would overflow
+        with pytest.raises(ValueError, match="m2 = 1e\\+300 GeV"):
+            ParticlePair(1.0, 1e300, relativistic=False)
 
     def test_sentinel(self):
         pair = ParticlePair.equal(1.0, relativistic=False)
@@ -201,6 +207,7 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "nope", "coulomb", "coulomb:beta=1", "coulomb:alpha=x",
         "cornell:alpha=0.25", "custom:r+1", "oscillator:k=-2",
+        "oscillator:k=inf", "cornell:alpha=0.25,b=0.18,alpha=9",
     ])
     def test_malformed(self, bad):
         with pytest.raises(PotentialParseError):
