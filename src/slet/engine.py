@@ -9,8 +9,8 @@ subleading energy term vanishes.  The pipeline is:
 
     solve_r0 -> one stack V^(0..6) at r0 -> geometry (xi, Q, omega)
     -> beta, lbar -> leading energy E0 -> eps1..4 -> closed-form alpha1
-    -> delta1..6 -> one order-4 series (alpha1, alpha2) -> E2, E3
-    -> binding energy and total mass
+    -> delta1..6 -> hypervirial-Hellmann-Feynman series (alpha1, alpha2)
+    -> E2, E3 -> binding energy and total mass
 
 A nonrelativistic pair (eta = inf) runs through the same formulas.
 Q is treated as a continuous function Q(r0) while iterating and is
@@ -19,7 +19,7 @@ equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
 the root residual from its one geometry evaluation there, and the
 geometry, E0, the Taylor coefficients and the denominator check all read
 the one stack.  The reported correction coefficients alpha1 and alpha2
-come from the perturbation module's order-by-order series.  The closed
+come from the perturbation module's moment recursion.  The closed
 form for alpha1, evaluated once, supplies the E2 that delta1 and delta2
 need before the series can run, and checks the series' alpha1 afterwards.
 """
@@ -98,7 +98,11 @@ class TaylorCoefficients:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Residuals and bookkeeping of one solve."""
+    """Residuals and bookkeeping of one solve.
+
+    ``reduction_parameter`` is D - 1 = (E0 - V(r0))/eta, with D from
+    :func:`energy_denominator`; it is 0.0 for a nonrelativistic pair.
+    """
 
     r0_residual: float
     r0_function_calls: int
@@ -106,6 +110,7 @@ class SolveDiagnostics:
     r0_root_count: int
     q_lbar_gap: float
     denominator_gap: float
+    reduction_parameter: float
     alpha1_closed_form: float
     alpha1_path_gap: float
 
@@ -394,6 +399,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         r0_iterations=iterations, r0_root_count=root_count,
         q_lbar_gap=abs(gap) / lbar,
         denominator_gap=abs(denominator - (1.0 + (e0 - stack[0]) / pair.eta)),
+        reduction_parameter=denominator - 1.0,
         alpha1_closed_form=closed1,
         alpha1_path_gap=(abs(alpha1 - closed1) / abs(alpha1)
                          if abs(alpha1) > 1e-12 else abs(alpha1 - closed1)))

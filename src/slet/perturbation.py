@@ -15,22 +15,31 @@ The ten coefficients eps1..4 and delta1..6 are the whole input: this
 layout is fixed by the expansion, and this module alone knows it.  The
 energy corrections alpha1 and alpha2 consumed by the radial solver are
 the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
-single level n.  They are computed here by the standard order-by-order
-recursion, with x acting on vectors through the ladder recurrence
-(x v)_k = a_k v_{k+1} + a_{k-1} v_{k-1}, a_k = sqrt((k+1)/(2 mu omega)),
-so no matrix is ever formed.  x^p couples states at most p quanta apart,
-so the terms at order j = 1..4 reach at most j + 2 quanta (3, 4, 5 and
-6).  The lambda^4 coefficient needs only psi_0..psi_3, and psi_k is built
-from chains of terms whose orders sum to k, so it lies within 3k quanta
-of n: psi_3 spans n - 9 .. n + 9.  No power above x^6 acts on a vector,
-so every vector the recursion forms lies in the window of states
-n - 15 .. n + 15 (clamped at 0) and equals its untruncated value there.
-The cost is the same at every level n.
+single level n.  They are computed here by the hypervirial-Hellmann-
+Feynman recursion (Swenson and Danforth, J. Chem. Phys. 57, 1734
+(1972); Killingbeck, Rep. Prog. Phys. 40, 963 (1977)) on the moments of
+the level.  Write E_q and X_{m,q} for the lambda^q parts of the
+eigenvalue and of <x^m>, and c_jp for the coefficient of x^p at order
+j.  The Hellmann-Feynman theorem gives
 
-Every odd-order term carries an odd power of x, so psi_k holds only
-states of the level's parity for even k and only states of the other
-parity for odd k; every other entry is a sum of exact zeros.  The
-odd-order coefficients c1 and c3 are therefore exactly 0.0.
+    q E_q = sum_j j sum_p c_jp X_{p,q-j},
+
+and the hypervirial relation of p^2/(2 mu) + V(x),
+2k E <x^(k-1)> = 2k <x^(k-1) V> + <x^k V'> - k(k-1)(k-2)/(4 mu) <x^(k-3)>,
+gives order by order
+
+    (k+1) mu omega^2 X_{k+1,q} = 2k sum_s E_s X_{k-1,q-s}
+        - sum_{j<=q} sum_p c_jp (2k+p) X_{k-1+p,q-j}
+        + k(k-1)(k-2)/(4 mu) X_{k-3,q}.
+
+The level enters only through X_{0,q} = delta_q0 and E_0 = (n + 1/2)
+omega: no state vector is formed, and the cost is the same at every n.
+E_4 reads the moments of orders 0..3 up to x^6, x^5, x^4 and x^3, and
+the recursion for each of them reads no higher power.
+
+Every odd-order term carries an odd power of x, so X_{m,q} vanishes
+unless m + q is even.  The recursion skips those exact zeros, and the
+odd-order coefficients c1 and c3 are exactly 0.0.
 """
 
 from __future__ import annotations
@@ -39,21 +48,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-
-# psi_3 reaches 9 quanta from the level and x^6 six more
-WINDOW_HALF_WIDTH = 15
-
-
-def _ladder_coefficients(mu: float, omega: float, first: int,
-                         count: int) -> np.ndarray:
-    """a_k = sqrt((k+1) / (2 mu omega)) for k = first .. first + count - 1.
-
-    a_k is the element <k|x|k+1> of the coordinate operator.
-    """
-    if not mu * omega > 0.0:
-        raise ValueError("mu * omega must be positive")
-    k = np.arange(first, first + count, dtype=float)
-    return np.sqrt((k + 1.0) / (2.0 * mu * omega))
 
 
 def position_power_matrix(mu: float, omega: float, basis_size: int,
@@ -67,9 +61,11 @@ def position_power_matrix(mu: float, omega: float, basis_size: int,
     """
     if power < 0:
         raise ValueError("power must be non-negative")
+    if not mu * omega > 0.0:
+        raise ValueError("mu * omega must be positive")
     if power == 0:
         return np.eye(basis_size)
-    off = _ladder_coefficients(mu, omega, 0, basis_size + power - 1)
+    off = np.sqrt(np.arange(1.0, basis_size + power) / (2.0 * mu * omega))
     x = np.diag(off, 1) + np.diag(off, -1)
     out = x
     for _ in range(power - 1):
@@ -114,46 +110,37 @@ class SeriesCoefficients:
 def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
     """Eigenvalue series coefficients c1..c4 of level n.
 
-    The recursion runs on the states n - WINDOW_HALF_WIDTH ..
-    n + WINDOW_HALF_WIDTH, the exact window of the module docstring: a
-    wider one gives the same numbers, since the states it adds hold
-    exact zeros throughout.
+    The recursion of the module docstring in plain floats, order by
+    order: E_q, then X_{m,q} for the powers m of the parity of q.
     """
-    mu, omega, n = problem.mu, problem.omega, problem.level
-    first = max(0, n - WINDOW_HALF_WIDTH)
-    size = n + WINDOW_HALF_WIDTH + 1 - first
-    # slot i holds state first - 1 + i; slots 0 and size + 1 stay zero, as
-    # the states outside the window do
-    at = n - first + 1
-    ladder = _ladder_coefficients(mu, omega, first - 1, size + 1)
-    down, up = ladder[:-1], ladder[1:]
-    gap = (np.arange(size + 2) - at) * omega  # E_i - E_n
-    gap[at] = np.inf
-    green = 1.0 / gap
-
+    mu, omega = problem.mu, problem.omega
     e, d = problem.eps, problem.delta
     # (order, power, coefficient), in the order of h(lambda)
     terms = ((1, 1, e[0]), (1, 3, e[2]), (2, 2, e[1]), (2, 4, e[3]),
              (3, 1, d[0]), (3, 3, d[2]), (3, 5, d[4]),
              (4, 2, d[1]), (4, 4, d[3]), (4, 6, d[5]))
-    # chain[k, p] = x^p psi_k
-    chain = np.zeros((4, 7, size + 2))
-    chain[0, 0, at] = 1.0
-    energies = []
-    for k in (1, 2, 3, 4):
-        # psi_{k-1} meets the orders j <= 5 - k, whose top power is 7 - k
-        row = chain[k - 1]
-        for p in range(1, 8 - k):
-            # (x v)_i = a_i v_{i+1} + a_{i-1} v_{i-1}
-            row[p, 1:-1] = up * row[p - 1, 2:] + down * row[p - 1, :-2]
-        # sum of W_j psi_{k-j}, term by term in a fixed order
-        src, pw, cf = zip(*((k - j, p, c) for j, p, c in terms if j <= k))
-        applied = (np.array(cf)[:, None] * chain[src, pw]).sum(axis=0)
-        energies.append(float(applied[at]))
-        if k < 4:  # c4 needs psi_0..psi_3 only
-            # E_k psi_0 drops out: green is zero at n
-            rhs = -applied
-            for m in range(1, k):
-                rhs += energies[m - 1] * chain[k - m, 0]
-            chain[k, 0] = green * rhs
-    return SeriesCoefficients(*energies)
+    # moments[q][m] = X_{m,q}, up to the power E_4 reads at order q
+    moments = ([1.0] + [0.0] * 6, [0.0] * 6, [0.0] * 5, [0.0] * 4)
+    energies = [(problem.level + 0.5) * omega, 0.0, 0.0, 0.0, 0.0]
+    stiffness = mu * omega * omega
+    for q in range(5):
+        # Hellmann-Feynman; E_1 and E_3 vanish by parity
+        if q in (2, 4):
+            energies[q] = sum(j * c * moments[q - j][p]
+                              for j, p, c in terms if j <= q) / q
+        if q == 4:
+            break
+        row = moments[q]
+        lower = [(p, c, moments[q - j]) for j, p, c in terms if j <= q]
+        # hypervirial, for X_{k+1,q} with k + 1 of the parity of q
+        for k in range(1 - q % 2, 6 - q, 2):
+            acc = 0.0
+            for p, c, moment in lower:
+                acc -= c * (2 * k + p) * moment[k - 1 + p]
+            if k:
+                for s in range(0, q + 1, 2):
+                    acc += 2 * k * energies[s] * moments[q - s][k - 1]
+            if k > 2:
+                acc += k * (k - 1) * (k - 2) / (4.0 * mu) * row[k - 3]
+            row[k + 1] = acc / ((k + 1) * stiffness)
+    return SeriesCoefficients(*energies[1:])

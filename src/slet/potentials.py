@@ -51,6 +51,10 @@ class ParticlePair:
             except OverflowError:
                 raise ValueError(f"{name} = {m!r} GeV is too large: its "
                                  "cube overflows") from None
+        if self.relativistic and math.isinf(self.m1**3 * self.m2**3):
+            raise ValueError(f"m1 = {self.m1!r} GeV and m2 = {self.m2!r} GeV "
+                             "are too large: the product of their cubes "
+                             "overflows")
 
     @property
     def mu(self) -> float:

@@ -246,10 +246,12 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
     (("--potential", "coulomb:alpha=1e308"), 4, ""),
     (("--potential", "coulomb:alpha=1e308", "--method", "oracle"), 4, ""),
     (("--potential", CORNELL, "--m2", "1e300"), 2, "cube overflows"),
+    (("--potential", CORNELL, "--m1", "1e100", "--m2", "1e100"), 2,
+     "m1 = 1e+100 GeV and m2 = 1e+100 GeV"),
     (("--potential", "cornell:alpha=0.25,b=0.18,alpha=9"), 2,
      "'alpha' given twice"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
-        "alpha-1e308-slet", "alpha-1e308-oracle", "m2-1e300",
+        "alpha-1e308-slet", "alpha-1e308-oracle", "m2-1e300", "m1-m2-1e100",
         "repeated-alpha"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one

@@ -347,6 +347,16 @@ class TestFullSolve:
                 assert sol.mass == pytest.approx(
                     sol.binding_energy + total, rel=1e-12)
 
+    def test_reduction_parameter(self, table2_solutions, oscillator_pot,
+                                 pair_131):
+        sol = table2_solutions[(1, 1)]
+        e0_minus_v0 = sol.E0 - oscillator_pot.evaluate(sol.r0)
+        assert sol.diagnostics.reduction_parameter == pytest.approx(
+            e0_minus_v0 / pair_131.eta, rel=1e-12)
+        plain = solve(oscillator_pot, pair_131.as_nonrelativistic(),
+                      QuantumNumbers(1, 1))
+        assert plain.diagnostics.reduction_parameter == 0.0
+
     def test_anchor_cells(self, table2_solutions, table3_solutions):
         # cells the assembled series reproduces at print precision
         assert table2_solutions[(4, 2)].binding_energy == pytest.approx(
@@ -376,10 +386,11 @@ class TestFullSolve:
             exact = (2 * n + l + 1.5) / math.sqrt(pair.mu)
             assert sol.binding_energy == pytest.approx(exact, rel=1e-10)
 
-    @pytest.mark.parametrize("n, l", [(150, 1), (500, 3)])
+    @pytest.mark.parametrize("n, l", [(150, 1), (500, 3), (1000, 0),
+                                      (3000, 2)])
     def test_nonrelativistic_oscillator_high_levels(self, n, l):
-        # the series runs in a fixed window around level n, so its
-        # rounding does not grow with the size of a basis from 0 to n
+        # the series reads level n only through E_0 = (n + 1/2) omega and
+        # forms no state vector, so its rounding does not grow with n
         pot = PotentialModel.oscillator(1.0)
         pair = ParticlePair.equal(1.31, relativistic=False)
         sol = solve(pot, pair, QuantumNumbers(n, l))

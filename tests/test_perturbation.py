@@ -2,10 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from slet import engine, perturbation
+from slet import engine
 from slet.engine import alpha1_closed_form
 from slet.perturbation import (
-    WINDOW_HALF_WIDTH,
     AnharmonicProblem,
     position_power_matrix,
     rspt_coefficients,
@@ -24,7 +23,7 @@ def make_problem(mu, omega, n, eps_bar=(0, 0, 0, 0)):
                              delta=(0,) * 6)
 
 
-def termination_problems():
+def random_problems():
     """Three problems at each of six levels, every coefficient set."""
     rng = np.random.default_rng(41)
     for n in (0, 1, 4, 15, 60, 200):
@@ -156,15 +155,6 @@ class TestSeriesStructure:
             else:
                 assert abs(c.c2 - closed) < 1e-10
 
-    def test_basis_doubling_stability(self, monkeypatch):
-        problem = make_problem(0.655, 2.8, 2, (0.5, -0.4, 0.3, 0.2))
-        small = rspt_coefficients(problem)
-        monkeypatch.setattr(perturbation, "WINDOW_HALF_WIDTH",
-                            2 * WINDOW_HALF_WIDTH)
-        big = rspt_coefficients(problem)
-        assert big.c2 == pytest.approx(small.c2, rel=1e-9)
-        assert big.c4 == pytest.approx(small.c4, rel=1e-9)
-
     def test_ground_level_second_order_not_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -184,20 +174,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             AnharmonicProblem(mu=1.0, omega=1.0, level=0, eps=(0,) * 4,
                               delta=(0, 0, float("nan"), 0, 0, 0))
-
-    def test_exact_termination(self, monkeypatch):
-        # every vector the series forms lies within WINDOW_HALF_WIDTH
-        # states of the level, so the minimal window gives the
-        # coefficients of a window four times wider, with all orders set
-        problems = list(termination_problems())
-        assert len(problems) == 18
-        got = [rspt_coefficients(problem) for problem in problems]
-        monkeypatch.setattr(perturbation, "WINDOW_HALF_WIDTH",
-                            4 * WINDOW_HALF_WIDTH)
-        for mine, problem in zip(got, problems):
-            ref = rspt_coefficients(problem)
-            assert mine.c2 == pytest.approx(ref.c2, rel=1e-13)
-            assert mine.c4 == pytest.approx(ref.c4, rel=1e-13)
 
 
 def exact_series(problem, digits=50):
@@ -264,18 +240,25 @@ class TestExactArithmeticReferee:
     """The double-precision series against a 50-digit one."""
 
     @staticmethod
-    def _check(problem):
+    def _check(problem, c4_bound=1e-9):
         got = rspt_coefficients(problem)
         exact = exact_series(problem)
         assert got.c2 == pytest.approx(float(exact[1]), rel=1e-12)
-        assert got.c4 == pytest.approx(float(exact[3]), rel=1e-9)
+        assert got.c4 == pytest.approx(float(exact[3]), rel=c4_bound)
 
     def test_random_problems(self):
-        for problem in termination_problems():
+        for problem in random_problems():
             self._check(problem)
+
+    # Coulomb c4 is a small difference of terms that grow with n:
+    # measured 4.6e-8 at (1000,0) and 3.5e-7 at (3000,2)
+    C4_BOUNDS = {(1000, 0): 1e-7, (3000, 2): 1e-6}
 
     @pytest.mark.parametrize("spec, mass, n, l", [
         ("cornell:alpha=0.25,b=0.18", 1.45, 200, 2),
-        ("oscillator:k=1", 1.31, 200, 8)])
+        ("oscillator:k=1", 1.31, 200, 8),
+        ("coulomb:alpha=0.3", 1.45, 1000, 0),
+        ("coulomb:alpha=0.3", 1.45, 3000, 2)])
     def test_excited_levels(self, spec, mass, n, l):
-        self._check(_engine_problem(spec, mass, n, l))
+        self._check(_engine_problem(spec, mass, n, l),
+                    self.C4_BOUNDS.get((n, l), 1e-9))

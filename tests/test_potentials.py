@@ -181,6 +181,11 @@ class TestParticlePair:
         # the cube that nu takes would overflow
         with pytest.raises(ValueError, match="m2 = 1e\\+300 GeV"):
             ParticlePair(1.0, 1e300, relativistic=False)
+        # finite cubes whose product, which nu takes, overflows
+        with pytest.raises(ValueError,
+                           match="m1 = 1e\\+100 GeV and m2 = 1e\\+100 GeV"):
+            ParticlePair(1e100, 1e100)
+        assert math.isinf(ParticlePair(1e100, 1e100, relativistic=False).eta)
 
     def test_sentinel(self):
         pair = ParticlePair.equal(1.0, relativistic=False)
