@@ -32,11 +32,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import perturbation as pt
 from .errors import (
     BracketingError,
+    ConvergenceError,
     MultipleRootsWarning,
     NoHarmonicRegimeError,
     NonMonotonePointError,
@@ -163,20 +163,22 @@ def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
     Requires V'(r0) > 0 and a non-negative squared frequency bracket.
     r0 may be a scalar or an array: a scalar gives floats and raises
     where a requirement fails, an array gives arrays with NaN at those
-    points.  Both run the same array arithmetic, so each array element
-    equals the scalar result at that radius.
+    points.  Both run the same arithmetic, a scalar on np.float64 scalars
+    with r0^3 on the 0-d array as in :meth:`PotentialModel.derivatives`,
+    so each array element equals the scalar result at that radius.
     """
-    r = np.asarray(r0, dtype=float)
+    rr = np.asarray(r0, dtype=float)
+    r = rr[()]
     v1, v2 = d[1], d[2]
     mu = pair.mu
     with np.errstate(all="ignore"):
         s = r * v1 / (2.0 * pair.eta)
         w = np.sqrt(1.0 + s * s)
         xi = w / s
-        q = mu * r**3 * v1 * (s + w)
+        q = mu * rr**3 * v1 * (s + w)
         bracket = 3.0 + r * v2 / v1 - 2.0 * s / (s + w)
         omega = np.sqrt(bracket) / mu
-    if np.ndim(r0) == 0:
+    if rr.ndim == 0:
         r, v1, bracket = float(r), float(v1), float(bracket)
         if not v1 > 0.0:
             raise NonMonotonePointError(
@@ -225,7 +227,65 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
     geo = geometry_at(potential.derivatives(r0, 2), pair, r0)
     _, lbar = shift_and_lbar(pair, qn.n, geo.omega, qn.l)
     value = 2.0 * (np.sqrt(geo.Q) - lbar)
-    return float(value) if np.ndim(value) == 0 else value
+    return value if value.ndim else float(value)
+
+
+def bracketed_root(f, a, b, fa, fb, xtol, rtol, maxiter):
+    """Root of f between a and b by Brent's method, from fa = f(a), fb = f(b).
+
+    fa and fb must not share a sign.  A step-for-step transcription of
+    scipy.optimize.brentq (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4), with the same tolerances and the same
+    iterates, except that the caller's end values are taken instead of
+    evaluating f at a and b again.  Converged once the bracket is within
+    xtol + rtol |x|.  Returns (root, iterations, function_calls), the
+    calls made here.  Raises ConvergenceError when f is NaN at a trial
+    point or maxiter iterations do not converge.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), 0, 0
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iteration, iteration - 1
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(f"the function is NaN at x = {xcur:.15g}; "
+                                   "Brent's method cannot continue")
+    raise ConvergenceError(
+        f"Brent's method did not converge in {maxiter} iterations between "
+        f"{a:g} and {b:g}")
 
 
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
@@ -236,34 +296,40 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     logarithmic panels from 1e-3 times the smallest to 10 (2n + l + 2)^2
     times the largest of the potential's length scales; the upper end
     stays above the Coulomb orbit radius, which grows as (n + l + 1)^2
-    Bohr radii.  Points where the potential is not
-    increasing, the frequency bracket turns negative or the arithmetic
-    overflows are skipped.  Every sign change is polished with Brent's
-    method; if several roots survive, the one with the lowest leading
-    energy wins and a MultipleRootsWarning is issued.
-    ``function_calls`` counts the scan points plus the polish calls.
+    Bohr radii.  The scan runs with floating-point warnings off: points
+    where the potential is not increasing, the frequency bracket turns
+    negative or the arithmetic overflows are skipped.  Every sign change
+    is polished by :func:`bracketed_root` from the two scan values
+    around it, to R0_TOLERANCE relative in at most R0_MAX_ITERATIONS
+    iterations, or BracketingError; if several roots survive, the one
+    with the lowest leading energy wins and a MultipleRootsWarning is
+    issued.  ``function_calls`` counts every evaluation of the root
+    function: the scan points plus the polish calls, which do not
+    evaluate the panel ends again.
     """
     scales = potential.length_scales(pair.mu) or (1.0,)
     lo = 1e-3 * min(scales)
     hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
     grid = np.geomspace(lo, hi, R0_SCAN_PANELS + 1)
-    values = r0_residual(potential, pair, qn, grid)
+    with np.errstate(all="ignore"):
+        values = r0_residual(potential, pair, qn, grid)
     values[~np.isfinite(values)] = np.nan
 
     roots = [float(r) for r in grid[values == 0.0]]
     calls, iterations = grid.size, 0
     for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
-        root, info = brentq(lambda r: r0_residual(potential, pair, qn, r),
-                            grid[i], grid[i + 1], xtol=1e-300,
-                            rtol=R0_TOLERANCE, maxiter=R0_MAX_ITERATIONS,
-                            full_output=True, disp=False)
-        if not info.converged:
+        try:
+            root, steps, polish_calls = bracketed_root(
+                lambda r: r0_residual(potential, pair, qn, r),
+                grid[i], grid[i + 1], values[i], values[i + 1],
+                1e-300, R0_TOLERANCE, R0_MAX_ITERATIONS)
+        except ConvergenceError as exc:
             raise BracketingError(
-                f"root polish did not converge in panel "
-                f"[{grid[i]:g}, {grid[i + 1]:g}]")
-        calls += info.function_calls
-        iterations += info.iterations
-        roots.append(float(root))
+                f"root polish failed in panel [{grid[i]:g}, "
+                f"{grid[i + 1]:g}]: {exc}") from None
+        calls += polish_calls
+        iterations += steps
+        roots.append(root)
 
     # collapse near-duplicates from adjacent panels
     unique = []

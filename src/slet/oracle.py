@@ -41,13 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
-from .engine import QuantumNumbers
+from .engine import QuantumNumbers, bracketed_root
 from .errors import (
     ConvergenceError,
     LevelIdentificationError,
     ResolutionWarning,
+    UnphysicalRegimeError,
     WindowError,
 )
 from .potentials import ParticlePair, PotentialModel, fall_to_center_check
@@ -152,7 +152,8 @@ class GridOperator:
     off-diagonal do not depend on the trial energy, so they are built
     once; calling the operator at a trial energy adds E V/eta and returns
     (diagonal, off-diagonal) for the three-point stencil with Dirichlet
-    ends.
+    ends.  Raises UnphysicalRegimeError, naming the innermost such
+    radius, when V or gamma = V - V^2/(2 eta) is not finite on the grid.
     """
 
     def __init__(self, potential: PotentialModel, pair: ParticlePair, l: int,
@@ -160,8 +161,16 @@ class GridOperator:
         r = grid.points
         self.grid = grid
         self.eta = pair.eta
-        self.v = potential.evaluate(r)
-        self.static = self.v - self.v * self.v / (2.0 * self.eta)
+        with np.errstate(all="ignore"):
+            self.v = potential.evaluate(r)
+            self.static = self.v - self.v * self.v / (2.0 * self.eta)
+        finite = np.isfinite(self.static)  # false wherever V is not finite
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise UnphysicalRegimeError(
+                f"the potential is not finite on the grid: V = "
+                f"{self.v[i]:g} and gamma = V - V^2/(2 eta) = "
+                f"{self.static[i]:g} at r = {r[i]:g}")
         self.centrifugal = l * (l + 1) / (2.0 * pair.mu * r * r)
         self.inv_h2 = 1.0 / (pair.mu * grid.h**2)
         self.off = np.full(grid.point_count - 1, -0.5 * self.inv_h2)
@@ -313,8 +322,10 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     quasi-bound state the least, so it is where the default grid ends.
     One array evaluation of V on ESCAPE_BRACKET_POINTS geometrically
     spaced radii over [1e-3, search_hi] brackets the innermost crossing,
-    and Brent's method (rtol 1e-10) finds it inside that one panel.
-    Returns None when the target value is never reached.
+    and :func:`~slet.engine.bracketed_root` finds it inside that one
+    panel from the two values around it, to xtol 2e-12 and rtol 1e-10 in
+    at most 100 iterations, or ConvergenceError.  Returns None when the
+    target value is never reached.
     """
     target = 2.0 * pair.eta + max(energy, 0.0)
     # np.geomspace costs twice as much as the evaluation; the ends are
@@ -330,7 +341,9 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     if values[-1] <= 0.0 or values[0] >= 0.0:
         return None
     i = int(np.argmax(values > 0.0))
-    return float(brentq(f, r[i - 1], r[i], rtol=1e-10))
+    root, _, _ = bracketed_root(f, r[i - 1], r[i], values[i - 1], values[i],
+                                2e-12, 1e-10, 100)
+    return root
 
 
 def _settle(operator, n, window, energy, start):

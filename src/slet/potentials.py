@@ -147,6 +147,11 @@ class PotentialModel:
         to the k-th entry; for non-negative integer p that prefactor
         vanishes identically once k exceeds p.  Python floats for a
         scalar r, arrays for an array r.
+
+        A scalar r sums on np.float64 scalars, which cost a fraction of
+        0-d array arithmetic, but every power stays on the 0-d array:
+        numpy's array pow can differ by an ulp from libm's, which scalars
+        use, and each array element must equal the scalar result.
         """
         if not 0 <= upto <= MAX_DERIVATIVE_ORDER:
             raise UnsupportedOrderError(
@@ -154,7 +159,8 @@ class PotentialModel:
         rr = np.asarray(r, dtype=float)
         if (rr <= 0.0).any():
             raise ValueError("r must be positive")
-        stack = [0.0 * rr for _ in range(upto + 1)]
+        x = rr[()]  # np.float64 for a scalar r, the array itself otherwise
+        stack = [0.0 * x for _ in range(upto + 1)]
         for c, p in self.terms:
             fac = c
             for k in range(upto + 1):
@@ -162,7 +168,7 @@ class PotentialModel:
                     break
                 stack[k] = stack[k] + fac * rr ** (p - k)
                 fac *= p - k
-        return [float(v) if np.ndim(v) == 0 else v for v in stack]
+        return [float(v) for v in stack] if rr.ndim == 0 else stack
 
     def evaluate(self, r):
         """V(r) for scalar or array r > 0."""

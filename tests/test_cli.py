@@ -243,16 +243,22 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
     (("--potential", CORNELL, "--m1", "inf"), 2, "got inf"),
     (("--potential", CORNELL, "--method", "oracle", "--rmax", "inf"), 2,
      "r_max = inf"),
-    (("--potential", "coulomb:alpha=1e308"), 4, ""),
-    (("--potential", "coulomb:alpha=1e308", "--method", "oracle"), 4, ""),
+    (("--potential", "coulomb:alpha=1e308"), 4,
+     "error:SupercriticalCouplingError"),
+    (("--potential", "coulomb:alpha=1e308", "--method", "oracle"), 4,
+     "error:SupercriticalCouplingError"),
+    (("--potential", "coulomb:alpha=1e308", "--nonrelativistic", "--method",
+      "oracle"), 4, "error:UnphysicalRegimeError"),
+    (("--potential", "custom:1*r^200", "--method", "oracle"), 4,
+     "error:UnphysicalRegimeError"),
     (("--potential", CORNELL, "--m2", "1e300"), 2, "cube overflows"),
     (("--potential", CORNELL, "--m1", "1e100", "--m2", "1e100"), 2,
      "m1 = 1e+100 GeV and m2 = 1e+100 GeV"),
     (("--potential", "cornell:alpha=0.25,b=0.18,alpha=9"), 2,
      "'alpha' given twice"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
-        "alpha-1e308-slet", "alpha-1e308-oracle", "m2-1e300", "m1-m2-1e100",
-        "repeated-alpha"])
+        "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
+        "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",
@@ -260,7 +266,7 @@ def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     assert got == code
     assert "Traceback" not in err
     if code == 4:
-        assert "error:SupercriticalCouplingError" in out
+        assert message in out
     else:
         assert out == ""
         assert message in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from scipy.optimize import brentq
 
 from slet import engine, perturbation
 from slet.engine import (
+    R0_MAX_ITERATIONS,
     R0_SCAN_PANELS,
+    R0_TOLERANCE,
     QuantumNumbers,
+    bracketed_root,
     correction_energies,
     coulomb_closed_form,
     coulomb_reference,
@@ -22,13 +26,15 @@ from slet.engine import (
 )
 from slet.errors import (
     BracketingError,
+    ConvergenceError,
     MultipleRootsWarning,
     NoHarmonicRegimeError,
     NonMonotonePointError,
     SupercriticalCouplingError,
     UnphysicalCouplingError,
 )
-from slet.potentials import ParticlePair, PotentialModel
+from slet.fixtures import TABLE2, TABLE3
+from slet.potentials import ParticlePair, PotentialModel, parse_potential
 
 
 def coulomb_r0_reference(m, alpha, n, l=0):
@@ -186,6 +192,22 @@ class TestSolveR0:
             assert abs(math.sqrt(geo.Q) - lbar) / lbar <= 1e-8
             assert abs(r0_residual(pot, pair, qn, r0)) < 1e-9
 
+    @pytest.mark.parametrize("spec, relativistic", [
+        ("custom:1*r^200", True), ("coulomb:alpha=1e308", False)])
+    def test_overflowing_scan_is_silent(self, spec, relativistic):
+        # r^200 overflows at the upper end of the scan and -1e308/r at the
+        # lower end; those points are skipped without a RuntimeWarning
+        pot, pair = parse_potential(spec), ParticlePair.equal(1.45,
+                                                              relativistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if relativistic:
+                sol = solve(pot, pair, QuantumNumbers(0, 0))
+                assert sol.binding_energy == pytest.approx(1041.24, abs=5e-3)
+            else:
+                with pytest.raises(BracketingError):
+                    solve(pot, pair, QuantumNumbers(0, 0))
+
     def test_no_bracket(self, pair_145):
         pot = PotentialModel.custom([(-0.5, 1.0)])  # decreasing everywhere
         with pytest.raises(BracketingError):
@@ -208,6 +230,103 @@ class TestSolveR0:
                                               pair_145, other).Q)
         assert e0_other == pytest.approx(2.77511, abs=1e-5)
         assert sol.E0 < e0_other
+
+
+# (potential, mass, relativistic, levels): the Table 2 and 3 cells and
+# the levels of the benchmark's `excited` workload
+POLISHED_LEVELS = [
+    ("oscillator:k=1", 1.31, True, tuple(TABLE2.grid())),
+    ("cornell:alpha=0.25,b=0.18", 1.45, True, tuple(TABLE3.grid())),
+    ("cornell:alpha=0.25,b=0.18", 1.45, True,
+     ((60, 2), (120, 2), (200, 2), (100, 10), (160, 10))),
+    ("oscillator:k=1", 1.31, True,
+     ((60, 0), (120, 0), (80, 5), (150, 5), (200, 8))),
+    ("oscillator:k=1", 1.31, False, ((80, 1), (150, 1), (100, 7))),
+    ("coulomb:alpha=0.25", 1.45, True,
+     ((5, 1), (9, 1), (4, 3), (8, 3), (13, 0), (12, 4))),
+    ("coulomb:alpha=0.25", 1.45, False, ((4, 2), (9, 2), (10, 3))),
+]
+POLISHED_CASES = [(spec, m, rel, n, l)
+                  for spec, m, rel, levels in POLISHED_LEVELS
+                  for n, l in levels]
+
+
+def brentq_reference(f, a, b, **options):
+    """scipy's brentq: (root, iterations, calls after the two end calls)."""
+    root, info = brentq(f, a, b, full_output=True, disp=False, **options)
+    assert info.converged
+    return root, info.iterations, info.function_calls - 2
+
+
+class TestBracketedRoot:
+    """The polish is scipy's brentq, step for step, minus the end calls."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+        (lambda x: (x - 0.3) ** 9, 0.0, 1.0),
+        (lambda x: math.atan(1e4 * (x - 0.123)), -3.0, 1.0),
+        (lambda x: 1.0 / x - 1e-3, 1.0, 1e9),
+        (lambda x: x, -1.0, 1.0),
+    ], ids=["cubic", "exp", "ninth-power", "step", "reciprocal",
+            "zero-midpoint"])
+    @pytest.mark.parametrize("rtol", [R0_TOLERANCE, 1e-10])
+    def test_matches_brentq(self, f, a, b, rtol):
+        for xtol in (1e-300, 2e-12):
+            got = bracketed_root(f, a, b, f(a), f(b), xtol, rtol,
+                                 R0_MAX_ITERATIONS)
+            assert got == brentq_reference(f, a, b, xtol=xtol, rtol=rtol,
+                                           maxiter=R0_MAX_ITERATIONS)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.0, 0.5)])
+    def test_zero_at_an_end(self, a, b):
+        # that end is the root, found without an iteration or a call
+        def f(x):
+            return x - 0.5
+        root, info = brentq(f, a, b, full_output=True)
+        assert (root, info.function_calls) == (0.5, 2)
+        assert bracketed_root(f, a, b, f(a), f(b), 1e-300, R0_TOLERANCE,
+                              R0_MAX_ITERATIONS) == (0.5, 0, 0)
+
+    def test_not_converged(self):
+        with pytest.raises(ConvergenceError, match="in 3 iterations"):
+            bracketed_root(math.atan, -1.0, 2.0, math.atan(-1.0),
+                           math.atan(2.0), 1e-300, R0_TOLERANCE, 3)
+
+    def test_nan_refused(self):
+        with pytest.raises(ConvergenceError, match="NaN at x = 0.5"):
+            bracketed_root(lambda x: math.nan, 0.0, 1.0, -1.0, 1.0,
+                           1e-300, R0_TOLERANCE, 100)
+
+    @pytest.mark.parametrize("spec, m, relativistic, n, l", POLISHED_CASES)
+    def test_solve_r0_polish_matches_brentq(self, monkeypatch, spec, m,
+                                            relativistic, n, l):
+        # every sign change of the scan: the scan's end values are the
+        # scalar ones, and brentq on the same panel gives the same root
+        # and iteration count with two more calls, its end evaluations
+        pot, pair = parse_potential(spec), ParticlePair.equal(m, relativistic)
+        qn = QuantumNumbers(n, l)
+        polished = []
+
+        def recording(*args):
+            result = bracketed_root(*args)
+            polished.append((args, result))
+            return result
+        monkeypatch.setattr(engine, "bracketed_root", recording)
+        r0, (calls, iterations, _) = solve_r0(pot, pair, qn)
+        assert polished
+
+        def f(r):
+            return r0_residual(pot, pair, qn, r)
+        for (_, a, b, fa, fb, *_), got in polished:
+            assert (fa, fb) == (f(float(a)), f(float(b)))
+            assert got == brentq_reference(
+                f, a, b, xtol=1e-300, rtol=R0_TOLERANCE,
+                maxiter=R0_MAX_ITERATIONS)
+        assert r0 in [root for _, (root, _, _) in polished]
+        assert calls == R0_SCAN_PANELS + 1 + sum(
+            c for _, (_, _, c) in polished)
+        assert iterations == sum(i for _, (_, i, _) in polished)
 
 
 class TestLeadingEnergy:
@@ -442,12 +561,15 @@ class TestFullSolve:
         # one array scan plus the polish calls, then a single geometry
         # at the converged r0 in solve
         counts = {"r0_residual": 0, "geometry_at": 0}
+        radii = []
 
         def counting(name):
             original = getattr(engine, name)
 
             def wrapper(*args):
                 counts[name] += 1
+                if name == "r0_residual":
+                    radii.append(args[3])
                 return original(*args)
             return wrapper
         for name in counts:
@@ -459,6 +581,11 @@ class TestFullSolve:
         residual_calls = 1 + diag.r0_function_calls - (R0_SCAN_PANELS + 1)
         assert counts["r0_residual"] == residual_calls
         assert counts["geometry_at"] == residual_calls + 1
+        # the polish starts from the scan's values at the panel ends and
+        # evaluates no scan point again
+        scan, *polish = radii
+        assert scan.size == R0_SCAN_PANELS + 1
+        assert polish and not set(polish) & set(scan.tolist())
 
     def test_stage_labels(self, pair_145):
         pot = PotentialModel.custom([(-0.5, 1.0)])

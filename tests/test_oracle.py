@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from slet.engine import QuantumNumbers
+from slet.engine import QuantumNumbers, bracketed_root
 from slet import oracle
 from slet.errors import (
     ConvergenceError,
@@ -14,6 +14,7 @@ from slet.errors import (
     ResolutionWarning,
     SletError,
     SupercriticalCouplingError,
+    UnphysicalRegimeError,
     WindowError,
 )
 from slet.oracle import (
@@ -28,7 +29,7 @@ from slet.oracle import (
     nth_eigenvalue,
     solve_selfconsistent,
 )
-from slet.potentials import ParticlePair, PotentialModel
+from slet.potentials import ParticlePair, PotentialModel, parse_potential
 
 ZERO_POTENTIAL = PotentialModel.custom([(0.0, 0.0)])
 
@@ -311,6 +312,30 @@ class TestFallToCenter:
         assert str(info.value) == (
             "effective inverse-square strength -inf is below the -1/4 bound "
             "(margin -inf); potential has non-integrable powers (-2.0,)")
+
+
+class TestNonFinitePotential:
+    @pytest.mark.parametrize("spec, relativistic", [
+        ("custom:1*r^200", True),         # V overflows at the outer end
+        ("coulomb:alpha=1e308", False),   # V overflows at the inner end
+        ("coulomb:alpha=1e160", False),   # V finite, V^2 overflows
+    ])
+    def test_refused_naming_the_radius(self, spec, relativistic):
+        pot = parse_potential(spec)
+        pair = ParticlePair.equal(1.45, relativistic)
+        qn = QuantumNumbers(0, 0)
+        grid = default_grid(pot, pair, qn)
+        with np.errstate(all="ignore"):
+            v = pot.evaluate(grid.points)
+            gamma = v - v * v / (2.0 * pair.eta)
+        inner = grid.points[~np.isfinite(gamma)][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalRegimeError,
+                               match=f"at r = {inner:g}$"):
+                GridOperator(pot, pair, 0, grid)
+            with pytest.raises(UnphysicalRegimeError, match="not finite"):
+                solve_selfconsistent(pot, pair, qn)
 
 
 class TestReducedCoulomb:
@@ -655,6 +680,26 @@ class TestQuasiBoundMachinery:
                            xtol=1e-300, rtol=4 * np.finfo(float).eps)
         r = escape_radius(pot, pair_145, energy, 1e3)
         assert r == pytest.approx(reference, rel=2e-10)
+
+    @pytest.mark.parametrize("system", ["cornell", "oscillator", "linear"])
+    @pytest.mark.parametrize("energy", [-0.4, 0.5, 3.0])
+    def test_escape_radius_is_brentq_on_its_panel(self, monkeypatch, system,
+                                                  energy, cornell_pot,
+                                                  oscillator_pot, pair_145):
+        # the polish takes the bracket's array values, which are the
+        # scalar ones, and returns scipy's brentq root at its defaults
+        pot = {"cornell": cornell_pot, "oscillator": oscillator_pot,
+               "linear": PotentialModel.linear(0.18)}[system]
+        panels = []
+
+        def recording(f, a, b, fa, fb, *tolerances):
+            panels.append((f, a, b, fa, fb))
+            return bracketed_root(f, a, b, fa, fb, *tolerances)
+        monkeypatch.setattr(oracle, "bracketed_root", recording)
+        r = escape_radius(pot, pair_145, energy, 1e3)
+        [(f, a, b, fa, fb)] = panels
+        assert (fa, fb) == (f(float(a)), f(float(b)))
+        assert r == brentq(f, a, b, rtol=1e-10)
 
     def test_escape_radius_unreached(self, cornell_pot, coulomb_pot,
                                      pair_145):
