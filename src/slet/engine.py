@@ -38,10 +38,9 @@ from .errors import (
     BracketingError,
     ConvergenceError,
     MultipleRootsWarning,
-    NoHarmonicRegimeError,
-    NonMonotonePointError,
     SletError,
     UnphysicalCouplingError,
+    UnphysicalRegimeError,
 )
 from .potentials import (
     MAX_DERIVATIVE_ORDER,
@@ -160,12 +159,13 @@ def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
     V'(r0)/(2 eta) and w = sqrt(1 + s^2): xi = w/s, Q = mu r0^3 V' (s + w)
     and (mu omega)^2 = 3 + r0 V''/V' - 2s/(s + w).  At eta = inf, s = 0
     gives exactly Q = mu r0^3 V' and xi = inf.
-    Requires V'(r0) > 0 and a non-negative squared frequency bracket.
-    r0 may be a scalar or an array: a scalar gives floats and raises
-    where a requirement fails, an array gives arrays with NaN at those
-    points.  Both run the same arithmetic, a scalar on np.float64 scalars
-    with r0^3 on the 0-d array as in :meth:`PotentialModel.derivatives`,
-    so each array element equals the scalar result at that radius.
+    A radius is unusable where V'(r0) <= 0 or the squared frequency
+    bracket is negative; there all three come out NaN, and nothing is
+    raised.  r0 may be a scalar or an array: a scalar gives floats, an
+    array gives arrays.  Both run the same arithmetic with floating-point
+    warnings off, a scalar on np.float64 scalars with r0^3 on the 0-d
+    array as in :meth:`PotentialModel.derivatives`, so each array element
+    equals the scalar result at that radius, NaN included.
     """
     rr = np.asarray(r0, dtype=float)
     r = rr[()]
@@ -179,14 +179,8 @@ def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
         bracket = 3.0 + r * v2 / v1 - 2.0 * s / (s + w)
         omega = np.sqrt(bracket) / mu
     if rr.ndim == 0:
-        r, v1, bracket = float(r), float(v1), float(bracket)
-        if not v1 > 0.0:
-            raise NonMonotonePointError(
-                f"V'(r0) = {v1:g} at r0 = {r:g}; the expansion needs an "
-                "increasing potential at the expansion point")
-        if bracket < 0.0:
-            raise NoHarmonicRegimeError(
-                f"squared frequency bracket is {bracket:g} at r0 = {r:g}")
+        if not v1 > 0.0 or bracket < 0.0:
+            return Geometry(xi=math.nan, Q=math.nan, omega=math.nan)
         return Geometry(xi=float(xi), Q=float(q), omega=float(omega))
     bad = ~(v1 > 0.0) | (bracket < 0.0)
     return Geometry(xi=np.where(bad, np.nan, xi), Q=np.where(bad, np.nan, q),
@@ -222,7 +216,7 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
 
     Equivalent to r0^2 V'(r0) sqrt(2 mu (1 + xi)/eta) minus
     1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
-    or array r0 as in :func:`geometry_at`.
+    or array r0 as in :func:`geometry_at`, and NaN where that gives NaN.
     """
     geo = geometry_at(potential.derivatives(r0, 2), pair, r0)
     _, lbar = shift_and_lbar(pair, qn.n, geo.omega, qn.l)
@@ -288,40 +282,55 @@ def bracketed_root(f, a, b, fa, fb, xtol, rtol, maxiter):
         f"{a:g} and {b:g}")
 
 
+def log_scan(f, lo, hi, points):
+    """(r, f(r)) on points radii evenly spaced in log r from lo to hi.
+
+    The radii are the exp of a linspace in log r, with both ends set
+    exactly.  f is called once on the whole array with floating-point
+    warnings off, and every value that is not finite comes back NaN.
+    """
+    r = np.exp(np.linspace(math.log(lo), math.log(hi), points))
+    r[0], r[-1] = lo, hi
+    with np.errstate(all="ignore"):
+        values = f(r)
+    values[~np.isfinite(values)] = np.nan
+    return r, values
+
+
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
              qn: QuantumNumbers):
     """Expansion point as (r0, (function_calls, iterations, root_count)).
 
-    One array call of :func:`r0_residual` scans R0_SCAN_PANELS
-    logarithmic panels from 1e-3 times the smallest to 10 (2n + l + 2)^2
-    times the largest of the potential's length scales; the upper end
-    stays above the Coulomb orbit radius, which grows as (n + l + 1)^2
-    Bohr radii.  The scan runs with floating-point warnings off: points
-    where the potential is not increasing, the frequency bracket turns
-    negative or the arithmetic overflows are skipped.  Every sign change
-    is polished by :func:`bracketed_root` from the two scan values
-    around it, to R0_TOLERANCE relative in at most R0_MAX_ITERATIONS
-    iterations, or BracketingError; if several roots survive, the one
-    with the lowest leading energy wins and a MultipleRootsWarning is
-    issued.  ``function_calls`` counts every evaluation of the root
-    function: the scan points plus the polish calls, which do not
-    evaluate the panel ends again.
+    :func:`log_scan` evaluates :func:`r0_residual` at the ends of
+    R0_SCAN_PANELS logarithmic panels from 1e-3 times the smallest to
+    10 (2n + l + 2)^2 times the largest of the potential's length scales;
+    the upper end stays above the Coulomb orbit radius, which grows as
+    (n + l + 1)^2 Bohr radii.  Scan points where the residual is NaN, at
+    radii :func:`geometry_at` finds unusable or where the arithmetic
+    overflows, are skipped.  Every sign change is polished by
+    :func:`bracketed_root` from the two scan values around it, to
+    R0_TOLERANCE relative in at most R0_MAX_ITERATIONS iterations; a
+    polish that fails, also by an iterate landing on an unusable radius,
+    raises BracketingError naming the panel and that radius.  If several
+    roots survive, the one with the lowest leading energy wins and a
+    MultipleRootsWarning is issued.  ``function_calls`` counts every
+    evaluation of the root function: the scan points plus the polish
+    calls, which do not evaluate the panel ends again.
     """
+    def residual(r):
+        return r0_residual(potential, pair, qn, r)
+
     scales = potential.length_scales(pair.mu) or (1.0,)
     lo = 1e-3 * min(scales)
     hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
-    grid = np.geomspace(lo, hi, R0_SCAN_PANELS + 1)
-    with np.errstate(all="ignore"):
-        values = r0_residual(potential, pair, qn, grid)
-    values[~np.isfinite(values)] = np.nan
+    grid, values = log_scan(residual, lo, hi, R0_SCAN_PANELS + 1)
 
     roots = [float(r) for r in grid[values == 0.0]]
     calls, iterations = grid.size, 0
     for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
         try:
             root, steps, polish_calls = bracketed_root(
-                lambda r: r0_residual(potential, pair, qn, r),
-                grid[i], grid[i + 1], values[i], values[i + 1],
+                residual, grid[i], grid[i + 1], values[i], values[i + 1],
                 1e-300, R0_TOLERANCE, R0_MAX_ITERATIONS)
         except ConvergenceError as exc:
             raise BracketingError(
@@ -449,8 +458,14 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
     e0 = leading_energy(stack[0], pair, r0, geo.Q)
     denominator = energy_denominator(pair, r0, geo.Q)
-    coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
-                                 geo.omega, n)
+    with _stage("taylor_coefficients"):
+        try:
+            coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
+                                         geo.omega, n)
+        except OverflowError:
+            raise UnphysicalRegimeError(
+                f"r0 = {r0:g} is too large for the expansion: a power of "
+                "r0 overflows") from None
     series = pt.rspt_coefficients(pt.AnharmonicProblem(
         pair.mu, geo.omega, n, coeffs.eps, coeffs.delta))
     alpha1, alpha2 = series.c2, series.c4

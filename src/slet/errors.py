@@ -8,7 +8,8 @@ other solver failure -> 3; compare exits 3 only when every level fails.
 
 class SletError(Exception):
     """Base class for solver failures.  ``stage`` names the expansion stage
-    that raised one (fall_to_center or solve_r0), else None."""
+    that raised one (fall_to_center, solve_r0 or taylor_coefficients),
+    else None."""
 
     stage = None
 
@@ -23,14 +24,6 @@ class PotentialParseError(SletError, ValueError):
 
 class UnphysicalRegimeError(SletError):
     """The requested configuration lies outside the method's domain."""
-
-
-class NonMonotonePointError(UnphysicalRegimeError):
-    """V'(r) <= 0 at the probed expansion point."""
-
-
-class NoHarmonicRegimeError(UnphysicalRegimeError):
-    """The squared scaled frequency came out negative at the probed point."""
 
 
 class UnphysicalCouplingError(UnphysicalRegimeError):
@@ -55,7 +48,8 @@ class WindowError(ConvergenceError):
 
 
 class LevelIdentificationError(ConvergenceError):
-    """Converged eigenvector node count disagrees with the requested level."""
+    """The grid cannot hold the requested level, or a converged
+    eigenvector's node count disagrees with it."""
 
 
 class InternalInconsistencyError(SletError):

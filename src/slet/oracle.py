@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
-from .engine import QuantumNumbers, bracketed_root
+from .engine import QuantumNumbers, bracketed_root, log_scan
 from .errors import (
     ConvergenceError,
     LevelIdentificationError,
@@ -86,7 +86,7 @@ BISECTION_TOLERANCE = np.finfo(float).tiny
 # stops at this fraction of the operator's row-sum norm; an absolute
 # 1e-4 GeV is coarser than the level spacing of light Coulomb levels
 SEED_TOLERANCE = 1e-6
-# points of the geometric grid on which escape_radius brackets its root
+# points of the log-spaced scan on which escape_radius brackets its root
 ESCAPE_BRACKET_POINTS = 64
 
 
@@ -320,24 +320,19 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     V = 2 eta + E.  A Dirichlet wall placed there keeps the whole
     classically forbidden barrier inside the box while perturbing the
     quasi-bound state the least, so it is where the default grid ends.
-    One array evaluation of V on ESCAPE_BRACKET_POINTS geometrically
-    spaced radii over [1e-3, search_hi] brackets the innermost crossing,
-    and :func:`~slet.engine.bracketed_root` finds it inside that one
-    panel from the two values around it, to xtol 2e-12 and rtol 1e-10 in
-    at most 100 iterations, or ConvergenceError.  Returns None when the
+    One :func:`~slet.engine.log_scan` of V over ESCAPE_BRACKET_POINTS
+    radii from 1e-3 to search_hi brackets the innermost crossing, and
+    :func:`~slet.engine.bracketed_root` finds it inside that one panel
+    from the two values around it, to xtol 2e-12 and rtol 1e-10 in at
+    most 100 iterations, or ConvergenceError.  Returns None when the
     target value is never reached.
     """
     target = 2.0 * pair.eta + max(energy, 0.0)
-    # np.geomspace costs twice as much as the evaluation; the ends are
-    # set exactly, so the None cases compare V at 1e-3 and search_hi
-    r = np.exp(np.linspace(math.log(1e-3), math.log(search_hi),
-                           ESCAPE_BRACKET_POINTS))
-    r[0], r[-1] = 1e-3, search_hi
 
     def f(x):
         return potential.evaluate(x) - target
 
-    values = f(r)
+    r, values = log_scan(f, 1e-3, search_hi, ESCAPE_BRACKET_POINTS)
     if values[-1] <= 0.0 or values[0] >= 0.0:
         return None
     i = int(np.argmax(values > 0.0))
@@ -453,11 +448,12 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
 
     Raises WindowError, whose message names the window, when a pass
     settles outside it, ConvergenceError when a restarted pass does not
-    settle, and LevelIdentificationError when it settles on a node count
-    other than n or, for a non-confining potential in a box with the
-    level-sized r_max of :func:`default_grid`, whatever its point count,
-    the energy lies in the continuum.  A returned level whose energy the
-    grid resolves poorly issues one ResolutionWarning (see
+    settle, and LevelIdentificationError, before any solve, when n is not
+    below the coarse grid's point count, or when a pass settles on a node
+    count other than n or, for a non-confining potential in a box with
+    the level-sized r_max of :func:`default_grid`, whatever its point
+    count, the energy lies in the continuum.  A returned level whose
+    energy the grid resolves poorly issues one ResolutionWarning (see
     :func:`_solution`).
     """
     fall_to_center_check(potential, pair, qn.l)
@@ -465,6 +461,10 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
     base = level_sized if grid is None else grid
     coarse = (base if base.point_count <= COARSE_POINT_COUNT else
               RadialGrid(base.r_min, base.r_max, COARSE_POINT_COUNT))
+    if qn.n >= coarse.point_count:
+        raise LevelIdentificationError(
+            f"level n = {qn.n} does not exist on the {coarse.point_count} "
+            f"points of the coarse grid, which hold n < {coarse.point_count}")
 
     operator = GridOperator(potential, pair.as_nonrelativistic(), qn.l,
                             coarse)

@@ -51,10 +51,18 @@ class ParticlePair:
             except OverflowError:
                 raise ValueError(f"{name} = {m!r} GeV is too large: its "
                                  "cube overflows") from None
-        if self.relativistic and math.isinf(self.m1**3 * self.m2**3):
-            raise ValueError(f"m1 = {self.m1!r} GeV and m2 = {self.m2!r} GeV "
-                             "are too large: the product of their cubes "
-                             "overflows")
+        masses = f"m1 = {self.m1!r} GeV and m2 = {self.m2!r} GeV"
+        cubes = self.m1**3 * self.m2**3
+        if self.relativistic and math.isinf(cubes):
+            raise ValueError(f"{masses} are too large: the product of their "
+                             "cubes overflows")
+        # eta = nu / mu^2 must be positive: both solvers divide by it
+        if self.mu**2 == 0.0:
+            raise ValueError(f"{masses} are too small: the square of their "
+                             "reduced mass underflows")
+        if self.relativistic and cubes == 0.0:
+            raise ValueError(f"{masses} are too small: the product of their "
+                             "cubes underflows")
 
     @property
     def mu(self) -> float:
@@ -146,20 +154,20 @@ class PotentialModel:
         Each monomial c * r**p contributes c * p (p-1) ... (p-k+1) r**(p-k)
         to the k-th entry; for non-negative integer p that prefactor
         vanishes identically once k exceeds p.  Python floats for a
-        scalar r, arrays for an array r.
+        scalar r, arrays for an array r; ValueError where r <= 0.
 
-        A scalar r sums on np.float64 scalars, which cost a fraction of
-        0-d array arithmetic, but every power stays on the 0-d array:
-        numpy's array pow can differ by an ulp from libm's, which scalars
-        use, and each array element must equal the scalar result.
+        A scalar r is checked and summed on np.float64 scalars, cheaper
+        than 0-d arrays, but every power stays on the 0-d array: numpy's
+        array pow can differ by an ulp from libm's, which scalars use,
+        and each array element must equal the scalar result.
         """
         if not 0 <= upto <= MAX_DERIVATIVE_ORDER:
             raise UnsupportedOrderError(
                 f"derivative order must be in 0..{MAX_DERIVATIVE_ORDER}, got {upto}")
         rr = np.asarray(r, dtype=float)
-        if (rr <= 0.0).any():
-            raise ValueError("r must be positive")
         x = rr[()]  # np.float64 for a scalar r, the array itself otherwise
+        if np.count_nonzero(x <= 0.0):
+            raise ValueError("r must be positive")
         stack = [0.0 * x for _ in range(upto + 1)]
         for c, p in self.terms:
             fac = c

@@ -232,6 +232,21 @@ class TestSolveCommand:
             assert grid["oracle_residual"] == sol.residual
             assert grid["oracle_bisections"] == sol.bisection_solves
 
+    def test_level_beyond_grid_is_a_status_row(self, capsys):
+        # n = 600 has no eigenvector on 600 points; that level's grid
+        # solve becomes a status row and every other row is reported
+        code, out, _ = run(capsys, "solve", "--potential",
+                           "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
+                           "--m2", "1.45", "--n-range", "599:600",
+                           "--l-range", "0:0", "--method", "both",
+                           "--grid-points", "600", "--format", "json")
+        assert code == 3
+        records = json.loads(out)["records"]
+        assert [(r["n"], r["method"]) for r in records] == [
+            (599, "slet"), (599, "oracle"), (600, "slet"), (600, "oracle")]
+        assert [r["status"] for r in records[::2]] == ["ok", "ok"]
+        assert records[3]["status"] == "error:LevelIdentificationError"
+
 
 CORNELL = "cornell:alpha=0.25,b=0.18"
 
@@ -256,9 +271,19 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
      "m1 = 1e+100 GeV and m2 = 1e+100 GeV"),
     (("--potential", "cornell:alpha=0.25,b=0.18,alpha=9"), 2,
      "'alpha' given twice"),
+    (("--potential", CORNELL, "--m1", "1e-60", "--m2", "1e-60"), 2,
+     "m1 = 1e-60 GeV and m2 = 1e-60 GeV are too small"),
+    (("--potential", "oscillator:k=1", "--m1", "1e-200", "--m2", "1",
+      "--nonrelativistic"), 2,
+     "m1 = 1e-200 GeV and m2 = 1.0 GeV are too small"),
+    (("--potential", "linear:b=1e-300", "--m1", "1", "--m2", "1"), 4,
+     "error:UnphysicalRegimeError@taylor_coefficients"),
+    (("--potential", "custom:1e-300*r^2", "--m1", "1", "--m2", "1"), 4,
+     "error:UnphysicalRegimeError@taylor_coefficients"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
         "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
-        "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha"])
+        "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha",
+        "m1-m2-1e-60", "m1-1e-200-nr", "b-1e-300", "r2-1e-300"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",

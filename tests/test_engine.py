@@ -1,11 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from slet import engine, perturbation
+from slet import engine, oracle, perturbation
 from slet.engine import (
     R0_MAX_ITERATIONS,
     R0_SCAN_PANELS,
@@ -28,10 +29,9 @@ from slet.errors import (
     BracketingError,
     ConvergenceError,
     MultipleRootsWarning,
-    NoHarmonicRegimeError,
-    NonMonotonePointError,
     SupercriticalCouplingError,
     UnphysicalCouplingError,
+    UnphysicalRegimeError,
 )
 from slet.fixtures import TABLE2, TABLE3
 from slet.potentials import ParticlePair, PotentialModel, parse_potential
@@ -82,10 +82,14 @@ class TestGeometry:
         geo = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145, r0)
         assert abs(geo.omega / (2.0 / 1.45) - 1.0) < 0.01
 
-    def test_decreasing_point_rejected(self, pair_145):
+    def test_decreasing_point_is_nan(self, pair_145):
+        # an unusable radius gives NaN, never an exception
         pot = PotentialModel.custom([(-0.5, 1.0)])
-        with pytest.raises(NonMonotonePointError):
-            geometry_at(pot.derivatives(1.0, 2), pair_145, 1.0)
+        geo = geometry_at(pot.derivatives(1.0, 2), pair_145, 1.0)
+        assert [type(v) for v in (geo.xi, geo.Q, geo.omega)] == [float] * 3
+        assert all(math.isnan(v) for v in (geo.xi, geo.Q, geo.omega))
+        assert math.isnan(r0_residual(pot, pair_145, QuantumNumbers(0, 0),
+                                      1.0))
 
 
 ARRAY_POTENTIALS = {
@@ -109,22 +113,26 @@ class TestArrayForm:
         radii = np.geomspace(1e-3, 1e4, 141)
         geo = geometry_at(pot.derivatives(radii, 2), pair, radii)
         residual = r0_residual(pot, pair, qn, radii)
-        raised = set()
         for i, r in enumerate(radii):
+            one = geometry_at(pot.derivatives(float(r), 2), pair, float(r))
             got = (geo.xi[i], geo.Q[i], geo.omega[i], residual[i])
-            try:
-                one = geometry_at(pot.derivatives(float(r), 2), pair, float(r))
-            except (NonMonotonePointError, NoHarmonicRegimeError) as exc:
-                raised.add(type(exc))
-                assert np.isnan(got).all()
-                with pytest.raises(type(exc)):
-                    r0_residual(pot, pair, qn, float(r))
-                continue
-            assert got == (one.xi, one.Q, one.omega,
-                           r0_residual(pot, pair, qn, float(r)))
-        expected = {"decreasing": {NonMonotonePointError},
-                    "steep-core": {NoHarmonicRegimeError}}
-        assert raised == expected.get(name, set())
+            want = (one.xi, one.Q, one.omega,
+                    r0_residual(pot, pair, qn, float(r)))
+            # bit for bit, NaN at the same radii
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        # all four are NaN exactly at the unusable radii: V' <= 0, or a
+        # negative frequency bracket computed as geometry_at computes it
+        _, v1, v2 = pot.derivatives(radii, 2)
+        with np.errstate(all="ignore"):
+            s = radii * v1 / (2.0 * pair.eta)
+            w = np.sqrt(1.0 + s * s)
+            bracket = 3.0 + radii * v2 / v1 - 2.0 * s / (s + w)
+        decreasing = ~(v1 > 0.0)
+        negative = (v1 > 0.0) & (bracket < 0.0)
+        for values in (geo.xi, geo.Q, geo.omega, residual):
+            assert (np.isnan(values) == (decreasing | negative)).all()
+        assert decreasing.any() == (name == "decreasing")
+        assert negative.any() == (name == "steep-core")
         if name != "decreasing":
             solve_r0(pot, pair, qn)  # the scan, under the same filter
 
@@ -213,6 +221,25 @@ class TestSolveR0:
         with pytest.raises(BracketingError):
             solve_r0(pot, pair_145, QuantumNumbers(0, 0))
 
+    def test_polish_iterate_at_unusable_radius(self):
+        # V' = (r - 10)^2 - 0.1 dips below zero near r = 10, and the
+        # frequency bracket turns negative just inside it; the Bohr radius
+        # of the tiny 1/r term widens the scan's panels until that whole
+        # stretch lies inside one panel whose ends change sign, so a Brent
+        # iterate lands on it and the level ends in BracketingError
+        pot = parse_potential(
+            "custom:99.9*r^1-10*r^2+0.3333333333333333*r^3-1e-60*r^-1")
+        pair = ParticlePair.equal(1.0)
+        with pytest.raises(BracketingError) as info:
+            solve(pot, pair, QuantumNumbers(0, 0))
+        assert info.value.stage == "solve_r0"
+        match = re.search(r"panel \[(\S+), (\S+)\]: the function is NaN at "
+                          r"x = (\S+);", str(info.value))
+        assert match
+        lo, hi, x = map(float, match.groups())
+        assert lo < x < hi
+        assert math.isnan(geometry_at(pot.derivatives(x, 2), pair, x).omega)
+
     def test_multiple_roots_keep_lowest_leading_energy(self, pair_145):
         # the r0 equation has a root near 0.958 and one near 3.126; the
         # second has the lower leading energy and is kept, with a warning
@@ -256,6 +283,38 @@ def brentq_reference(f, a, b, **options):
     root, info = brentq(f, a, b, full_output=True, disp=False, **options)
     assert info.converged
     return root, info.iterations, info.function_calls - 2
+
+
+class TestLogScan:
+    def test_radii_and_values(self):
+        calls = []
+
+        def f(r):
+            calls.append(r.size)
+            # log of a negative below r = 0.5, overflow at the top end
+            return np.log(r - 0.5) + 1e-300 * r**120
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, values = engine.log_scan(f, 0.1, 1e3, 5)
+        assert calls == [5]
+        assert (r[0], r[-1]) == (0.1, 1e3)
+        np.testing.assert_allclose(r, [0.1, 1.0, 10.0, 100.0, 1e3],
+                                   rtol=1e-14)
+        assert np.isnan(values[[0, -1]]).all()
+        assert np.isfinite(values[1:-1]).all()
+
+    def test_both_root_searches_scan_with_it(self, monkeypatch, cornell_pot,
+                                             pair_145):
+        points, scan = [], engine.log_scan
+
+        def recording(f, lo, hi, count):
+            points.append(count)
+            return scan(f, lo, hi, count)
+        monkeypatch.setattr(engine, "log_scan", recording)
+        monkeypatch.setattr(oracle, "log_scan", recording)
+        solve_r0(cornell_pot, pair_145, QuantumNumbers(0, 0))
+        oracle.escape_radius(cornell_pot, pair_145, 0.5, 1e3)
+        assert points == [R0_SCAN_PANELS + 1, oracle.ESCAPE_BRACKET_POINTS]
 
 
 class TestBracketedRoot:
@@ -592,6 +651,17 @@ class TestFullSolve:
         with pytest.raises(BracketingError) as info:
             solve(pot, pair_145, QuantumNumbers(0, 0))
         assert info.value.stage == "solve_r0"
+
+    @pytest.mark.parametrize("spec", ["linear:b=1e-300",
+                                      "custom:1e-300*r^2"])
+    def test_expansion_point_too_far_out(self, spec):
+        # a tiny coupling puts r0 beyond 1e38, where r0**8 in
+        # taylor_coefficients overflows
+        with pytest.raises(UnphysicalRegimeError, match=r"r0 = \S+e\+\d+ "
+                           "is too large for the expansion") as info:
+            solve(parse_potential(spec), ParticlePair.equal(1.0),
+                  QuantumNumbers(0, 0))
+        assert info.value.stage == "taylor_coefficients"
 
     @pytest.mark.parametrize("n", [0, 20])
     def test_fall_to_center_refused(self, n):

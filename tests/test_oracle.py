@@ -557,6 +557,17 @@ class TestNewtonIteration:
         with pytest.raises(LevelIdentificationError, match="r_max"):
             solve_selfconsistent(ZERO_POTENTIAL, pair, QuantumNumbers(0, 0))
 
+    @pytest.mark.parametrize("points, coarse", [(600, 600), (None, 1000)])
+    def test_level_beyond_coarse_grid_refused(self, points, coarse,
+                                              cornell_pot, pair_145):
+        # the first pass runs on at most COARSE_POINT_COUNT points, and a
+        # grid of N points holds the levels n < N
+        qn = QuantumNumbers(coarse, 0)
+        grid = default_grid(cornell_pot, pair_145, qn, points)
+        with pytest.raises(LevelIdentificationError,
+                           match=f"on the {coarse} points of the coarse grid"):
+            solve_selfconsistent(cornell_pot, pair_145, qn, grid)
+
 
 class TestReturnedLevel:
     """A returned level solves its own equation, checked from scratch."""

@@ -186,6 +186,15 @@ class TestParticlePair:
                            match="m1 = 1e\\+100 GeV and m2 = 1e\\+100 GeV"):
             ParticlePair(1e100, 1e100)
         assert math.isinf(ParticlePair(1e100, 1e100, relativistic=False).eta)
+        # eta would be 0, or divide by a reduced mass squared to 0
+        with pytest.raises(ValueError, match="m1 = 1e-60 GeV and m2 = "
+                           "1e-60 GeV are too small: the product of their "
+                           "cubes underflows"):
+            ParticlePair(1e-60, 1e-60)
+        with pytest.raises(ValueError, match="m1 = 1e-200 GeV and m2 = 1 "
+                           "GeV are too small: the square of their reduced "
+                           "mass underflows"):
+            ParticlePair(1e-200, 1, relativistic=False)
 
     def test_sentinel(self):
         pair = ParticlePair.equal(1.0, relativistic=False)
