@@ -7,36 +7,24 @@ independent routes are provided: a shifted-l expansion (``engine``) that
 yields closed-form leading energies plus perturbative corrections, and a
 finite-difference eigenvalue solver (``oracle``) for the same radial
 equation.  ``cli`` exposes both along with reference-table reproduction.
+
+Import each name from the module that defines it, e.g.
+``from slet.engine import solve``.  ``import slet`` loads no submodule;
+reading ``slet.<module>`` imports that module the first time.  Only the
+grid solver imports scipy, so the expansion's commands run on numpy.
 """
 
-from .engine import (
-    CoulombClosedForm,
-    CoulombReference,
-    QuantumNumbers,
-    SletSolution,
-    coulomb_closed_form,
-    coulomb_reference,
-    solve,
-)
-from .oracle import OracleSolution, RadialGrid, default_grid, solve_selfconsistent
-from .potentials import ParticlePair, PotentialModel, parse_potential
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoulombClosedForm",
-    "CoulombReference",
-    "OracleSolution",
-    "ParticlePair",
-    "PotentialModel",
-    "QuantumNumbers",
-    "RadialGrid",
-    "SletSolution",
-    "__version__",
-    "coulomb_closed_form",
-    "coulomb_reference",
-    "default_grid",
-    "parse_potential",
-    "solve",
-    "solve_selfconsistent",
-]
+
+def __getattr__(name):
+    """``slet.<name>`` imports the submodule of that name (PEP 562)."""
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise  # a missing dependency of a real submodule
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None

@@ -32,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import engine, fixtures, oracle
+from . import engine, fixtures
 from .errors import SletError, UnphysicalRegimeError
 from .potentials import ParticlePair, PotentialModel, parse_potential
 
@@ -62,10 +62,6 @@ class RunManifest:
     def pair(self) -> ParticlePair:
         return ParticlePair(self.m1, self.m2,
                             relativistic=not self.nonrelativistic)
-
-    def grid(self, qn: engine.QuantumNumbers) -> oracle.RadialGrid:
-        return oracle.default_grid(self.potential, self.pair(), qn,
-                                   self.grid_points, self.rmax)
 
 
 @dataclass
@@ -115,8 +111,11 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
                       r0=sol.r0, Q=sol.Q, omega=sol.omega,
                       alpha1=sol.alpha1, alpha2=sol.alpha2)
     elif method == "oracle":
+        from . import oracle  # scipy, which only the grid solver needs
+        grid = oracle.default_grid(manifest.potential, pair, qn,
+                                   manifest.grid_points, manifest.rmax)
         sol = oracle.solve_selfconsistent(manifest.potential, pair, qn,
-                                          grid=manifest.grid(qn))
+                                          grid=grid)
         values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass,
                       oracle_iterations=sol.outer_iterations,
                       oracle_residual=sol.residual,
@@ -292,8 +291,7 @@ def render_breakdown_text(info) -> str:
                 "alpha2", "E2_term", "E3_term", "binding_energy", "mass"):
         lines.append(f"  {key:16s} {_fmt(info[key])}")
     for key in ("eps", "eps_bar", "delta", "delta_bar"):
-        parts = ", ".join("-" if v is None else f"{v:.6g}"
-                          for v in info[key])
+        parts = ", ".join(f"{v:.6g}" for v in info[key])
         lines.append(f"  {key:16s} [{parts}]")
     diag = info["diagnostics"]
     lines.append("  diagnostics:")

@@ -100,7 +100,7 @@ class RadialGrid:
 
     r_min: float
     r_max: float
-    point_count: int = DEFAULT_POINT_COUNT
+    point_count: int
 
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max < math.inf:
@@ -123,7 +123,7 @@ def _is_confining(potential) -> bool:
 
 
 def default_grid(potential: PotentialModel, pair: ParticlePair,
-                 qn: QuantumNumbers | None = None,
+                 qn: QuantumNumbers,
                  point_count: int | None = None,
                  r_max: float | None = None) -> RadialGrid:
     """Grid sized from the potential's own length scales and the level.
@@ -138,7 +138,7 @@ def default_grid(potential: PotentialModel, pair: ParticlePair,
     if r_max is None:
         scales = potential.length_scales(pair.mu)
         r_max = R_MAX_SCALE_FACTOR * max((1.0, *scales))
-        if qn is not None and not _is_confining(potential):
+        if not _is_confining(potential):
             r_max *= qn.n + qn.l + 1
     return RadialGrid(DEFAULT_R_MIN, r_max,
                       DEFAULT_POINT_COUNT if point_count is None
@@ -399,7 +399,7 @@ def _solution(potential, pair, qn, operator, energy, vec, evaluations,
             f"grid spacing h = {grid.h:g} resolves the energy {energy:g} "
             "poorly; refine the grid", ResolutionWarning)
     big = np.nonzero(np.abs(vec) > NODE_THRESHOLD * np.max(np.abs(vec)))[0]
-    if big.size and vec[big[0]] < 0.0:
+    if vec[big[0]] < 0.0:
         vec = -vec
     norm = math.sqrt(grid.h * float(np.sum(vec * vec)))
     return OracleSolution(binding_energy=energy, mass=energy + pair.total_mass,

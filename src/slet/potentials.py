@@ -204,16 +204,21 @@ class PotentialModel:
 
         1/(mu |c|) for a 1/r term (its Bohr radius) and
         (mu |c|)^(-1/(p+2)) for a power p > 0; other terms and zero
-        coefficients set no scale.
+        coefficients set no scale.  A nonzero c for which mu |c|
+        underflows to 0 is refused: its scale would be infinite.
         """
         scales = []
         for c, p in self.terms:
-            if c == 0.0:
+            if c == 0.0 or not (p == -1.0 or p > 0.0):
                 continue
-            if p == -1.0:
-                scales.append(1.0 / (mu * abs(c)))
-            elif p > 0.0:
-                scales.append((mu * abs(c)) ** (-1.0 / (p + 2.0)))
+            strength = mu * abs(c)
+            if strength == 0.0:
+                raise ValueError(
+                    f"the coefficient {c!r} of the r^{p:g} term is too "
+                    f"small for the reduced mass {mu!r} GeV: their product "
+                    "underflows")
+            scales.append(1.0 / strength if p == -1.0
+                          else strength ** (-1.0 / (p + 2.0)))
         return tuple(scales)
 
     def singular_powers(self) -> tuple:

@@ -280,10 +280,27 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
      "error:UnphysicalRegimeError@taylor_coefficients"),
     (("--potential", "custom:1e-300*r^2", "--m1", "1", "--m2", "1"), 4,
      "error:UnphysicalRegimeError@taylor_coefficients"),
+    # mu |c| underflows to 0, so the term's length scale would be infinite
+    (("--potential", "linear:b=5e-324", "--m1", "1", "--m2", "1"), 2,
+     "coefficient 5e-324 of the r^1 term is too small for the reduced "
+     "mass 0.5 GeV"),
+    (("--potential", "linear:b=5e-324", "--m1", "1", "--m2", "1",
+      "--method", "oracle"), 2,
+     "coefficient 5e-324 of the r^1 term is too small for the reduced "
+     "mass 0.5 GeV"),
+    (("--potential", "coulomb:alpha=5e-324", "--m1", "1", "--m2", "1"), 2,
+     "coefficient -5e-324 of the r^-1 term is too small for the reduced "
+     "mass 0.5 GeV"),
+    (("--potential", "coulomb:alpha=5e-324", "--m1", "1", "--m2", "1",
+      "--method", "oracle"), 2,
+     "coefficient -5e-324 of the r^-1 term is too small for the reduced "
+     "mass 0.5 GeV"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
         "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
         "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha",
-        "m1-m2-1e-60", "m1-1e-200-nr", "b-1e-300", "r2-1e-300"])
+        "m1-m2-1e-60", "m1-1e-200-nr", "b-1e-300", "r2-1e-300",
+        "b-5e-324-slet", "b-5e-324-oracle", "alpha-5e-324-slet",
+        "alpha-5e-324-oracle"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",

@@ -655,22 +655,23 @@ class TestGridConvergence:
 
 class TestQuasiBoundMachinery:
     def test_default_grid_scales(self, cornell_pot, coulomb_pot, pair_145):
-        g = default_grid(coulomb_pot, pair_145)
+        ground = QuantumNumbers(0, 0)
+        g = default_grid(coulomb_pot, pair_145, ground)
         assert g.r_max == pytest.approx(40.0 / (pair_145.mu * 0.25), rel=1e-12)
-        g2 = default_grid(cornell_pot, pair_145, r_max=33.0)
+        g2 = default_grid(cornell_pot, pair_145, ground, r_max=33.0)
         assert g2.r_max == 33.0
         # no term of -r^-1/2 sets a length scale; the box falls back to 40
         scale_free = PotentialModel.custom([(-1.0, -0.5)])
-        assert default_grid(scale_free, pair_145).r_max == 40.0
+        assert default_grid(scale_free, pair_145, ground).r_max == 40.0
 
     def test_default_grid_level_sized(self, cornell_pot, coulomb_pot,
                                       pair_145):
-        qn = QuantumNumbers(3, 1)
-        plain = default_grid(coulomb_pot, pair_145).r_max
+        qn, ground = QuantumNumbers(3, 1), QuantumNumbers(0, 0)
+        plain = default_grid(coulomb_pot, pair_145, ground).r_max
         assert default_grid(coulomb_pot, pair_145, qn).r_max == 5.0 * plain
         # a confining potential keeps its box whatever the level
         assert (default_grid(cornell_pot, pair_145, qn).r_max
-                == default_grid(cornell_pot, pair_145).r_max)
+                == default_grid(cornell_pot, pair_145, ground).r_max)
 
     def test_escape_radius(self, cornell_pot, pair_145):
         r = escape_radius(cornell_pot, pair_145, 0.5, 1e3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +233,20 @@ class TestIntrospection:
     def test_coulomb_strength(self):
         assert PotentialModel.coulomb(0.3).coulomb_strength() == 0.3
         assert PotentialModel.oscillator(1.0).coulomb_strength() == 0.0
+
+    def test_length_scales(self):
+        cornell = PotentialModel.coulomb_plus_linear(0.25, 0.18)
+        assert cornell.length_scales(0.5) == (1.0 / (0.5 * 0.25),
+                                              (0.5 * 0.18) ** (-1.0 / 3.0))
+        # a zero coefficient and a power in (-1, 0] set no scale
+        scale_free = PotentialModel.custom([(0.0, 2.0), (-1.0, -0.5)])
+        assert scale_free.length_scales(0.5) == ()
+        # mu |c| underflows to 0: the scale would be infinite
+        for model, term in ((PotentialModel.linear(5e-324), "5e-324 of the "
+                             "r^1 term"),
+                            (PotentialModel.coulomb(5e-324), "-5e-324 of the "
+                             "r^-1 term")):
+            message = (f"coefficient {term} is too small for the reduced "
+                       "mass 0.5 GeV: their product underflows")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model.length_scales(0.5)
