@@ -379,12 +379,17 @@ def _write_report(args, payload, text, table):
 # -- argument handling -------------------------------------------------------
 
 def _parse_range(spec: str):
-    lo, sep, hi = spec.partition(":")
-    if not sep:
-        raise ValueError(f"range {spec!r} must look like 'lo:hi'")
-    lo, hi = int(lo), int(hi)
+    # argparse prints an ArgumentTypeError's own message; any other error
+    # it reports as an invalid value of this function, by its name
+    lo, _, hi = spec.partition(":")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range {spec!r} must look like 'lo:hi' with integer bounds"
+        ) from None
     if hi < lo:
-        raise ValueError(f"empty range {spec!r}")
+        raise argparse.ArgumentTypeError(f"empty range {spec!r}")
     return lo, hi
 
 

@@ -423,28 +423,6 @@ def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
                + (11 + 30 * n + 30 * n * n) * e3 * e3) / omega)
 
 
-def correction_energies(r0: float, denominator: float, alpha1: float,
-                        alpha2: float, lbar: float, mu: float, beta: float):
-    """Second and third correction terms of the assembled eigenvalue.
-
-    Matching the eigenvalue series order by order gives
-
-        E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D)
-        E3 = Q  alpha2                           / (r0^2 D)
-
-    with D = 1 + (E0 - V(r0))/eta from :func:`energy_denominator`, which
-    is at least 1.  The centrifugal-shift constant beta(beta+1)/(2 mu)
-    rides along with the series coefficient alpha1; without it the
-    construction would lose its exactness for the nonrelativistic
-    oscillator, where the two pieces cancel identically.  The returned
-    terms are the assembled corrections E2/lbar^2 and E3/lbar^3 with Q
-    identified as lbar^2.
-    """
-    first = alpha1 + beta * (beta + 1.0) / (2.0 * mu)
-    scale = r0**2 * denominator
-    return first / scale, alpha2 / (scale * lbar)
-
-
 def solve(potential: PotentialModel, pair: ParticlePair,
           qn: QuantumNumbers) -> SletSolution:
     """Run the full shifted-l expansion pipeline for one (n, l) level."""
@@ -469,8 +447,13 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     series = pt.rspt_coefficients(pt.AnharmonicProblem(
         pair.mu, geo.omega, n, coeffs.eps, coeffs.delta))
     alpha1, alpha2 = series.c2, series.c4
-    e2_term, e3_term = correction_energies(r0, denominator, alpha1, alpha2,
-                                           lbar, pair.mu, beta)
+    # E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D) and E3 = Q alpha2
+    # / (r0^2 D), taken as E2/lbar^2 and E3/lbar^3 with Q = lbar^2.  The
+    # shift constant rides with alpha1, or the nonrelativistic oscillator,
+    # where the two cancel identically, would lose its exactness.
+    scale = r0**2 * denominator
+    e2_term = (alpha1 + beta * (beta + 1.0) / (2.0 * pair.mu)) / scale
+    e3_term = alpha2 / (scale * lbar)
     binding = e0 + e2_term + e3_term
 
     closed1 = coeffs.alpha1_closed_form
@@ -526,36 +509,4 @@ def coulomb_closed_form(m: float, alpha: float, n: int) -> CoulombClosedForm:
         r0=big_n**2 / (2.0 * m) * math.sqrt(1.0 / alpha**2 - 1.0 / big_n**2),
         E0=e0,
         M=e0 + 2.0 * m,
-    )
-
-
-@dataclass(frozen=True)
-class CoulombReference:
-    """Known equal-mass Coulomb S-wave masses used for validation."""
-
-    m: float
-    exact_mass: float
-    upper_bound_mass: float
-
-    @property
-    def exact_binding(self):
-        return self.exact_mass - 2.0 * self.m
-
-
-def coulomb_reference(m: float, alpha: float, n: int) -> CoulombReference:
-    """Exact mass 2m / sqrt(1 + a^2) and variational bound 2m sqrt(1 - a^2).
-
-    Here a = alpha / (2n + 2).  The bound expression coincides with the
-    closed-form mass of :func:`coulomb_closed_form`.
-    """
-    if m <= 0.0 or alpha <= 0.0 or n < 0:
-        raise ValueError("need m > 0, alpha > 0 and n >= 0")
-    a = alpha / (2.0 * n + 2.0)
-    if a >= 1.0:
-        raise UnphysicalCouplingError(
-            f"alpha = {alpha:g} >= 2n + 2 = {2 * n + 2:g}")
-    return CoulombReference(
-        m=m,
-        exact_mass=2.0 * m / math.sqrt(1.0 + a * a),
-        upper_bound_mass=2.0 * m * math.sqrt(1.0 - a * a),
     )

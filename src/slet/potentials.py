@@ -277,9 +277,10 @@ _KIND_PARAMS = {
     "coulomb_plus_linear": ("alpha", "b"),
 }
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_TERM_RE = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<coef>{_NUMBER})\s*\*\s*r\s*"
-                      rf"\^\s*(?P<power>{_NUMBER})\s*")
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# the sign is the term's own, required on every term after the first
+_TERM_RE = re.compile(rf"\s*(?P<sign>[+-]?)\s*(?P<coef>{_UNSIGNED})\s*\*\s*r"
+                      rf"\s*\^\s*(?P<power>[+-]?{_UNSIGNED})\s*")
 
 
 def _parse_custom_terms(body: str):
@@ -287,17 +288,13 @@ def _parse_custom_terms(body: str):
     pos = 0
     while pos < len(body):
         m = _TERM_RE.match(body, pos)
-        if m is None:
+        if m is None or (terms and not m.group("sign")):
             raise PotentialParseError(
                 f"cannot parse custom potential near {body[pos:]!r}; "
                 "expected terms like '0.5*r^2-0.25*r^-1'")
-        coef = float(m.group("coef"))
-        if m.group("sign") == "-":
-            coef = -coef
-        terms.append((coef, float(m.group("power"))))
+        terms.append((float(m.group("sign") + m.group("coef")),
+                      float(m.group("power"))))
         pos = m.end()
-        if pos < len(body) and body[pos] == "+":
-            pos += 1
     if not terms:
         raise PotentialParseError("custom potential needs at least one term")
     return terms

@@ -20,7 +20,6 @@ from slet.engine import (
     QuantumNumbers,
     alpha1_closed_form,
     coulomb_closed_form,
-    coulomb_reference,
     solve,
 )
 from slet.fixtures import (
@@ -60,7 +59,9 @@ def test_criterion_01_coulomb_closed_form():
 def test_criterion_02_coulomb_exact_reference():
     failures = []
     for (n, _), printed in sorted(TABLE1.rows["exact"].items()):
-        got = coulomb_reference(M_COULOMB, ALPHA, n).exact_binding
+        # exact mass 2m / sqrt(1 + a^2), a = alpha / (2n + 2)
+        a = ALPHA / (2.0 * n + 2.0)
+        got = 2.0 * M_COULOMB / math.sqrt(1.0 + a * a) - 2.0 * M_COULOMB
         if abs(got - printed) > 1e-6:
             failures.append(f"n={n}: {got:.7f} vs printed {printed}")
     report(2, "Coulomb exact reference matches printed row at 1e-6", failures)
@@ -70,9 +71,11 @@ def test_criterion_03_bound_saturation_identity():
     failures = []
     for n in range(6):
         cf = coulomb_closed_form(M_COULOMB, ALPHA, n)
-        ref = coulomb_reference(M_COULOMB, ALPHA, n)
-        if cf.M != ref.upper_bound_mass:
-            failures.append(f"n={n}: {cf.M!r} != {ref.upper_bound_mass!r}")
+        # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
+        a = ALPHA / (2.0 * n + 2.0)
+        bound = 2.0 * M_COULOMB * math.sqrt(1.0 - a * a)
+        if cf.M != bound:
+            failures.append(f"n={n}: {cf.M!r} != {bound!r}")
     report(3, "closed-form mass equals variational bound exactly", failures)
 
 

@@ -295,12 +295,15 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
       "--method", "oracle"), 2,
      "coefficient -5e-324 of the r^-1 term is too small for the reduced "
      "mass 0.5 GeV"),
+    # a stray '+' ends the sum: no term is dropped silently
+    (("--potential", "custom:1*r^2+"), 2,
+     "cannot parse custom potential near '+'"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
         "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
         "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha",
         "m1-m2-1e-60", "m1-1e-200-nr", "b-1e-300", "r2-1e-300",
         "b-5e-324-slet", "b-5e-324-oracle", "alpha-5e-324-slet",
-        "alpha-5e-324-oracle"])
+        "alpha-5e-324-oracle", "custom-trailing-plus"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",
@@ -352,6 +355,29 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "invalid choice: 'xml'" in err
+
+    @pytest.mark.parametrize("bound, reason", [
+        ("3:1", "empty range '3:1'"),
+        ("3", "range '3' must look like 'lo:hi'"),
+        ("0:x", "range '0:x' must look like 'lo:hi' with integer bounds")],
+        ids=["empty", "no-colon", "non-integer"])
+    @pytest.mark.parametrize("from_config", [False, True],
+                             ids=["flag", "config"])
+    def test_bad_range_names_reason(self, capsys, tmp_path, bound, reason,
+                                    from_config):
+        argv = ["solve", "--potential", "oscillator:k=1", "--m1", "1.31",
+                "--m2", "1.31"]
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"n-range={bound}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--n-range", bound]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument --n-range: {reason}" in err
+        assert "_parse_range" not in err
 
     @pytest.mark.parametrize("value, expected", [
         ("true", True), ("1", True), ("Yes", True), ("on", True),

@@ -13,9 +13,7 @@ from slet.engine import (
     R0_TOLERANCE,
     QuantumNumbers,
     bracketed_root,
-    correction_energies,
     coulomb_closed_form,
-    coulomb_reference,
     energy_denominator,
     geometry_at,
     leading_energy,
@@ -469,15 +467,6 @@ class TestTaylorCoefficients:
         assert after == [("derivatives", sol.r0)]
 
 
-class TestCorrectionEnergies:
-    def test_zero_alphas(self):
-        # with beta(beta+1) = 0 too, both terms vanish and E = E0
-        e2, e3 = correction_energies(r0=2.0, denominator=1.02, alpha1=0.0,
-                                     alpha2=0.0, lbar=2.0, mu=0.725,
-                                     beta=-1.0)
-        assert e2 == 0.0 and e3 == 0.0
-
-
 class TestClosedForms:
     def test_coulomb_table_row(self):
         printed = [-0.02274, -0.00566, -0.002516, -0.001415, -0.000906,
@@ -491,14 +480,17 @@ class TestClosedForms:
         printed = [-0.022394, -0.005648, -0.002514, -0.001415, -0.000906,
                    -0.000629]
         for n, value in enumerate(printed):
-            ref = coulomb_reference(1.45, 0.25, n)
-            assert ref.exact_binding == pytest.approx(value, abs=1e-6)
+            # exact mass 2m / sqrt(1 + a^2), a = alpha / (2n + 2)
+            a = 0.25 / (2.0 * n + 2.0)
+            exact_binding = 2.0 * 1.45 / math.sqrt(1.0 + a * a) - 2.0 * 1.45
+            assert exact_binding == pytest.approx(value, abs=1e-6)
 
     def test_bound_saturation(self):
         for n in range(6):
             cf = coulomb_closed_form(1.45, 0.25, n)
-            ref = coulomb_reference(1.45, 0.25, n)
-            assert cf.M == ref.upper_bound_mass  # identical expression
+            # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
+            a = 0.25 / (2.0 * n + 2.0)
+            assert cf.M == 2.0 * 1.45 * math.sqrt(1.0 - a * a)
 
     def test_free_limit(self):
         cf = coulomb_closed_form(1.45, 1e-8, 0)
@@ -508,8 +500,6 @@ class TestClosedForms:
     def test_unphysical_coupling(self):
         with pytest.raises(UnphysicalCouplingError):
             coulomb_closed_form(1.0, 2.0, 0)
-        with pytest.raises(UnphysicalCouplingError):
-            coulomb_reference(1.0, 2.0, 0)
 
 
 class TestFullSolve:
@@ -524,6 +514,22 @@ class TestFullSolve:
                     sol.E0 + sol.E2_term + sol.E3_term, rel=1e-14)
                 assert sol.mass == pytest.approx(
                     sol.binding_energy + total, rel=1e-12)
+
+    def test_correction_terms_from_fields(self, table2_solutions,
+                                          table3_solutions, pair_131,
+                                          pair_145):
+        # E2 = [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D) and
+        # E3 = alpha2 / (r0^2 D lbar), D = 1 + (E0 - V(r0))/eta
+        for sols, mu in ((table2_solutions, pair_131.mu),
+                         (table3_solutions, pair_145.mu)):
+            for sol in sols.values():
+                scale = sol.r0**2 * (1.0
+                                     + sol.diagnostics.reduction_parameter)
+                shift = sol.beta * (sol.beta + 1.0) / (2.0 * mu)
+                assert sol.E2_term == pytest.approx(
+                    (sol.alpha1 + shift) / scale, rel=1e-14, abs=0.0)
+                assert sol.E3_term == pytest.approx(
+                    sol.alpha2 / (scale * sol.lbar), rel=1e-14, abs=0.0)
 
     def test_reduction_parameter(self, table2_solutions, oscillator_pot,
                                  pair_131):

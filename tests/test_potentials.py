@@ -223,6 +223,9 @@ class TestParse:
         "nope", "coulomb", "coulomb:beta=1", "coulomb:alpha=x",
         "cornell:alpha=0.25", "custom:r+1", "oscillator:k=-2",
         "oscillator:k=inf", "cornell:alpha=0.25,b=0.18,alpha=9",
+        # a sign belongs to one term: none missing, none stray or doubled
+        "custom:1*r^2+", "custom:1*r^2 1*r^3", "custom:1*r^2++1*r^1",
+        "custom:1*r^2-+1*r^3",
     ])
     def test_malformed(self, bad):
         with pytest.raises(PotentialParseError):
