@@ -558,6 +558,11 @@ def cmd_compare(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read a range value like -1:2 as an option
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--n-range", "--l-range") and \
+                argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,10 +18,13 @@ identified with lbar^2 only at the converged point, where the root
 equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
 the root residual from its one geometry evaluation there, and the
 geometry, E0, the Taylor coefficients and the denominator check all read
-the one stack.  The reported correction coefficients alpha1 and alpha2
-come from the perturbation module's moment recursion.  The closed
-form for alpha1, evaluated once, supplies the E2 that delta1 and delta2
-need before the series can run, and checks the series' alpha1 afterwards.
+the one stack, and E0 and the Taylor coefficients the one denominator D.
+The reported correction coefficients alpha1 and alpha2 come from the
+perturbation module's moment recursion.  The closed form for alpha1,
+evaluated once, supplies the E2 that delta1 and delta2 need before the
+series can run, and checks the series' alpha1 afterwards.  Input beyond
+double precision ends in an UnphysicalRegimeError labelled solve_r0 or
+taylor_coefficients.
 """
 
 from __future__ import annotations
@@ -65,34 +68,6 @@ class QuantumNumbers:
     def __post_init__(self):
         if self.n < 0 or self.l < 0:
             raise ValueError("quantum numbers must be non-negative")
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Expansion-point quantities xi, Q and the scaled frequency omega.
-
-    Floats for a scalar expansion point, arrays for an array of them.
-    """
-
-    xi: float
-    Q: float
-    omega: float
-
-
-@dataclass(frozen=True)
-class TaylorCoefficients:
-    """Perturbation inputs eps1..4, delta1..6 and their scaled versions.
-
-    Bars divide eps_i by (2 mu omega)^(i/2) and delta_j by
-    (2 mu omega)^(j/2).  alpha1_closed_form is the closed-form alpha1 of
-    eps_bar that went into delta1 and delta2.
-    """
-
-    eps: tuple
-    delta: tuple
-    eps_bar: tuple
-    delta_bar: tuple
-    alpha1_closed_form: float
 
 
 @dataclass(frozen=True)
@@ -151,8 +126,8 @@ def _stage(name: str):
         raise
 
 
-def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
-    """xi, Q and omega at a trial expansion point from the stack d.
+def geometry_at(d, pair: ParticlePair, r0):
+    """(xi, Q, omega) at a trial expansion point from the stack d.
 
     d is V^(0..k)(r0) with k >= 2, as :meth:`PotentialModel.derivatives`
     returns it; only V' = d[1] and V'' = d[2] are read.  With s = r0
@@ -180,11 +155,10 @@ def geometry_at(d, pair: ParticlePair, r0) -> Geometry:
         omega = np.sqrt(bracket) / mu
     if rr.ndim == 0:
         if not v1 > 0.0 or bracket < 0.0:
-            return Geometry(xi=math.nan, Q=math.nan, omega=math.nan)
-        return Geometry(xi=float(xi), Q=float(q), omega=float(omega))
+            return math.nan, math.nan, math.nan
+        return float(xi), float(q), float(omega)
     bad = ~(v1 > 0.0) | (bracket < 0.0)
-    return Geometry(xi=np.where(bad, np.nan, xi), Q=np.where(bad, np.nan, q),
-                    omega=np.where(bad, np.nan, omega))
+    return tuple(np.where(bad, np.nan, v) for v in (xi, q, omega))
 
 
 def shift_and_lbar(pair: ParticlePair, n: int, omega: float, l: int):
@@ -193,16 +167,15 @@ def shift_and_lbar(pair: ParticlePair, n: int, omega: float, l: int):
     return beta, l - beta
 
 
-def leading_energy(v0: float, pair: ParticlePair, r0: float,
-                   Q: float) -> float:
+def leading_energy(v0: float, pair: ParticlePair, r0: float, Q: float,
+                   D: float) -> float:
     """Leading eigenvalue E0 = v0 - eta + sqrt(eta^2 + eta Q/(mu r0^2)).
 
-    v0 is V(r0).  Evaluated in the cancellation-free form
-    v0 + Q / (mu r0^2 (1 + D)), with D from :func:`energy_denominator`;
+    v0 is V(r0) and D is :func:`energy_denominator` at (r0, Q).
+    Evaluated in the cancellation-free form v0 + Q / (mu r0^2 (1 + D));
     at eta = inf, D = 1 gives the nonrelativistic v0 + Q / (2 mu r0^2).
     """
-    d = energy_denominator(pair, r0, Q)
-    return v0 + Q / (pair.mu * r0**2 * (1.0 + d))
+    return v0 + Q / (pair.mu * r0**2 * (1.0 + D))
 
 
 def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
@@ -218,9 +191,9 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
     1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
     or array r0 as in :func:`geometry_at`, and NaN where that gives NaN.
     """
-    geo = geometry_at(potential.derivatives(r0, 2), pair, r0)
-    _, lbar = shift_and_lbar(pair, qn.n, geo.omega, qn.l)
-    value = 2.0 * (np.sqrt(geo.Q) - lbar)
+    _, q, omega = geometry_at(potential.derivatives(r0, 2), pair, r0)
+    _, lbar = shift_and_lbar(pair, qn.n, omega, qn.l)
+    value = 2.0 * (np.sqrt(q) - lbar)
     return value if value.ndim else float(value)
 
 
@@ -305,7 +278,8 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     R0_SCAN_PANELS logarithmic panels from 1e-3 times the smallest to
     10 (2n + l + 2)^2 times the largest of the potential's length scales;
     the upper end stays above the Coulomb orbit radius, which grows as
-    (n + l + 1)^2 Bohr radii.  Scan points where the residual is NaN, at
+    (n + l + 1)^2 Bohr radii.  A bracket that is not finite raises
+    UnphysicalRegimeError.  Scan points where the residual is NaN, at
     radii :func:`geometry_at` finds unusable or where the arithmetic
     overflows, are skipped.  Every sign change is polished by
     :func:`bracketed_root` from the two scan values around it, to
@@ -323,6 +297,9 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     scales = potential.length_scales(pair.mu) or (1.0,)
     lo = 1e-3 * min(scales)
     hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
+    if not 0.0 < lo < hi < math.inf:
+        raise UnphysicalRegimeError(
+            f"the r0 scan bracket [{lo:g}, {hi:g}] is not finite")
     grid, values = log_scan(residual, lo, hi, R0_SCAN_PANELS + 1)
 
     roots = [float(r) for r in grid[values == 0.0]]
@@ -352,9 +329,12 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
             "points were usable)")
 
     if len(unique) > 1:
-        stacks = [potential.derivatives(r, 2) for r in unique]
-        energies = [leading_energy(d[0], pair, r, geometry_at(d, pair, r).Q)
-                    for d, r in zip(stacks, unique)]
+        energies = []
+        for r in unique:
+            d = potential.derivatives(r, 2)
+            _, q, _ = geometry_at(d, pair, r)
+            energies.append(leading_energy(d[0], pair, r, q,
+                                           energy_denominator(pair, r, q)))
         best = int(np.argmin(energies))
         warnings.warn(
             f"{len(unique)} expansion points satisfy the root equation; "
@@ -368,16 +348,16 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
 
 
 def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
-                        beta: float, E0: float, omega: float,
-                        n: int) -> TaylorCoefficients:
-    """Perturbation coefficients of level n from the stack d = V^(0..6)(r0).
+                        D: float, beta: float, E0: float, omega: float,
+                        n: int):
+    """(eps, delta, eps_bar, delta_bar, alpha1) of level n at r0.
 
-    gamma^(3..6) come from the same stack.  delta1 and delta2 contain
-    E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D), with D from
-    :func:`energy_denominator`.  The series cannot run before the deltas
-    exist, so this alpha1 comes from :func:`alpha1_closed_form` of the
-    scaled eps, which are computed first; the result carries it as
-    ``alpha1_closed_form``.
+    d is the stack V^(0..6)(r0), from which gamma^(3..6) come too; bars
+    divide eps_i and delta_j by (2 mu omega)^(i/2) and (2 mu omega)^(j/2).
+    delta1 and delta2 contain E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] /
+    (r0^2 D), with D from :func:`energy_denominator`.  The series cannot
+    run before the deltas exist, so this alpha1 comes from
+    :func:`alpha1_closed_form` of the scaled eps, which are computed first.
     """
     mu, eta = pair.mu, pair.eta
     inv_eta = 1.0 / eta
@@ -393,8 +373,7 @@ def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
     )
     eps_bar = tuple(e / scale ** ((i + 1) / 2.0) for i, e in enumerate(eps))
     alpha1 = alpha1_closed_form(n, omega, eps_bar)
-    e2 = (Q * (alpha1 + beta * (beta + 1.0) / (2.0 * mu))
-          / (r0**2 * energy_denominator(pair, r0, Q)))
+    e2 = Q * (alpha1 + beta * (beta + 1.0) / (2.0 * mu)) / (r0**2 * D)
     delta = (
         -beta * (beta + 1.0) / mu + r0**3 * d[1] * e2 * inv_eta / Q,
         3.0 * beta * (beta + 1.0) / (2.0 * mu)
@@ -406,8 +385,7 @@ def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
     )
     delta_bar = tuple(dj / scale ** ((j + 1) / 2.0)
                       for j, dj in enumerate(delta))
-    return TaylorCoefficients(eps=eps, delta=delta, eps_bar=eps_bar,
-                              delta_bar=delta_bar, alpha1_closed_form=alpha1)
+    return eps, delta, eps_bar, delta_bar, alpha1
 
 
 def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
@@ -431,21 +409,25 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
         r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
-    stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
-    geo = geometry_at(stack, pair, r0)
-    beta, lbar = shift_and_lbar(pair, n, geo.omega, l)
-    e0 = leading_energy(stack[0], pair, r0, geo.Q)
-    denominator = energy_denominator(pair, r0, geo.Q)
+    with np.errstate(all="ignore"):
+        stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
+    xi, q, omega = geometry_at(stack, pair, r0)
+    beta, lbar = shift_and_lbar(pair, n, omega, l)
+    denominator = energy_denominator(pair, r0, q)
+    e0 = leading_energy(stack[0], pair, r0, q, denominator)
     with _stage("taylor_coefficients"):
         try:
-            coeffs = taylor_coefficients(stack, pair, r0, geo.Q, beta, e0,
-                                         geo.omega, n)
+            eps, delta, eps_bar, delta_bar, closed1 = taylor_coefficients(
+                stack, pair, r0, q, denominator, beta, e0, omega, n)
         except OverflowError:
             raise UnphysicalRegimeError(
                 f"r0 = {r0:g} is too large for the expansion: a power of "
                 "r0 overflows") from None
-    series = pt.rspt_coefficients(pt.AnharmonicProblem(
-        pair.mu, geo.omega, n, coeffs.eps, coeffs.delta))
+        if not all(math.isfinite(c) for c in (*eps, *delta)):
+            raise UnphysicalRegimeError(
+                f"r0 = {r0:g} is out of the expansion's range: a Taylor "
+                "coefficient is not finite")
+    series = pt.rspt_coefficients(pair.mu, omega, n, eps, delta)
     alpha1, alpha2 = series.c2, series.c4
     # E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D) and E3 = Q alpha2
     # / (r0^2 D), taken as E2/lbar^2 and E3/lbar^3 with Q = lbar^2.  The
@@ -456,8 +438,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     e3_term = alpha2 / (scale * lbar)
     binding = e0 + e2_term + e3_term
 
-    closed1 = coeffs.alpha1_closed_form
-    gap = math.sqrt(geo.Q) - lbar
+    gap = math.sqrt(q) - lbar
     diag = SolveDiagnostics(
         r0_residual=2.0 * gap, r0_function_calls=calls,
         r0_iterations=iterations, r0_root_count=root_count,
@@ -469,9 +450,8 @@ def solve(potential: PotentialModel, pair: ParticlePair,
                          if abs(alpha1) > 1e-12 else abs(alpha1 - closed1)))
 
     return SletSolution(
-        n=n, l=l, r0=r0, omega=geo.omega, xi=geo.xi, Q=geo.Q, beta=beta,
-        lbar=lbar, E0=e0, eps=coeffs.eps, delta=coeffs.delta,
-        eps_bar=coeffs.eps_bar, delta_bar=coeffs.delta_bar,
+        n=n, l=l, r0=r0, omega=omega, xi=xi, Q=q, beta=beta, lbar=lbar,
+        E0=e0, eps=eps, delta=delta, eps_bar=eps_bar, delta_bar=delta_bar,
         alpha1=alpha1, alpha2=alpha2, E2_term=e2_term, E3_term=e3_term,
         binding_energy=binding, mass=binding + pair.total_mass,
         diagnostics=diag)

@@ -45,7 +45,6 @@ odd-order coefficients c1 and c3 are exactly 0.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -74,30 +73,6 @@ def position_power_matrix(mu: float, omega: float, basis_size: int,
 
 
 @dataclass(frozen=True)
-class AnharmonicProblem:
-    """Level ``level`` of h(lambda) in the module docstring.
-
-    ``eps`` holds eps1..eps4 and ``delta`` holds delta1..delta6.
-    """
-
-    mu: float
-    omega: float
-    level: int
-    eps: tuple
-    delta: tuple
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be a non-negative integer")
-        if not self.mu * self.omega > 0.0:
-            raise ValueError("mu * omega must be positive")
-        if len(self.eps) != 4 or len(self.delta) != 6:
-            raise ValueError("need four eps and six delta coefficients")
-        if not all(isfinite(c) for c in (*self.eps, *self.delta)):
-            raise ValueError("perturbation coefficients must be finite")
-
-
-@dataclass(frozen=True)
 class SeriesCoefficients:
     """Coefficients of lambda^1..lambda^4 in the eigenvalue series."""
 
@@ -107,21 +82,22 @@ class SeriesCoefficients:
     c4: float
 
 
-def rspt_coefficients(problem: AnharmonicProblem) -> SeriesCoefficients:
-    """Eigenvalue series coefficients c1..c4 of level n.
+def rspt_coefficients(mu: float, omega: float, level: int, eps,
+                      delta) -> SeriesCoefficients:
+    """Series coefficients c1..c4 of h(lambda) at level n = ``level``.
 
     The recursion of the module docstring in plain floats, order by
     order: E_q, then X_{m,q} for the powers m of the parity of q.
     """
-    mu, omega = problem.mu, problem.omega
-    e, d = problem.eps, problem.delta
+    e1, e2, e3, e4 = eps
+    d1, d2, d3, d4, d5, d6 = delta
     # (order, power, coefficient), in the order of h(lambda)
-    terms = ((1, 1, e[0]), (1, 3, e[2]), (2, 2, e[1]), (2, 4, e[3]),
-             (3, 1, d[0]), (3, 3, d[2]), (3, 5, d[4]),
-             (4, 2, d[1]), (4, 4, d[3]), (4, 6, d[5]))
+    terms = ((1, 1, e1), (1, 3, e3), (2, 2, e2), (2, 4, e4),
+             (3, 1, d1), (3, 3, d3), (3, 5, d5), (4, 2, d2), (4, 4, d4),
+             (4, 6, d6))
     # moments[q][m] = X_{m,q}, up to the power E_4 reads at order q
     moments = ([1.0] + [0.0] * 6, [0.0] * 6, [0.0] * 5, [0.0] * 4)
-    energies = [(problem.level + 0.5) * omega, 0.0, 0.0, 0.0, 0.0]
+    energies = [(level + 0.5) * omega, 0.0, 0.0, 0.0, 0.0]
     stiffness = mu * omega * omega
     for q in range(5):
         # Hellmann-Feynman; E_1 and E_3 vanish by parity

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -64,17 +65,17 @@ class ParticlePair:
             raise ValueError(f"{masses} are too small: the product of their "
                              "cubes underflows")
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return self.m1 * self.m2 / (self.m1 + self.m2)
 
-    @property
+    @cached_property
     def nu(self) -> float:
         if not self.relativistic:
             return math.inf
         return (self.m1**3 * self.m2**3) / (self.m1**3 + self.m2**3)
 
-    @property
+    @cached_property
     def eta(self) -> float:
         return self.nu / self.mu**2
 
@@ -204,8 +205,8 @@ class PotentialModel:
 
         1/(mu |c|) for a 1/r term (its Bohr radius) and
         (mu |c|)^(-1/(p+2)) for a power p > 0; other terms and zero
-        coefficients set no scale.  A nonzero c for which mu |c|
-        underflows to 0 is refused: its scale would be infinite.
+        coefficients set no scale.  A nonzero c whose scale would not be
+        finite and positive is refused.
         """
         scales = []
         for c, p in self.terms:
@@ -213,12 +214,19 @@ class PotentialModel:
                 continue
             strength = mu * abs(c)
             if strength == 0.0:
+                scale = math.inf
+            elif p == -1.0:
+                scale = 1.0 / strength
+            else:
+                scale = strength ** (-1.0 / (p + 2.0))
+            if not 0.0 < scale < math.inf:
+                fault = ("their product underflows" if strength == 0.0
+                         else f"its length scale would be {scale:g}")
                 raise ValueError(
                     f"the coefficient {c!r} of the r^{p:g} term is too "
-                    f"small for the reduced mass {mu!r} GeV: their product "
-                    "underflows")
-            scales.append(1.0 / strength if p == -1.0
-                          else strength ** (-1.0 / (p + 2.0)))
+                    f"{'small' if scale else 'large'} for the reduced mass "
+                    f"{mu!r} GeV: {fault}")
+            scales.append(scale)
         return tuple(scales)
 
     def singular_powers(self) -> tuple:

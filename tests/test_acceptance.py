@@ -142,9 +142,7 @@ def test_criterion_06_alpha1_dual_path(table2_solutions, table3_solutions):
         eps_bar = rng.uniform(-1.0, 1.0, 4)
         scale = 2.0 * mu * omega
         eps = [e * scale ** ((i + 1) / 2.0) for i, e in enumerate(eps_bar)]
-        problem = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
-                                       eps=tuple(eps), delta=(0,) * 6)
-        c2 = pt.rspt_coefficients(problem).c2
+        c2 = pt.rspt_coefficients(mu, omega, n, tuple(eps), (0,) * 6).c2
         closed = alpha1_closed_form(n, omega, eps_bar)
         gap = abs(c2 - closed)
         if abs(closed) > 1e-12 and gap / abs(closed) > 1e-8:
@@ -285,25 +283,19 @@ def test_criterion_10_property_suites():
         eps = [rng.uniform(-1, 1) * scale ** ((i + 1) / 2.0)
                for i in range(4)]
         delta = rng.uniform(-1, 1, 6)
-        problem = pt.AnharmonicProblem(
-            mu=mu, omega=omega, level=int(rng.integers(0, 4)),
-            eps=tuple(eps), delta=tuple(delta))
-        c = pt.rspt_coefficients(problem)
+        c = pt.rspt_coefficients(mu, omega, int(rng.integers(0, 4)),
+                                 tuple(eps), tuple(delta))
         if abs(c.c1) > 1e-10 or abs(c.c3) > 1e-10:
             failures.append("parity zeros violated")
 
     mu, omega, n = 0.9, 1.7, 1
     ebar1 = 0.63
     e1 = ebar1 * math.sqrt(2 * mu * omega)
-    linear_only = pt.AnharmonicProblem(mu=mu, omega=omega, level=n,
-                                       eps=(e1, 0, 0, 0), delta=(0,) * 6)
-    c = pt.rspt_coefficients(linear_only)
+    c = pt.rspt_coefficients(mu, omega, n, (e1, 0, 0, 0), (0,) * 6)
     if abs(c.c2 - (-ebar1**2 / omega)) > 1e-10:
         failures.append("displaced-oscillator check")
     e2 = 0.07
-    quad_only = pt.AnharmonicProblem(mu=1.1, omega=0.8, level=2,
-                                     eps=(0, e2, 0, 0), delta=(0,) * 6)
-    c = pt.rspt_coefficients(quad_only)
+    c = pt.rspt_coefficients(1.1, 0.8, 2, (0, e2, 0, 0), (0,) * 6)
     if abs(c.c2 - 2.5 * e2 / (1.1 * 0.8)) > 1e-10:
         failures.append("quadratic-shift c2")
     if abs(c.c4 - (-2.5 * e2**2 / (2 * 1.1**2 * 0.8**3))) > 1e-10:

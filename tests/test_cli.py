@@ -298,12 +298,28 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
     # a stray '+' ends the sum: no term is dropped silently
     (("--potential", "custom:1*r^2+"), 2,
      "cannot parse custom potential near '+'"),
+    # mu |c| overflows, so the term's length scale would be 0
+    (("--potential", "custom:1e300*r^0.5", "--m1", "1e30", "--m2", "1e30"),
+     2, "coefficient 1e+300 of the r^0.5 term is too large for the reduced "
+     "mass 5.000000000000001e+29 GeV: its length scale would be 0"),
+    (("--potential", "custom:-1e-300*r^-1+1*r^2", "--m1", "1e-5", "--m2",
+      "1e-5", "--n", "3", "--l", "2"), 4, "error:UnphysicalRegimeError@solve_r0"),
+    (("--potential", "custom:-1e-30*r^-1+1*r^2", "--m1", "1e100", "--m2",
+      "1e100", "--nonrelativistic"), 4,
+     "error:UnphysicalRegimeError@taylor_coefficients"),
+    # a negative bound given as its own argument reaches the range checks
+    (("--potential", CORNELL, "--n-range", "-1:2"), 2,
+     "quantum numbers must be non-negative"),
+    (("--potential", CORNELL, "--l-range", "-2:-1", "--method", "oracle"), 2,
+     "quantum numbers must be non-negative"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
         "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
         "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha",
         "m1-m2-1e-60", "m1-1e-200-nr", "b-1e-300", "r2-1e-300",
         "b-5e-324-slet", "b-5e-324-oracle", "alpha-5e-324-slet",
-        "alpha-5e-324-oracle", "custom-trailing-plus"])
+        "alpha-5e-324-oracle", "custom-trailing-plus", "r0.5-1e300-m-1e30",
+        "infinite-scan-bracket", "nonfinite-taylor", "negative-n-range",
+        "negative-l-range"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",

@@ -27,6 +27,7 @@ from slet.errors import (
     BracketingError,
     ConvergenceError,
     MultipleRootsWarning,
+    SletError,
     SupercriticalCouplingError,
     UnphysicalCouplingError,
     UnphysicalRegimeError,
@@ -56,8 +57,9 @@ def coulomb_r0_reference(m, alpha, n, l=0):
 class TestGeometry:
     def test_coulomb_closed_form_point(self, coulomb_pot, pair_145):
         cf = coulomb_closed_form(1.45, 0.25, 0)
-        geo = geometry_at(coulomb_pot.derivatives(cf.r0, 2), pair_145, cf.r0)
-        assert geo.Q == pytest.approx(1.0, rel=1e-10)
+        _, q, _ = geometry_at(coulomb_pot.derivatives(cf.r0, 2), pair_145,
+                              cf.r0)
+        assert q == pytest.approx(1.0, rel=1e-10)
 
     def test_nonrelativistic_limit_of_q(self):
         # eta -> inf turns Q into mu r0^3 V'(r0): exactly at eta = inf,
@@ -67,25 +69,26 @@ class TestGeometry:
         for m, rel in ((5e7, 1e-4), (5e11, 1e-10)):  # eta = 2m
             heavy = ParticlePair.equal(m)
             limit = heavy.mu * r0**3 * pot.derivative(r0, 1)
-            geo = geometry_at(pot.derivatives(r0, 2), heavy, r0)
-            assert geo.Q == pytest.approx(limit, rel=rel)
+            _, q, _ = geometry_at(pot.derivatives(r0, 2), heavy, r0)
+            assert q == pytest.approx(limit, rel=rel)
         pair = ParticlePair.equal(1.31, relativistic=False)
-        geo = geometry_at(pot.derivatives(r0, 2), pair, r0)
-        assert geo.Q == pair.mu * r0**3 * pot.derivative(r0, 1)
-        assert geo.xi == math.inf
+        xi, q, _ = geometry_at(pot.derivatives(r0, 2), pair, r0)
+        assert q == pair.mu * r0**3 * pot.derivative(r0, 1)
+        assert xi == math.inf
 
     def test_omega_near_coulomb_ratio(self, coulomb_pot, pair_145):
         # the scaled frequency sits within 1% of 2/m for alpha = 0.25
         r0, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
-        geo = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145, r0)
-        assert abs(geo.omega / (2.0 / 1.45) - 1.0) < 0.01
+        _, _, omega = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145,
+                                  r0)
+        assert abs(omega / (2.0 / 1.45) - 1.0) < 0.01
 
     def test_decreasing_point_is_nan(self, pair_145):
         # an unusable radius gives NaN, never an exception
         pot = PotentialModel.custom([(-0.5, 1.0)])
         geo = geometry_at(pot.derivatives(1.0, 2), pair_145, 1.0)
-        assert [type(v) for v in (geo.xi, geo.Q, geo.omega)] == [float] * 3
-        assert all(math.isnan(v) for v in (geo.xi, geo.Q, geo.omega))
+        assert [type(v) for v in geo] == [float] * 3
+        assert all(math.isnan(v) for v in geo)
         assert math.isnan(r0_residual(pot, pair_145, QuantumNumbers(0, 0),
                                       1.0))
 
@@ -113,9 +116,8 @@ class TestArrayForm:
         residual = r0_residual(pot, pair, qn, radii)
         for i, r in enumerate(radii):
             one = geometry_at(pot.derivatives(float(r), 2), pair, float(r))
-            got = (geo.xi[i], geo.Q[i], geo.omega[i], residual[i])
-            want = (one.xi, one.Q, one.omega,
-                    r0_residual(pot, pair, qn, float(r)))
+            got = (*(values[i] for values in geo), residual[i])
+            want = (*one, r0_residual(pot, pair, qn, float(r)))
             # bit for bit, NaN at the same radii
             assert np.array(got).tobytes() == np.array(want).tobytes()
         # all four are NaN exactly at the unusable radii: V' <= 0, or a
@@ -127,7 +129,7 @@ class TestArrayForm:
             bracket = 3.0 + radii * v2 / v1 - 2.0 * s / (s + w)
         decreasing = ~(v1 > 0.0)
         negative = (v1 > 0.0) & (bracket < 0.0)
-        for values in (geo.xi, geo.Q, geo.omega, residual):
+        for values in (*geo, residual):
             assert (np.isnan(values) == (decreasing | negative)).all()
         assert decreasing.any() == (name == "decreasing")
         assert negative.any() == (name == "steep-core")
@@ -140,7 +142,7 @@ class TestArrayForm:
         # a scalar radius stays 0-d all the way, and what comes out is a
         # plain float, so no np.float64 reaches a CSV cell's repr
         geo = geometry_at(cornell_pot.derivatives(r, 2), pair_145, r)
-        assert [type(v) for v in (geo.xi, geo.Q, geo.omega)] == [float] * 3
+        assert [type(v) for v in geo] == [float] * 3
         stack = cornell_pot.derivatives(r, 6)
         assert [type(v) for v in stack] == [float] * 7
         assert type(r0_residual(cornell_pot, pair_145,
@@ -193,9 +195,9 @@ class TestSolveR0:
         for n, l in [(0, 0), (2, 1), (4, 2)]:
             qn = QuantumNumbers(n, l)
             r0, _ = solve_r0(pot, pair, qn)
-            geo = geometry_at(pot.derivatives(r0, 2), pair, r0)
-            _, lbar = shift_and_lbar(pair, n, geo.omega, l)
-            assert abs(math.sqrt(geo.Q) - lbar) / lbar <= 1e-8
+            _, q, omega = geometry_at(pot.derivatives(r0, 2), pair, r0)
+            _, lbar = shift_and_lbar(pair, n, omega, l)
+            assert abs(math.sqrt(q) - lbar) / lbar <= 1e-8
             assert abs(r0_residual(pot, pair, qn, r0)) < 1e-9
 
     @pytest.mark.parametrize("spec, relativistic", [
@@ -236,7 +238,7 @@ class TestSolveR0:
         assert match
         lo, hi, x = map(float, match.groups())
         assert lo < x < hi
-        assert math.isnan(geometry_at(pot.derivatives(x, 2), pair, x).omega)
+        assert math.isnan(geometry_at(pot.derivatives(x, 2), pair, x)[2])
 
     def test_multiple_roots_keep_lowest_leading_energy(self, pair_145):
         # the r0 equation has a root near 0.958 and one near 3.126; the
@@ -250,9 +252,9 @@ class TestSolveR0:
         assert sol.E0 == pytest.approx(2.61534, abs=1e-5)
         other = brentq(lambda r: r0_residual(pot, pair_145, qn, r), 0.5, 1.0)
         assert other == pytest.approx(0.95777, abs=1e-5)
-        e0_other = leading_energy(pot.evaluate(other), pair_145, other,
-                                  geometry_at(pot.derivatives(other, 2),
-                                              pair_145, other).Q)
+        _, q, _ = geometry_at(pot.derivatives(other, 2), pair_145, other)
+        e0_other = leading_energy(pot.evaluate(other), pair_145, other, q,
+                                  energy_denominator(pair_145, other, q))
         assert e0_other == pytest.approx(2.77511, abs=1e-5)
         assert sol.E0 < e0_other
 
@@ -391,21 +393,23 @@ class TestLeadingEnergy:
         for n, printed in [(0, -0.02274), (3, -0.001415)]:
             cf = coulomb_closed_form(1.45, 0.25, n)
             e0 = leading_energy(coulomb_pot.evaluate(cf.r0), pair_145, cf.r0,
-                                cf.Q)
+                                cf.Q, energy_denominator(pair_145, cf.r0,
+                                                         cf.Q))
             assert e0 == pytest.approx(printed, abs=1e-5)
             assert e0 == pytest.approx(cf.E0, rel=1e-10)
 
     def test_degenerate_q(self, coulomb_pot, pair_145):
         r0 = 2.0
         v0 = coulomb_pot.evaluate(r0)
-        assert leading_energy(v0, pair_145, r0, 0.0) == v0
+        assert leading_energy(v0, pair_145, r0, 0.0,
+                              energy_denominator(pair_145, r0, 0.0)) == v0
 
     def test_denominator_identity(self, cornell_pot, pair_145):
         # sqrt(1 + Q/(mu eta r0^2)) equals 1 + (E0 - V(r0))/eta
         r0, _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
-        geo = geometry_at(cornell_pot.derivatives(r0, 2), pair_145, r0)
-        e0 = leading_energy(cornell_pot.evaluate(r0), pair_145, r0, geo.Q)
-        d1 = energy_denominator(pair_145, r0, geo.Q)
+        _, q, _ = geometry_at(cornell_pot.derivatives(r0, 2), pair_145, r0)
+        d1 = energy_denominator(pair_145, r0, q)
+        e0 = leading_energy(cornell_pot.evaluate(r0), pair_145, r0, q, d1)
         d2 = 1.0 + (e0 - cornell_pot.evaluate(r0)) / pair_145.eta
         assert d1 == pytest.approx(d2, rel=1e-12)
 
@@ -413,29 +417,32 @@ class TestLeadingEnergy:
 class TestTaylorCoefficients:
     def test_vanishing_shift_factor(self, cornell_pot, pair_145):
         # beta = -1/2 makes (2 beta + 1) = 0, so eps1 = eps2 = 0
-        tc = taylor_coefficients(cornell_pot.derivatives(2.0, 6), pair_145,
-                                 r0=2.0, Q=4.0, beta=-0.5, E0=0.1, omega=1.0,
-                                 n=0)
-        assert tc.eps[0] == 0.0
-        assert tc.eps[1] == 0.0
+        eps, *_ = taylor_coefficients(
+            cornell_pot.derivatives(2.0, 6), pair_145, r0=2.0, Q=4.0,
+            D=energy_denominator(pair_145, 2.0, 4.0), beta=-0.5, E0=0.1,
+            omega=1.0, n=0)
+        assert eps[0] == 0.0
+        assert eps[1] == 0.0
 
     def test_linear_third_order(self, pair_145):
         # V''' = 0 for b r, so only the gamma part feeds eps3's tail
         pot = PotentialModel.linear(0.18)
         r0, q, beta, e0, omega = 2.0, 4.0, -1.2, 0.3, 1.1
-        tc = taylor_coefficients(pot.derivatives(r0, 6), pair_145, r0, q, beta,
-                                 e0, omega, 0)
+        eps, *_ = taylor_coefficients(
+            pot.derivatives(r0, 6), pair_145, r0, q,
+            energy_denominator(pair_145, r0, q), beta, e0, omega, 0)
         gamma3 = pot.gamma_derivative(pair_145, r0, 3)
         expect = -2.0 / pair_145.mu + r0**5 / (6.0 * q) * gamma3
-        assert tc.eps[2] == pytest.approx(expect, rel=1e-14)
+        assert eps[2] == pytest.approx(expect, rel=1e-14)
 
     def test_oscillator_delta6(self, oscillator_pot, pair_131):
         # (r^4/4)^(6) = 0 and V^(6) = 0, so delta6 = 7/(2 mu) exactly
-        tc = taylor_coefficients(oscillator_pot.derivatives(1.4, 6), pair_131,
-                                 r0=1.4, Q=3.0, beta=-1.0, E0=1.5, omega=2.0,
-                                 n=0)
-        assert tc.delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
-                                            rel=1e-14)
+        _, delta, *_ = taylor_coefficients(
+            oscillator_pot.derivatives(1.4, 6), pair_131, r0=1.4, Q=3.0,
+            D=energy_denominator(pair_131, 1.4, 3.0), beta=-1.0, E0=1.5,
+            omega=2.0, n=0)
+        assert delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
+                                         rel=1e-14)
 
     def test_one_derivative_stack(self, cornell_pot, pair_145, monkeypatch):
         # a solve samples the potential only through derivative stacks;
@@ -601,9 +608,9 @@ class TestFullSolve:
         calls = []
         original = perturbation.rspt_coefficients
 
-        def counted(problem, *args, **kwargs):
-            calls.append(problem)
-            return original(problem, *args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
         monkeypatch.setattr(perturbation, "rspt_coefficients", counted)
         solve(cornell_pot, pair_145, QuantumNumbers(1, 1))
         assert len(calls) == 1
@@ -669,6 +676,34 @@ class TestFullSolve:
                   QuantumNumbers(0, 0))
         assert info.value.stage == "taylor_coefficients"
 
+    def test_nonfinite_taylor_coefficient_refused(self):
+        # r0 = 2e-70, the Bohr radius of the tiny 1/r term for the heavy
+        # pair: V^(4..6) overflow there, without a warning, and so does a
+        # Taylor coefficient
+        pot = parse_potential("custom:-1e-30*r^-1+1*r^2")
+        pair = ParticlePair.equal(1e100, relativistic=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalRegimeError, match=r"r0 = \S+ is "
+                               "out of the expansion's range: a Taylor "
+                               "coefficient is not finite") as info:
+                solve(pot, pair, QuantumNumbers(0, 0))
+        assert info.value.stage == "taylor_coefficients"
+
+    def test_infinite_scan_bracket_refused(self):
+        # the Bohr radius of the tiny 1/r term, 2e305, puts the upper end
+        # of the (3, 2) scan beyond the largest float
+        pot = parse_potential("custom:-1e-300*r^-1+1*r^2")
+        pair = ParticlePair.equal(1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnphysicalRegimeError, match=r"the r0 scan "
+                               r"bracket \[\S+, inf\] is not finite") as info:
+                solve(pot, pair, QuantumNumbers(3, 2))
+        assert info.value.stage == "solve_r0"
+        assert solve(pot, pair, QuantumNumbers(0, 0)).diagnostics \
+            .q_lbar_gap <= 1e-8
+
     @pytest.mark.parametrize("n", [0, 20])
     def test_fall_to_center_refused(self, n):
         # l(l+1) - mu alpha^2/eta = -0.36 lies below the -1/4 bound; the
@@ -714,3 +749,71 @@ class TestFullSolve:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 0)
+
+
+# The extreme-input sweep: coefficients, powers and masses fixed in advance
+SWEEP_COEFFICIENTS = (1e-300, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e300)
+SWEEP_POWERS = (0.5, 1.0, 2.0, 3.0, 12.0)
+SWEEP_MASSES = (1e-100, 1e-30, 1e-5, 1.0, 1e5, 1e30, 1e100)
+
+
+def sweep_cases():
+    """(terms, mass, relativistic) of every sweep case: c r^p for each
+    power and -c/r + r^2 with c capped at 0.4, at every equal mass."""
+    for c in SWEEP_COEFFICIENTS:
+        shapes = [[(c, p)] for p in SWEEP_POWERS]
+        shapes.append([(-min(c, 0.4), -1.0), (1.0, 2.0)])
+        for terms in shapes:
+            for m in SWEEP_MASSES:
+                for relativistic in (True, False):
+                    yield terms, m, relativistic
+
+
+def test_extreme_input_sweep():
+    # every solve gives finite fields (xi is infinite for a
+    # nonrelativistic pair) or a SletError with a stage, or refuses a term
+    # that length_scales refuses with its ValueError; pairs that
+    # ParticlePair refuses are not solved.  No warning but
+    # MultipleRootsWarning may escape.
+    failures, solves = [], 0
+    for terms, m, relativistic in sweep_cases():
+        pot = PotentialModel.custom(terms)
+        try:
+            pair = ParticlePair.equal(m, relativistic)
+        except ValueError:
+            continue
+        try:
+            pot.length_scales(pair.mu)
+            refused = None
+        except ValueError as exc:
+            refused = str(exc)
+        for n, l in ((0, 0), (3, 2)):
+            case = (terms, m, relativistic, n, l)
+            solves += 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    sol = solve(pot, pair, QuantumNumbers(n, l))
+                except SletError as exc:
+                    if exc.stage is None or refused:
+                        failures.append((case, repr(exc)))
+                except ValueError as exc:
+                    if str(exc) != refused:
+                        failures.append((case, repr(exc)))
+                except Exception as exc:
+                    failures.append((case, repr(exc)))
+                else:
+                    fields = dict(vars(sol), **vars(sol.diagnostics))
+                    del fields["diagnostics"]
+                    if not relativistic:
+                        del fields["xi"]
+                    values = [v for value in fields.values()
+                              for v in (value if isinstance(value, tuple)
+                                        else (value,))]
+                    if refused or not all(math.isfinite(v) for v in values):
+                        failures.append((case, "solved, with a field not "
+                                         "finite or a term refused"))
+            failures += [(case, repr(w.message)) for w in caught
+                         if w.category is not MultipleRootsWarning]
+    assert solves == 1008
+    assert failures == []

@@ -171,6 +171,22 @@ class TestParticlePair:
                 m1**3 * m2**3 / (m1**3 + m2**3), rel=1e-14)
             assert pair.eta > 0.0
 
+    def test_derived_masses_kept(self):
+        # computed on the first read, the same object afterwards, and
+        # equal bit for bit to the formulas
+        pair = ParticlePair(1.45, 4.8)
+        mu, nu, eta = pair.mu, pair.nu, pair.eta
+        assert (pair.mu, pair.nu, pair.eta) == (mu, nu, eta)
+        assert pair.mu is mu and pair.nu is nu and pair.eta is eta
+        assert mu == 1.45 * 4.8 / (1.45 + 4.8)
+        assert nu == 1.45**3 * 4.8**3 / (1.45**3 + 4.8**3)
+        assert eta == nu / mu**2
+        # the pair stays frozen and compares by its masses alone
+        with pytest.raises(AttributeError):
+            pair.mu = 1.0
+        assert pair == ParticlePair(1.45, 4.8)
+        assert hash(pair) == hash(ParticlePair(1.45, 4.8))
+
     def test_invalid_masses(self):
         with pytest.raises(ValueError):
             ParticlePair(0.0, 1.0)
@@ -253,3 +269,14 @@ class TestIntrospection:
                        "mass 0.5 GeV: their product underflows")
             with pytest.raises(ValueError, match=re.escape(message)):
                 model.length_scales(0.5)
+        # mu |c| overflows, or the reciprocal of a subnormal mu |c| does
+        for model, mu, message in (
+                (PotentialModel.custom([(1e300, 0.5)]), 1e10,
+                 "coefficient 1e+300 of the r^0.5 term is too large for the "
+                 "reduced mass 10000000000.0 GeV: its length scale would be "
+                 "0"),
+                (PotentialModel.coulomb(1e-310), 0.5,
+                 "coefficient -1e-310 of the r^-1 term is too small for the "
+                 "reduced mass 0.5 GeV: its length scale would be inf")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model.length_scales(mu)
