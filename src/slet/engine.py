@@ -80,7 +80,6 @@ class SolveDiagnostics:
 
     r0_residual: float
     r0_function_calls: int
-    r0_iterations: int
     r0_root_count: int
     q_lbar_gap: float
     denominator_gap: float
@@ -198,61 +197,46 @@ def r0_residual(potential: PotentialModel, pair: ParticlePair,
 
 
 def bracketed_root(f, a, b, fa, fb, xtol, rtol, maxiter):
-    """Root of f between a and b by Brent's method, from fa = f(a), fb = f(b).
+    """Root of f in [a, b] by Chandrupatla's method, from fa = f(a), fb = f(b).
 
-    fa and fb must not share a sign.  A step-for-step transcription of
-    scipy.optimize.brentq (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4), with the same tolerances and the same
-    iterates, except that the caller's end values are taken instead of
-    evaluating f at a and b again.  Converged once the bracket is within
-    xtol + rtol |x|.  Returns (root, iterations, function_calls), the
-    calls made here.  Raises ConvergenceError when f is NaN at a trial
-    point or maxiter iterations do not converge.
+    fa and fb must not share a sign.  Each step calls f once, at the
+    inverse quadratic interpolant through the last three points where
+    Chandrupatla's test accepts it and at the bracket's midpoint
+    otherwise, at least half the tolerance inside the bracket
+    (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  The caller's end
+    values are taken instead of evaluating f at a and b again.  Converged
+    once the bracket is within xtol + rtol |x|, x its end with the smaller
+    |f|.  Returns (x, function_calls), the calls made here.  Raises
+    ConvergenceError when f is NaN at a trial point or maxiter calls do
+    not converge.
     """
-    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
-    if fpre == 0.0 or fcur == 0.0:
-        return (xpre if fpre == 0.0 else xcur), 0, 0
-    xblk = fblk = spre = scur = 0.0
-    for iteration in range(1, maxiter + 1):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iteration, iteration - 1
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    x1, x2, f1, f2 = float(a), float(b), float(fa), float(fb)
+    t = 0.5
+    for calls in range(maxiter + 1):
+        x, fx = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = xtol + rtol * abs(x)
+        if fx == 0.0 or abs(x2 - x1) < tol:
+            return x, calls
+        if calls == maxiter:
+            break
+        edge = 0.5 * tol / abs(x2 - x1)
+        x = x1 + min(max(t, edge), 1.0 - edge) * (x2 - x1)
+        fx = f(x)
+        if math.isnan(fx):
+            raise ConvergenceError(f"the function is NaN at x = {x:.15g}; "
+                                   "Chandrupatla's method cannot continue")
+        if (fx < 0.0) == (f1 < 0.0):
+            x3, f3 = x1, f1
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ConvergenceError(f"the function is NaN at x = {xcur:.15g}; "
-                                   "Brent's method cannot continue")
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = (f1 / (f1 - f2) * f3 / (f3 - f2) + (x3 - x1) / (x2 - x1)
+             * f1 / (f3 - f1) * f2 / (f3 - f2)
+             if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi else 0.5)
     raise ConvergenceError(
-        f"Brent's method did not converge in {maxiter} iterations between "
-        f"{a:g} and {b:g}")
+        f"Chandrupatla's method did not converge in {maxiter} iterations "
+        f"between {a:g} and {b:g}")
 
 
 def log_scan(f, lo, hi, points):
@@ -272,7 +256,7 @@ def log_scan(f, lo, hi, points):
 
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
              qn: QuantumNumbers):
-    """Expansion point as (r0, (function_calls, iterations, root_count)).
+    """Expansion point as (r0, (function_calls, root_count)).
 
     :func:`log_scan` evaluates :func:`r0_residual` at the ends of
     R0_SCAN_PANELS logarithmic panels from 1e-3 times the smallest to
@@ -303,10 +287,10 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     grid, values = log_scan(residual, lo, hi, R0_SCAN_PANELS + 1)
 
     roots = [float(r) for r in grid[values == 0.0]]
-    calls, iterations = grid.size, 0
+    calls = grid.size
     for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
         try:
-            root, steps, polish_calls = bracketed_root(
+            root, polish_calls = bracketed_root(
                 residual, grid[i], grid[i + 1], values[i], values[i + 1],
                 1e-300, R0_TOLERANCE, R0_MAX_ITERATIONS)
         except ConvergenceError as exc:
@@ -314,7 +298,6 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
                 f"root polish failed in panel [{grid[i]:g}, "
                 f"{grid[i + 1]:g}]: {exc}") from None
         calls += polish_calls
-        iterations += steps
         roots.append(root)
 
     # collapse near-duplicates from adjacent panels
@@ -344,7 +327,7 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     else:
         r0 = unique[0]
 
-    return r0, (calls, iterations, len(unique))
+    return r0, (calls, len(unique))
 
 
 def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
@@ -408,7 +391,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     with _stage("fall_to_center"):
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
-        r0, (calls, iterations, root_count) = solve_r0(potential, pair, qn)
+        r0, (calls, root_count) = solve_r0(potential, pair, qn)
     with np.errstate(all="ignore"):
         stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
     xi, q, omega = geometry_at(stack, pair, r0)
@@ -441,7 +424,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     gap = math.sqrt(q) - lbar
     diag = SolveDiagnostics(
         r0_residual=2.0 * gap, r0_function_calls=calls,
-        r0_iterations=iterations, r0_root_count=root_count,
+        r0_root_count=root_count,
         q_lbar_gap=abs(gap) / lbar,
         denominator_gap=abs(denominator - (1.0 + (e0 - stack[0]) / pair.eta)),
         reduction_parameter=denominator - 1.0,

@@ -200,12 +200,17 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
 
     LAPACK's Sturm-sequence bisection indexes the level exactly; it runs
     to the absolute tolerance tol, by default BISECTION_TOLERANCE (full
-    precision).
+    precision).  Raises ConvergenceError when LAPACK's inverse iteration
+    cannot form the eigenvector.
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(n, n),
-                                  tol=tol)
+    try:
+        vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(n, n), tol=tol)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK did not form the eigenvector of "
+                               f"level n = {n}: {exc}") from None
     return float(vals[0]), vecs[:, 0]
 
 
@@ -236,7 +241,8 @@ def _refine(diag, off, n, start, coupling, eta):
         "a tridiagonal solve of the refinement is singular or not finite")
     vec, solves = start, 0
     while True:
-        norm = math.sqrt(float(vec @ vec))
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float(vec @ vec))
         if not 0.0 < norm < math.inf:
             return math.nan, vec, math.inf, solves, singular
         vec = vec / norm
@@ -325,7 +331,8 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
     :func:`~slet.engine.bracketed_root` finds it inside that one panel
     from the two values around it, to xtol 2e-12 and rtol 1e-10 in at
     most 100 iterations, or ConvergenceError.  Returns None when the
-    target value is never reached.
+    target value is never reached: when the scan starts at or above it,
+    stays below it, or is NaN just before it first exceeds it.
     """
     target = 2.0 * pair.eta + max(energy, 0.0)
 
@@ -333,11 +340,11 @@ def escape_radius(potential: PotentialModel, pair: ParticlePair,
         return potential.evaluate(x) - target
 
     r, values = log_scan(f, 1e-3, search_hi, ESCAPE_BRACKET_POINTS)
-    if values[-1] <= 0.0 or values[0] >= 0.0:
+    i = int(np.argmax(values > 0.0))  # 0 when no value exceeds the target
+    if i == 0 or values[0] >= 0.0 or math.isnan(values[i - 1]):
         return None
-    i = int(np.argmax(values > 0.0))
-    root, _, _ = bracketed_root(f, r[i - 1], r[i], values[i - 1], values[i],
-                                2e-12, 1e-10, 100)
+    root, _ = bracketed_root(f, r[i - 1], r[i], values[i - 1], values[i],
+                             2e-12, 1e-10, 100)
     return root
 
 
@@ -448,7 +455,8 @@ def solve_selfconsistent(potential: PotentialModel, pair: ParticlePair,
 
     Raises WindowError, whose message names the window, when a pass
     settles outside it, ConvergenceError when a restarted pass does not
-    settle, and LevelIdentificationError, before any solve, when n is not
+    settle or LAPACK cannot form its bisected start vector, and
+    LevelIdentificationError, before any solve, when n is not
     below the coarse grid's point count, or when a pass settles on a node
     count other than n or, for a non-confining potential in a box with
     the level-sized r_max of :func:`default_grid`, whatever its point

@@ -149,6 +149,14 @@ class TestSolveCommand:
         assert code == 3
         assert "error:BracketingError@solve_r0" in out
 
+    def test_eigenvector_failure_exit(self, capsys):
+        # LAPACK cannot form the bisected eigenvector of so flat a well
+        code, out, _ = run(capsys, "solve", "--potential",
+                           "custom:1e-300*r^2", "--m1", "1e-5", "--m2",
+                           "1e-5", "--method", "oracle")
+        assert code == 3
+        assert "error:ConvergenceError" in out
+
     def test_closed_form_restrictions(self, capsys):
         code, _, err = run(capsys, "solve", "--potential", "oscillator:k=1",
                            "--m1", "1", "--m2", "1", "--method",

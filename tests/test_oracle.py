@@ -695,11 +695,11 @@ class TestQuasiBoundMachinery:
 
     @pytest.mark.parametrize("system", ["cornell", "oscillator", "linear"])
     @pytest.mark.parametrize("energy", [-0.4, 0.5, 3.0])
-    def test_escape_radius_is_brentq_on_its_panel(self, monkeypatch, system,
-                                                  energy, cornell_pot,
-                                                  oscillator_pot, pair_145):
+    def test_escape_radius_polish_on_its_panel(self, monkeypatch, system,
+                                               energy, cornell_pot,
+                                               oscillator_pot, pair_145):
         # the polish takes the bracket's array values, which are the
-        # scalar ones, and returns scipy's brentq root at its defaults
+        # scalar ones, and lands within its tolerance of brentq's root
         pot = {"cornell": cornell_pot, "oscillator": oscillator_pot,
                "linear": PotentialModel.linear(0.18)}[system]
         panels = []
@@ -711,7 +711,8 @@ class TestQuasiBoundMachinery:
         r = escape_radius(pot, pair_145, energy, 1e3)
         [(f, a, b, fa, fb)] = panels
         assert (fa, fb) == (f(float(a)), f(float(b)))
-        assert r == brentq(f, a, b, rtol=1e-10)
+        exact = brentq(f, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert abs(r - exact) <= 2e-12 + 1e-10 * abs(r)
 
     def test_escape_radius_unreached(self, cornell_pot, coulomb_pot,
                                      pair_145):
@@ -721,6 +722,11 @@ class TestQuasiBoundMachinery:
         assert escape_radius(coulomb_pot, pair_145, 0.5, 1e3) is None
         assert escape_radius(cornell_pot, pair_145, 0.5, 10.0) is None
         assert escape_radius(repulsive, pair_145, 0.5, 1e3) is None
+        # 1e-300 r^200 is at most about 1.8e8, far below the 4e10 target,
+        # before r^200 overflows and the scan turns NaN
+        steep = PotentialModel.custom([(1e-300, 200.0)])
+        assert escape_radius(steep, ParticlePair.equal(1e10), 0.5,
+                             300.0) is None
 
     def test_wall_inside_forbidden_band(self, oracle_results):
         # the solver's wall must sit between the level's inner turning
