@@ -102,15 +102,11 @@ def _status(exc: SletError) -> str:
 
 
 def solve_level(manifest: RunManifest, n: int, l: int, method: str):
-    """(record, solution) for one level with one method."""
+    """Record values of one level by the grid solver or the closed form;
+    :func:`run_solve` runs the expansion itself."""
     qn = engine.QuantumNumbers(n, l)
     pair = manifest.pair()
-    if method == "slet":
-        sol = engine.solve(manifest.potential, pair, qn)
-        values = dict(E_binding_GeV=sol.binding_energy, M_GeV=sol.mass,
-                      r0=sol.r0, Q=sol.Q, omega=sol.omega,
-                      alpha1=sol.alpha1, alpha2=sol.alpha2)
-    elif method == "oracle":
+    if method == "oracle":
         from . import oracle  # scipy, which only the grid solver needs
         grid = oracle.default_grid(manifest.potential, pair, qn,
                                    manifest.grid_points, manifest.rmax)
@@ -131,29 +127,43 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
         values = dict(E_binding_GeV=sol.E0, M_GeV=sol.M, r0=sol.r0, Q=sol.Q)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _record(manifest, n, l, method, **values), sol
+    return values
 
 
 def run_solve(manifest: RunManifest):
     """(records, SLET solutions, first error) over the requested levels;
-    a failed level becomes a status row and gives no solution."""
+    a failed level becomes a status row and gives no solution.  The
+    expansion solves every level through one :func:`engine.solve_levels`,
+    read level by level beside the other method."""
     methods = (("slet", "oracle") if manifest.method == "both"
                else (manifest.method,))
+    if "slet" in methods:
+        expansion = engine.solve_levels(
+            manifest.potential, manifest.pair(),
+            [engine.QuantumNumbers(n, l) for n, l in manifest.levels])
     records = []
     solutions = []
     first_error = None
     for n, l in manifest.levels:
         for method in methods:
             try:
-                rec, sol = solve_level(manifest, n, l, method)
+                if method == "slet":
+                    sol = next(expansion)
+                    if isinstance(sol, SletError):  # the level's failure
+                        raise sol
+                    values = dict(
+                        E_binding_GeV=sol.binding_energy, M_GeV=sol.mass,
+                        r0=sol.r0, Q=sol.Q, omega=sol.omega,
+                        alpha1=sol.alpha1, alpha2=sol.alpha2)
+                    solutions.append(sol)
+                else:
+                    values = solve_level(manifest, n, l, method)
             except SletError as exc:
                 records.append(_record(manifest, n, l, method,
                                        status=_status(exc)))
                 first_error = first_error or exc
                 continue
-            records.append(rec)
-            if method == "slet":
-                solutions.append(sol)
+            records.append(_record(manifest, n, l, method, **values))
     return records, solutions, first_error
 
 

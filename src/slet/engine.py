@@ -7,11 +7,16 @@ extremal turns it into a perturbed oscillator in the shifted angular
 momentum lbar = l - beta, with the shift beta chosen so the first
 subleading energy term vanishes.  The pipeline is:
 
-    solve_r0 -> one stack V^(0..6) at r0 -> geometry (xi, Q, omega)
-    -> beta, lbar -> leading energy E0 -> eps1..4 -> closed-form alpha1
-    -> delta1..6 -> hypervirial-Hellmann-Feynman series (alpha1, alpha2)
+    r0 scan -> polish (solve_r0) -> one stack V^(0..6) at r0
+    -> geometry (xi, Q, omega) -> beta, lbar -> leading energy E0
+    -> eps1..4 -> closed-form alpha1 -> delta1..6
+    -> hypervirial-Hellmann-Feynman series (alpha1, alpha2)
     -> E2, E3 -> binding energy and total mass
 
+:func:`solve` runs it for one level.  :func:`solve_levels` runs it for
+many levels of one potential and pair: the r0 scans of up to SCAN_CHUNK
+levels are one array evaluation, and each level goes on from its own row
+of it through :func:`solve`.
 A nonrelativistic pair (eta = inf) runs through the same formulas.
 Q is treated as a continuous function Q(r0) while iterating and is
 identified with lbar^2 only at the converged point, where the root
@@ -56,6 +61,9 @@ from .potentials import (
 R0_SCAN_PANELS = 200
 R0_TOLERANCE = 1e-12
 R0_MAX_ITERATIONS = 200
+# levels whose r0 scans solve_levels runs as one array evaluation; the
+# chunk, not the number of levels, bounds the memory the scans take
+SCAN_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -182,16 +190,19 @@ def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
     return math.sqrt(1.0 + Q / (pair.mu * pair.eta * r0**2))
 
 
-def r0_residual(potential: PotentialModel, pair: ParticlePair,
-                qn: QuantumNumbers, r0):
+def r0_residual(potential: PotentialModel, pair: ParticlePair, qn, r0):
     """Root function F(r0) = 2 (sqrt(Q(r0)) - lbar(r0)).
 
     Equivalent to r0^2 V'(r0) sqrt(2 mu (1 + xi)/eta) minus
     1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
     or array r0 as in :func:`geometry_at`, and NaN where that gives NaN.
+    qn is one level's QuantumNumbers, or a sequence of them, one for each
+    row of a 2-D r0; lbar is the only part of F that depends on (n, l).
     """
+    n, l = ((qn.n, qn.l) if isinstance(qn, QuantumNumbers)
+            else np.array([(q.n, q.l) for q in qn]).T[..., None])
     _, q, omega = geometry_at(potential.derivatives(r0, 2), pair, r0)
-    _, lbar = shift_and_lbar(pair, qn.n, omega, qn.l)
+    _, lbar = shift_and_lbar(pair, n, omega, l)
     value = 2.0 * (np.sqrt(q) - lbar)
     return value if value.ndim else float(value)
 
@@ -239,23 +250,43 @@ def bracketed_root(f, a, b, fa, fb, xtol, rtol, maxiter):
         f"between {a:g} and {b:g}")
 
 
+def _log_radii(lo, hi, points):
+    r = np.exp(np.linspace(math.log(lo), math.log(hi), points))
+    r[0], r[-1] = lo, hi
+    return r
+
+
 def log_scan(f, lo, hi, points):
     """(r, f(r)) on points radii evenly spaced in log r from lo to hi.
 
     The radii are the exp of a linspace in log r, with both ends set
-    exactly.  f is called once on the whole array with floating-point
-    warnings off, and every value that is not finite comes back NaN.
+    exactly.  hi may be a 1-D array of upper ends; then r has one row per
+    end, made as for that end alone.  f is called once on the whole array
+    with floating-point warnings off, and every value that is not finite
+    comes back NaN.
     """
-    r = np.exp(np.linspace(math.log(lo), math.log(hi), points))
-    r[0], r[-1] = lo, hi
+    r = (np.array([_log_radii(lo, end, points) for end in hi])
+         if isinstance(hi, np.ndarray) else _log_radii(lo, hi, points))
     with np.errstate(all="ignore"):
         values = f(r)
     values[~np.isfinite(values)] = np.nan
     return r, values
 
 
+def _r0_scan_range(potential: PotentialModel, pair: ParticlePair,
+                   qn: QuantumNumbers):
+    """(lo, hi) of the r0 scan; lo depends on the potential and pair alone."""
+    scales = potential.length_scales(pair.mu) or (1.0,)
+    lo = 1e-3 * min(scales)
+    hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
+    if not 0.0 < lo < hi < math.inf:
+        raise UnphysicalRegimeError(
+            f"the r0 scan bracket [{lo:g}, {hi:g}] is not finite")
+    return lo, hi
+
+
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
-             qn: QuantumNumbers):
+             qn: QuantumNumbers, scan=None):
     """Expansion point as (r0, (function_calls, root_count)).
 
     :func:`log_scan` evaluates :func:`r0_residual` at the ends of
@@ -263,7 +294,9 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     10 (2n + l + 2)^2 times the largest of the potential's length scales;
     the upper end stays above the Coulomb orbit radius, which grows as
     (n + l + 1)^2 Bohr radii.  A bracket that is not finite raises
-    UnphysicalRegimeError.  Scan points where the residual is NaN, at
+    UnphysicalRegimeError.  scan, when given, is the (radii, residuals)
+    that scan gives, made by :func:`solve_levels` together with other
+    levels.  Scan points where the residual is NaN, at
     radii :func:`geometry_at` finds unusable or where the arithmetic
     overflows, are skipped.  Every sign change is polished by
     :func:`bracketed_root` from the two scan values around it, to
@@ -278,13 +311,10 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     def residual(r):
         return r0_residual(potential, pair, qn, r)
 
-    scales = potential.length_scales(pair.mu) or (1.0,)
-    lo = 1e-3 * min(scales)
-    hi = 10.0 * (2 * qn.n + qn.l + 2) ** 2 * max(scales)
-    if not 0.0 < lo < hi < math.inf:
-        raise UnphysicalRegimeError(
-            f"the r0 scan bracket [{lo:g}, {hi:g}] is not finite")
-    grid, values = log_scan(residual, lo, hi, R0_SCAN_PANELS + 1)
+    lo, hi = _r0_scan_range(potential, pair, qn)
+    if scan is None:
+        scan = log_scan(residual, lo, hi, R0_SCAN_PANELS + 1)
+    grid, values = scan
 
     roots = [float(r) for r in grid[values == 0.0]]
     calls = grid.size
@@ -385,13 +415,17 @@ def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
 
 
 def solve(potential: PotentialModel, pair: ParticlePair,
-          qn: QuantumNumbers) -> SletSolution:
-    """Run the full shifted-l expansion pipeline for one (n, l) level."""
+          qn: QuantumNumbers, scan=None) -> SletSolution:
+    """Run the full shifted-l expansion pipeline for one (n, l) level.
+
+    scan is the level's r0 scan when :func:`solve_levels` has made it;
+    see :func:`solve_r0`.
+    """
     n, l = qn.n, qn.l
     with _stage("fall_to_center"):
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
-        r0, (calls, root_count) = solve_r0(potential, pair, qn)
+        r0, (calls, root_count) = solve_r0(potential, pair, qn, scan)
     with np.errstate(all="ignore"):
         stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
     xi, q, omega = geometry_at(stack, pair, r0)
@@ -438,6 +472,43 @@ def solve(potential: PotentialModel, pair: ParticlePair,
         alpha1=alpha1, alpha2=alpha2, E2_term=e2_term, E3_term=e3_term,
         binding_energy=binding, mass=binding + pair.total_mass,
         diagnostics=diag)
+
+
+def solve_levels(potential: PotentialModel, pair: ParticlePair, levels):
+    """Yield, in order, each level's SletSolution or the SletError that
+    ended it, for the sequence levels of QuantumNumbers.
+
+    Q, omega and the derivative stack of the r0 scan do not depend on
+    (n, l), so up to SCAN_CHUNK levels at a time share one scan: the
+    radii of each level's own scan, one row per level, evaluated by one
+    :func:`r0_residual` call.  Each level then runs :func:`solve` on its
+    row, so its polish, warnings, errors and diagnostics are those of
+    solving it alone.  A level whose scan range is refused, or the only
+    one of its chunk with a range, scans inside :func:`solve`, which also
+    raises any refusal as it would for that level alone.
+    """
+    for start in range(0, len(levels), SCAN_CHUNK):
+        chunk = levels[start:start + SCAN_CHUNK]
+        ranges = {}
+        for i, qn in enumerate(chunk):
+            try:
+                ranges[i] = _r0_scan_range(potential, pair, qn)
+            except (UnphysicalRegimeError, ValueError):
+                pass  # solve meets it again, after its own checks
+        scans = [None] * len(chunk)
+        if len(ranges) > 1:
+            stacked = [chunk[i] for i in ranges]
+            lows, ends = zip(*ranges.values())  # every level has the same lo
+            grid, values = log_scan(
+                lambda r: r0_residual(potential, pair, stacked, r), lows[0],
+                np.array(ends), R0_SCAN_PANELS + 1)
+            for i, row in zip(ranges, zip(grid, values)):
+                scans[i] = row
+        for qn, scan in zip(chunk, scans):
+            try:
+                yield solve(potential, pair, qn, scan)
+            except SletError as exc:
+                yield exc
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .engine import QuantumNumbers, bracketed_root, log_scan
 from .errors import (
@@ -198,19 +197,23 @@ def nth_eigenpair(diag: np.ndarray, off: np.ndarray, n: int,
                   tol: float = BISECTION_TOLERANCE):
     """(n+1)-th smallest eigenvalue and unit eigenvector (sign arbitrary).
 
-    LAPACK's Sturm-sequence bisection indexes the level exactly; it runs
-    to the absolute tolerance tol, by default BISECTION_TOLERANCE (full
-    precision).  Raises ConvergenceError when LAPACK's inverse iteration
-    cannot form the eigenvector.
+    LAPACK's Sturm-sequence bisection (dstebz) indexes the level exactly;
+    it runs to the absolute tolerance tol, by default BISECTION_TOLERANCE
+    (full precision).  Inverse iteration (dstein) then forms the
+    eigenvector.  A diagonal or off-diagonal that is not finite raises
+    ValueError.  Raises ConvergenceError when LAPACK cannot form the
+    eigenvector.
     """
     if n >= diag.size:
         raise ValueError("eigenvalue index exceeds matrix size")
-    try:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(n, n), tol=tol)
-    except np.linalg.LinAlgError as exc:
+    diag, off = np.asarray_chkfinite(diag), np.asarray_chkfinite(off)
+    found, vals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, n + 1,
+                                             n + 1, tol, "B")
+    if info == 0:
+        vecs, info = dstein(diag, off, vals[:found], block, split)
+    if info != 0:
         raise ConvergenceError(f"LAPACK did not form the eigenvector of "
-                               f"level n = {n}: {exc}") from None
+                               f"level n = {n} (info {info})")
     return float(vals[0]), vecs[:, 0]
 
 

@@ -480,12 +480,12 @@ class TestTableCommand:
         # one failed cell stops the table before anything is written
         solve = engine.solve
 
-        def failing(potential, pair, qn):
+        def failing(potential, pair, qn, *scan):
             if (qn.n, qn.l) == (1, 2):
                 exc = BracketingError("solve_r0: no sign change")
                 exc.stage = "solve_r0"
                 raise exc
-            return solve(potential, pair, qn)
+            return solve(potential, pair, qn, *scan)
 
         monkeypatch.setattr(engine, "solve", failing)
         code, out, err = run(capsys, "table", "2")

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from slet import engine, oracle, perturbation
+from slet import cli, engine, oracle, perturbation
 from slet.engine import (
     R0_MAX_ITERATIONS,
     R0_SCAN_PANELS,
@@ -757,6 +759,137 @@ class TestFullSolve:
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 0)
+
+
+# (potential, mass, relativistic, levels) of the batch checks: the Table 2
+# and 3 cells, Coulomb levels far out, a run longer than one chunk, a
+# supercritical l = 0 beside solvable l = 1, scan ranges that are not
+# finite, a potential with two expansion points and a nonrelativistic pair
+BATCHES = {
+    "table2": ("oscillator:k=1", 1.31, True, tuple(TABLE2.grid())),
+    "table3": ("cornell:alpha=0.25,b=0.18", 1.45, True,
+               tuple(TABLE3.grid())),
+    "coulomb": ("coulomb:alpha=0.25", 1.45, True,
+                tuple((n, l) for n in range(14) for l in (0, 4))),
+    "chunks": ("cornell:alpha=0.25,b=0.18", 1.45, True,
+               tuple((n, l) for n in range(41) for l in range(6))),
+    "supercritical": ("coulomb:alpha=1.2", 1.0, True,
+                      ((0, 0), (0, 1), (1, 0), (1, 1))),
+    "infinite-range": ("custom:-1e-300*r^-1+1*r^2", 1e-5, True,
+                       ((0, 0), (3, 2), (1, 0), (3, 2))),
+    "two-roots": ("custom:4*r^1-2*r^2+0.3*r^3", 1.45, True,
+                  ((0, 0), (0, 1), (1, 0))),
+    "nonrelativistic": ("oscillator:k=1", 1.31, False,
+                        ((80, 1), (150, 1), (100, 7))),
+}
+
+
+def level_outcome(step):
+    """(fields or error, warnings) of one level that step() solves: every
+    SletSolution field by repr, or an error's class, stage and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            found = step()
+            if isinstance(found, SletError):
+                raise found
+            result = repr(dataclasses.astuple(found))
+        except SletError as exc:
+            result = (type(exc), exc.stage, str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestSolveLevels:
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_batch_equals_solve_alone(self, name):
+        spec, m, relativistic, levels = BATCHES[name]
+        pot, pair = parse_potential(spec), ParticlePair.equal(m, relativistic)
+        qns = [QuantumNumbers(n, l) for n, l in levels]
+        batch = engine.solve_levels(pot, pair, qns)
+        got = [level_outcome(lambda: next(batch)) for _ in qns]
+        assert next(batch, None) is None
+        # bit for bit, with each level's own warnings and errors
+        assert got == [level_outcome(lambda: solve(pot, pair, qn))
+                       for qn in qns]
+
+    def test_failures_stay_per_level(self):
+        _, m, _, levels = BATCHES["supercritical"]
+        outcomes = list(engine.solve_levels(
+            PotentialModel.coulomb(1.2), ParticlePair.equal(m),
+            [QuantumNumbers(n, l) for n, l in levels]))
+        for (n, l), found in zip(levels, outcomes):
+            if l == 0:
+                assert isinstance(found, SupercriticalCouplingError)
+                assert found.stage == "fall_to_center"
+            else:
+                assert found.diagnostics.r0_root_count == 1
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_records_equal_one_level_runs(self, name):
+        spec, m, relativistic, levels = BATCHES[name]
+        manifest = cli.RunManifest(potential=parse_potential(spec), m1=m,
+                                   m2=m, levels=list(levels),
+                                   nonrelativistic=not relativistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MultipleRootsWarning)
+            records, solutions, error = cli.run_solve(manifest)
+            alone = [cli.run_solve(dataclasses.replace(manifest,
+                                                       levels=[lev]))
+                     for lev in levels]
+        assert [repr(r) for r in records] == [repr(a[0][0]) for a in alone]
+        assert [repr(s) for s in solutions] == [
+            repr(a[1][0]) for a in alone if a[1]]
+        first = next((a[2] for a in alone if a[2] is not None), None)
+        assert (type(error), str(error)) == (type(first), str(first))
+
+    def test_one_scan_call_per_chunk(self, monkeypatch):
+        # the 246 levels of `slet solve --n-range 0:40 --l-range 0:5` make
+        # one array derivative evaluation per chunk of SCAN_CHUNK levels
+        # for their scans, and none of a level's own
+        shapes = []
+        original = PotentialModel.derivatives
+
+        def recording(self, r, upto):
+            shapes.append(np.shape(r))
+            return original(self, r, upto)
+        monkeypatch.setattr(PotentialModel, "derivatives", recording)
+        spec, m, _, levels = BATCHES["chunks"]
+        records, _, error = cli.run_solve(cli.RunManifest(
+            potential=parse_potential(spec), m1=m, m2=m, levels=list(levels)))
+        assert error is None and len(records) == 246
+        scans = [s for s in shapes if len(s) > 0]
+        assert len(scans) == math.ceil(246 / engine.SCAN_CHUNK)
+        assert all(s == (min(engine.SCAN_CHUNK, 246 - i * engine.SCAN_CHUNK),
+                         R0_SCAN_PANELS + 1) for i, s in enumerate(scans))
+
+    def test_one_level_scans_alone(self, monkeypatch, cornell_pot, pair_145):
+        # a run of one level takes solve's own scan, with a scalar upper end
+        ends, scan = [], engine.log_scan
+
+        def recording(f, lo, hi, count):
+            ends.append(hi)
+            return scan(f, lo, hi, count)
+        monkeypatch.setattr(engine, "log_scan", recording)
+        sol, = engine.solve_levels(cornell_pot, pair_145,
+                                   [QuantumNumbers(1, 1)])
+        assert [type(hi) for hi in ends] == [float]
+        assert sol.diagnostics.r0_root_count == 1
+
+    def test_memory_bounded_by_chunk(self, cornell_pot, pair_145):
+        # the scans of later chunks reuse the memory of the first: the peak
+        # while solving 246 levels stays that of solving half of them
+        levels = [QuantumNumbers(n, l) for n, l in BATCHES["chunks"][3]]
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                for _ in engine.solve_levels(cornell_pot, pair_145,
+                                             levels[:count]):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(len(levels)) < 1.25 * peak(len(levels) // 2)
 
 
 # The extreme-input sweep: coefficients, powers and masses fixed in advance

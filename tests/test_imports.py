@@ -81,4 +81,4 @@ def test_missing_dependency_stays_an_import_error():
         "    slet.oracle\n"
         "except ModuleNotFoundError as exc:\n"
         "    print(exc.name)\n")
-    assert out.split() == ["scipy.linalg"]
+    assert out.split() == ["scipy.linalg.lapack"]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.optimize import brentq
 
 from slet.engine import QuantumNumbers, bracketed_root
@@ -69,7 +70,7 @@ def full_grid_calls(monkeypatch):
     """
     calls = {"builds": 0, "solves": 0, "bisections": 0}
     build, solver, bisection = (oracle.GridOperator.__init__, oracle.dgtsv,
-                                oracle.eigh_tridiagonal)
+                                oracle.dstebz)
 
     def counted_build(self, potential, pair, l, grid):
         calls["builds"] += grid.point_count > oracle.COARSE_POINT_COUNT
@@ -85,7 +86,7 @@ def full_grid_calls(monkeypatch):
 
     monkeypatch.setattr(oracle.GridOperator, "__init__", counted_build)
     monkeypatch.setattr(oracle, "dgtsv", counted_solve)
-    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted_bisection)
+    monkeypatch.setattr(oracle, "dstebz", counted_bisection)
     return calls
 
 
@@ -116,6 +117,28 @@ class TestBoxSpectrum:
             assert value == eigh_tridiagonal(
                 diag, off, eigvals_only=True, select="i",
                 select_range=(k, k), tol=np.finfo(float).tiny)[0]
+
+    @pytest.mark.parametrize("tol", [oracle.BISECTION_TOLERANCE, 1e-6])
+    def test_eigenpair_is_scipys(self, box, tol):
+        # the direct LAPACK calls give eigh_tridiagonal's pair bit for bit
+        _, _, diag, off = box
+        for k in range(4):
+            value, vec = nth_eigenpair(diag, off, k, tol)
+            vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                          select_range=(k, k), tol=tol)
+            assert value == vals[0]
+            assert vec.tobytes() == vecs[:, 0].tobytes()
+
+    def test_eigenpair_failures(self, monkeypatch, box):
+        _, _, diag, off = box
+        with pytest.raises(ValueError):
+            nth_eigenpair(np.where(np.arange(diag.size) == 5, np.nan, diag),
+                          off, 2)
+        monkeypatch.setattr(oracle, "dstein",
+                            lambda *args: (np.zeros((diag.size, 1)), 1))
+        with pytest.raises(ConvergenceError, match="^LAPACK did not form "
+                           "the eigenvector of level n = 2 "):
+            nth_eigenpair(diag, off, 2)
 
     def test_ordering_and_ratio(self, box):
         _, _, diag, off = box
@@ -479,11 +502,11 @@ class TestNewtonIteration:
         pot = {"cornell": cornell_pot, "coulomb": coulomb_pot}[system]
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("tol"))
-            return eigh_tridiagonal(*args, **kwargs)
+        def counted(d, e, select, vl, vu, il, iu, tol, order):
+            calls.append(tol)
+            return dstebz(d, e, select, vl, vu, il, iu, tol, order)
 
-        monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(oracle, "dstebz", counted)
         sol = solve_selfconsistent(pot, pair_145, QuantumNumbers(n, l))
         assert count_nodes(sol.wavefunction) == n
         assert sol.bisection_solves == 0
