@@ -123,8 +123,9 @@ def solve_level(manifest: RunManifest, n: int, l: int, method: str):
                 "closed-form method needs a pure Coulomb potential, equal "
                 "masses, l = 0 and a relativistic pair")
         alpha = manifest.potential.coulomb_strength()
-        sol = engine.coulomb_closed_form(manifest.m1, alpha, n)
-        values = dict(E_binding_GeV=sol.E0, M_GeV=sol.M, r0=sol.r0, Q=sol.Q)
+        q, r0, e0 = engine.coulomb_closed_form(manifest.m1, alpha, n)
+        values = dict(E_binding_GeV=e0, M_GeV=e0 + pair.total_mass, r0=r0,
+                      Q=q)
     else:
         raise ValueError(f"unknown method {method!r}")
     return values
@@ -279,9 +280,7 @@ def render_json(payload) -> str:
 def _fmt(value, width=12):
     if value is None:
         return "-".rjust(width)
-    if isinstance(value, float):
-        return f"{value:.6g}".rjust(width)
-    return str(value).rjust(width)
+    return f"{value:.6g}".rjust(width)
 
 
 def render_text(records) -> str:

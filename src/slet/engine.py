@@ -7,8 +7,8 @@ extremal turns it into a perturbed oscillator in the shifted angular
 momentum lbar = l - beta, with the shift beta chosen so the first
 subleading energy term vanishes.  The pipeline is:
 
-    r0 scan -> polish (solve_r0) -> one stack V^(0..6) at r0
-    -> geometry (xi, Q, omega) -> beta, lbar -> leading energy E0
+    r0 scan -> polish (solve_r0) -> at each root: stack V^(0..6),
+    geometry (xi, Q, omega), E0 -> the root of lowest E0 -> beta, lbar
     -> eps1..4 -> closed-form alpha1 -> delta1..6
     -> hypervirial-Hellmann-Feynman series (alpha1, alpha2)
     -> E2, E3 -> binding energy and total mass
@@ -190,17 +190,15 @@ def energy_denominator(pair: ParticlePair, r0: float, Q: float) -> float:
     return math.sqrt(1.0 + Q / (pair.mu * pair.eta * r0**2))
 
 
-def r0_residual(potential: PotentialModel, pair: ParticlePair, qn, r0):
-    """Root function F(r0) = 2 (sqrt(Q(r0)) - lbar(r0)).
+def r0_residual(potential: PotentialModel, pair: ParticlePair, n, l, r0):
+    """Root function F(r0) = 2 (sqrt(Q(r0)) - lbar(r0)) of level (n, l).
 
     Equivalent to r0^2 V'(r0) sqrt(2 mu (1 + xi)/eta) minus
     1 + 2l + mu (2n + 1) omega; the root makes sqrt(Q) = lbar.  Scalar
     or array r0 as in :func:`geometry_at`, and NaN where that gives NaN.
-    qn is one level's QuantumNumbers, or a sequence of them, one for each
-    row of a 2-D r0; lbar is the only part of F that depends on (n, l).
+    lbar is the only part of F that depends on the level; n and l
+    broadcast against r0, so columns of them give each row its level.
     """
-    n, l = ((qn.n, qn.l) if isinstance(qn, QuantumNumbers)
-            else np.array([(q.n, q.l) for q in qn]).T[..., None])
     _, q, omega = geometry_at(potential.derivatives(r0, 2), pair, r0)
     _, lbar = shift_and_lbar(pair, n, omega, l)
     value = 2.0 * (np.sqrt(q) - lbar)
@@ -287,7 +285,7 @@ def _r0_scan_range(potential: PotentialModel, pair: ParticlePair,
 
 def solve_r0(potential: PotentialModel, pair: ParticlePair,
              qn: QuantumNumbers, scan=None):
-    """Expansion point as (r0, (function_calls, root_count)).
+    """Roots of the expansion-point equation as (roots, function_calls).
 
     :func:`log_scan` evaluates :func:`r0_residual` at the ends of
     R0_SCAN_PANELS logarithmic panels from 1e-3 times the smallest to
@@ -302,14 +300,15 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     :func:`bracketed_root` from the two scan values around it, to
     R0_TOLERANCE relative in at most R0_MAX_ITERATIONS iterations; a
     polish that fails, also by an iterate landing on an unusable radius,
-    raises BracketingError naming the panel and that radius.  If several
-    roots survive, the one with the lowest leading energy wins and a
-    MultipleRootsWarning is issued.  ``function_calls`` counts every
-    evaluation of the root function: the scan points plus the polish
-    calls, which do not evaluate the panel ends again.
+    raises BracketingError naming the panel and that radius, as does a
+    scan without a root.  The roots ascend, each more than 1e-9 relative
+    above the one before, so two panels give a root once; :func:`solve`
+    chooses among them.  ``function_calls`` counts every evaluation of
+    the root function: the scan points plus the polish calls, which do
+    not evaluate the panel ends again.
     """
     def residual(r):
-        return r0_residual(potential, pair, qn, r)
+        return r0_residual(potential, pair, qn.n, qn.l, r)
 
     lo, hi = _r0_scan_range(potential, pair, qn)
     if scan is None:
@@ -340,24 +339,7 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
             f"no sign change of the r0 equation inside [{lo:g}, {hi:g}] "
             f"({np.count_nonzero(np.isfinite(values))} of {grid.size} scan "
             "points were usable)")
-
-    if len(unique) > 1:
-        energies = []
-        for r in unique:
-            d = potential.derivatives(r, 2)
-            _, q, _ = geometry_at(d, pair, r)
-            energies.append(leading_energy(d[0], pair, r, q,
-                                           energy_denominator(pair, r, q)))
-        best = int(np.argmin(energies))
-        warnings.warn(
-            f"{len(unique)} expansion points satisfy the root equation; "
-            f"keeping the one with the lowest leading energy (r0 = "
-            f"{unique[best]:g})", MultipleRootsWarning)
-        r0 = unique[best]
-    else:
-        r0 = unique[0]
-
-    return r0, (calls, len(unique))
+    return unique, calls
 
 
 def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
@@ -419,19 +401,30 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     """Run the full shifted-l expansion pipeline for one (n, l) level.
 
     scan is the level's r0 scan when :func:`solve_levels` has made it;
-    see :func:`solve_r0`.
+    see :func:`solve_r0`.  Of several roots of the r0 equation, the one
+    with the lowest E0 is expanded, and a MultipleRootsWarning names it.
     """
     n, l = qn.n, qn.l
     with _stage("fall_to_center"):
         fall_to_center_check(potential, pair, l)
     with _stage("solve_r0"):
-        r0, (calls, root_count) = solve_r0(potential, pair, qn, scan)
-    with np.errstate(all="ignore"):
-        stack = potential.derivatives(r0, MAX_DERIVATIVE_ORDER)
-    xi, q, omega = geometry_at(stack, pair, r0)
+        roots, calls = solve_r0(potential, pair, qn, scan)
+    heads = []
+    for r in roots:
+        with np.errstate(all="ignore"):
+            stack = potential.derivatives(r, MAX_DERIVATIVE_ORDER)
+        xi, q, omega = geometry_at(stack, pair, r)
+        denominator = energy_denominator(pair, r, q)
+        heads.append((leading_energy(stack[0], pair, r, q, denominator), r,
+                      stack, xi, q, omega, denominator))
+    e0, r0, stack, xi, q, omega, denominator = heads[
+        int(np.argmin([head[0] for head in heads]))]
+    if len(roots) > 1:
+        warnings.warn(
+            f"{len(roots)} expansion points satisfy the root equation; "
+            f"keeping the one with the lowest leading energy (r0 = "
+            f"{r0:g})", MultipleRootsWarning)
     beta, lbar = shift_and_lbar(pair, n, omega, l)
-    denominator = energy_denominator(pair, r0, q)
-    e0 = leading_energy(stack[0], pair, r0, q, denominator)
     with _stage("taylor_coefficients"):
         try:
             eps, delta, eps_bar, delta_bar, closed1 = taylor_coefficients(
@@ -444,8 +437,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
             raise UnphysicalRegimeError(
                 f"r0 = {r0:g} is out of the expansion's range: a Taylor "
                 "coefficient is not finite")
-    series = pt.rspt_coefficients(pair.mu, omega, n, eps, delta)
-    alpha1, alpha2 = series.c2, series.c4
+    alpha1, alpha2 = pt.rspt_coefficients(pair.mu, omega, n, eps, delta)
     # E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] / (r0^2 D) and E3 = Q alpha2
     # / (r0^2 D), taken as E2/lbar^2 and E3/lbar^3 with Q = lbar^2.  The
     # shift constant rides with alpha1, or the nonrelativistic oscillator,
@@ -458,7 +450,7 @@ def solve(potential: PotentialModel, pair: ParticlePair,
     gap = math.sqrt(q) - lbar
     diag = SolveDiagnostics(
         r0_residual=2.0 * gap, r0_function_calls=calls,
-        r0_root_count=root_count,
+        r0_root_count=len(roots),
         q_lbar_gap=abs(gap) / lbar,
         denominator_gap=abs(denominator - (1.0 + (e0 - stack[0]) / pair.eta)),
         reduction_parameter=denominator - 1.0,
@@ -481,11 +473,12 @@ def solve_levels(potential: PotentialModel, pair: ParticlePair, levels):
     Q, omega and the derivative stack of the r0 scan do not depend on
     (n, l), so up to SCAN_CHUNK levels at a time share one scan: the
     radii of each level's own scan, one row per level, evaluated by one
-    :func:`r0_residual` call.  Each level then runs :func:`solve` on its
-    row, so its polish, warnings, errors and diagnostics are those of
-    solving it alone.  A level whose scan range is refused, or the only
-    one of its chunk with a range, scans inside :func:`solve`, which also
-    raises any refusal as it would for that level alone.
+    :func:`r0_residual` call with columns of n and l.  Each level then
+    runs :func:`solve` on its row, so its polish, warnings, errors and
+    diagnostics are those of solving it alone.  A level whose scan range
+    is refused, or the only one of its chunk with a range, scans inside
+    :func:`solve`, which also raises any refusal as it would for that
+    level alone.
     """
     for start in range(0, len(levels), SCAN_CHUNK):
         chunk = levels[start:start + SCAN_CHUNK]
@@ -497,10 +490,11 @@ def solve_levels(potential: PotentialModel, pair: ParticlePair, levels):
                 pass  # solve meets it again, after its own checks
         scans = [None] * len(chunk)
         if len(ranges) > 1:
-            stacked = [chunk[i] for i in ranges]
+            n, l = np.array([(chunk[i].n, chunk[i].l)
+                             for i in ranges]).T[..., None]
             lows, ends = zip(*ranges.values())  # every level has the same lo
             grid, values = log_scan(
-                lambda r: r0_residual(potential, pair, stacked, r), lows[0],
+                lambda r: r0_residual(potential, pair, n, l, r), lows[0],
                 np.array(ends), R0_SCAN_PANELS + 1)
             for i, row in zip(ranges, zip(grid, values)):
                 scans[i] = row
@@ -511,18 +505,8 @@ def solve_levels(potential: PotentialModel, pair: ParticlePair, levels):
                 yield exc
 
 
-@dataclass(frozen=True)
-class CoulombClosedForm:
-    """Closed-form S-wave quantities for the equal-mass Coulomb problem."""
-
-    Q: float
-    r0: float
-    E0: float
-    M: float
-
-
-def coulomb_closed_form(m: float, alpha: float, n: int) -> CoulombClosedForm:
-    """Closed-form S-wave solution for V = -alpha/r with equal masses m.
+def coulomb_closed_form(m: float, alpha: float, n: int):
+    """Closed-form S-wave (Q, r0, E0) for V = -alpha/r with equal masses m.
 
     Valid for alpha < 2n + 2, where the expansion point is real:
 
@@ -537,10 +521,6 @@ def coulomb_closed_form(m: float, alpha: float, n: int) -> CoulombClosedForm:
         raise UnphysicalCouplingError(
             f"alpha = {alpha:g} >= 2n + 2 = {big_n:g} leaves no real "
             "expansion point")
-    e0 = 2.0 * m * math.sqrt(1.0 - (alpha / big_n) ** 2) - 2.0 * m
-    return CoulombClosedForm(
-        Q=big_n**2 / 4.0,
-        r0=big_n**2 / (2.0 * m) * math.sqrt(1.0 / alpha**2 - 1.0 / big_n**2),
-        E0=e0,
-        M=e0 + 2.0 * m,
-    )
+    return (big_n**2 / 4.0,
+            big_n**2 / (2.0 * m) * math.sqrt(1.0 / alpha**2 - 1.0 / big_n**2),
+            2.0 * m * math.sqrt(1.0 - (alpha / big_n) ** 2) - 2.0 * m)

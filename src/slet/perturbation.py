@@ -38,13 +38,12 @@ E_4 reads the moments of orders 0..3 up to x^6, x^5, x^4 and x^3, and
 the recursion for each of them reads no higher power.
 
 Every odd-order term carries an odd power of x, so X_{m,q} vanishes
-unless m + q is even.  The recursion skips those exact zeros, and the
-odd-order coefficients c1 and c3 are exactly 0.0.
+unless m + q is even, and so do E_1 and E_3: h(lambda) and h(-lambda)
+are the same operator up to x -> -x.  The recursion skips those exact
+zeros, and only E_2 and E_4 are returned.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +71,8 @@ def position_power_matrix(mu: float, omega: float, basis_size: int,
     return np.ascontiguousarray(out[:basis_size, :basis_size])
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Coefficients of lambda^1..lambda^4 in the eigenvalue series."""
-
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-
-
-def rspt_coefficients(mu: float, omega: float, level: int, eps,
-                      delta) -> SeriesCoefficients:
-    """Series coefficients c1..c4 of h(lambda) at level n = ``level``.
+def rspt_coefficients(mu: float, omega: float, level: int, eps, delta):
+    """(alpha1, alpha2) = (E_2, E_4) of h(lambda) at level n = ``level``.
 
     The recursion of the module docstring in plain floats, order by
     order: E_q, then X_{m,q} for the powers m of the parity of q.
@@ -119,4 +107,4 @@ def rspt_coefficients(mu: float, omega: float, level: int, eps,
             if k > 2:
                 acc += k * (k - 1) * (k - 2) / (4.0 * mu) * row[k - 3]
             row[k + 1] = acc / ((k + 1) * stiffness)
-    return SeriesCoefficients(*energies[1:])
+    return energies[2], energies[4]

@@ -143,7 +143,8 @@ class PotentialModel:
         clean = tuple((float(c), float(p)) for c, p in terms)
         for c, p in clean:
             if not (math.isfinite(c) and math.isfinite(p)):
-                raise ValueError("custom potential terms must be finite")
+                raise ValueError(
+                    f"custom potential term {c:g}*r^{p:g} is not finite")
         body = "+".join(f"{c:g}*r^{p:g}" for c, p in clean) or "0*r^0"
         return cls("custom", clean, "custom:" + body.replace("+-", "-"))
 

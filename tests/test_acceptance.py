@@ -50,7 +50,7 @@ def report(number, name, failures, extra=""):
 def test_criterion_01_coulomb_closed_form():
     failures = []
     for (n, _), printed in sorted(TABLE1.rows["slet"].items()):
-        got = coulomb_closed_form(M_COULOMB, ALPHA, n).E0
+        _, _, got = coulomb_closed_form(M_COULOMB, ALPHA, n)
         if abs(got - printed) > 1e-5:
             failures.append(f"n={n}: {got:.6f} vs printed {printed}")
     report(1, "Coulomb closed form matches printed row at 1e-5", failures)
@@ -69,13 +69,15 @@ def test_criterion_02_coulomb_exact_reference():
 
 def test_criterion_03_bound_saturation_identity():
     failures = []
+    total_mass = ParticlePair.equal(M_COULOMB).total_mass
     for n in range(6):
-        cf = coulomb_closed_form(M_COULOMB, ALPHA, n)
+        _, _, e0 = coulomb_closed_form(M_COULOMB, ALPHA, n)
+        mass = e0 + total_mass  # as the closed-form record takes it
         # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
         a = ALPHA / (2.0 * n + 2.0)
         bound = 2.0 * M_COULOMB * math.sqrt(1.0 - a * a)
-        if cf.M != bound:
-            failures.append(f"n={n}: {cf.M!r} != {bound!r}")
+        if mass != bound:
+            failures.append(f"n={n}: {mass!r} != {bound!r}")
     report(3, "closed-form mass equals variational bound exactly", failures)
 
 
@@ -142,7 +144,7 @@ def test_criterion_06_alpha1_dual_path(table2_solutions, table3_solutions):
         eps_bar = rng.uniform(-1.0, 1.0, 4)
         scale = 2.0 * mu * omega
         eps = [e * scale ** ((i + 1) / 2.0) for i, e in enumerate(eps_bar)]
-        c2 = pt.rspt_coefficients(mu, omega, n, tuple(eps), (0,) * 6).c2
+        c2, _ = pt.rspt_coefficients(mu, omega, n, tuple(eps), (0,) * 6)
         closed = alpha1_closed_form(n, omega, eps_bar)
         gap = abs(c2 - closed)
         if abs(closed) > 1e-12 and gap / abs(closed) > 1e-8:
@@ -275,7 +277,9 @@ def test_criterion_10_property_suites():
                 if abs(fd - exact) > 1e-6 * max(abs(exact), 1e-3):
                     failures.append(f"{pot.label} order {order} r={r}")
 
-    # series parity zeros at 1e-10 and exactly solvable cases at 1e-10
+    # series parity zeros at 1e-10 and exactly solvable cases at 1e-10:
+    # c1 and c3 vanish when the series is even in lambda, so h(-lambda),
+    # with every odd-order coefficient negated, has the same c2 and c4
     rng = np.random.default_rng(5)
     for _ in range(20):
         mu, omega = rng.uniform(0.3, 3.0), rng.uniform(0.2, 4.0)
@@ -283,22 +287,25 @@ def test_criterion_10_property_suites():
         eps = [rng.uniform(-1, 1) * scale ** ((i + 1) / 2.0)
                for i in range(4)]
         delta = rng.uniform(-1, 1, 6)
-        c = pt.rspt_coefficients(mu, omega, int(rng.integers(0, 4)),
-                                 tuple(eps), tuple(delta))
-        if abs(c.c1) > 1e-10 or abs(c.c3) > 1e-10:
+        n = int(rng.integers(0, 4))
+        even = pt.rspt_coefficients(mu, omega, n, tuple(eps), tuple(delta))
+        mirrored = pt.rspt_coefficients(
+            mu, omega, n, (-eps[0], eps[1], -eps[2], eps[3]),
+            (-delta[0], delta[1], -delta[2], delta[3], -delta[4], delta[5]))
+        if any(abs(a - b) > 1e-10 for a, b in zip(even, mirrored)):
             failures.append("parity zeros violated")
 
     mu, omega, n = 0.9, 1.7, 1
     ebar1 = 0.63
     e1 = ebar1 * math.sqrt(2 * mu * omega)
-    c = pt.rspt_coefficients(mu, omega, n, (e1, 0, 0, 0), (0,) * 6)
-    if abs(c.c2 - (-ebar1**2 / omega)) > 1e-10:
+    c2, _ = pt.rspt_coefficients(mu, omega, n, (e1, 0, 0, 0), (0,) * 6)
+    if abs(c2 - (-ebar1**2 / omega)) > 1e-10:
         failures.append("displaced-oscillator check")
     e2 = 0.07
-    c = pt.rspt_coefficients(1.1, 0.8, 2, (0, e2, 0, 0), (0,) * 6)
-    if abs(c.c2 - 2.5 * e2 / (1.1 * 0.8)) > 1e-10:
+    c2, c4 = pt.rspt_coefficients(1.1, 0.8, 2, (0, e2, 0, 0), (0,) * 6)
+    if abs(c2 - 2.5 * e2 / (1.1 * 0.8)) > 1e-10:
         failures.append("quadratic-shift c2")
-    if abs(c.c4 - (-2.5 * e2**2 / (2 * 1.1**2 * 0.8**3))) > 1e-10:
+    if abs(c4 - (-2.5 * e2**2 / (2 * 1.1**2 * 0.8**3))) > 1e-10:
         failures.append("quadratic-shift c4")
 
     # nonrelativistic oscillator limit of the expansion, improving in m

@@ -320,6 +320,12 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
      "quantum numbers must be non-negative"),
     (("--potential", CORNELL, "--l-range", "-2:-1", "--method", "oracle"), 2,
      "quantum numbers must be non-negative"),
+    ((), 2, "a --potential spec is required"),
+    (("--potential", "foo:x=1"), 2, "unknown potential kind 'foo'"),
+    (("--potential", "custom:"), 2, "custom potential needs at least one "
+     "term"),
+    (("--potential", "custom:1e999*r^2"), 2,
+     "custom potential term inf*r^2 is not finite"),
 ], ids=["k-inf", "b-inf", "alpha-inf", "m1-inf", "rmax-inf",
         "alpha-1e308-slet", "alpha-1e308-oracle", "alpha-1e308-nr-oracle",
         "r200-oracle", "m2-1e300", "m1-m2-1e100", "repeated-alpha",
@@ -327,7 +333,8 @@ CORNELL = "cornell:alpha=0.25,b=0.18"
         "b-5e-324-slet", "b-5e-324-oracle", "alpha-5e-324-slet",
         "alpha-5e-324-oracle", "custom-trailing-plus", "r0.5-1e300-m-1e30",
         "infinite-scan-bracket", "nonfinite-taylor", "negative-n-range",
-        "negative-l-range"])
+        "negative-l-range", "no-potential", "unknown-kind", "empty-custom",
+        "nonfinite-custom-term"])
 def test_bad_input_refused_without_traceback(capsys, argv, code, message):
     # the later --m1/--m2 replaces the earlier one
     got, out, err = run(capsys, "solve", "--m1", "1.45", "--m2", "1.45",
@@ -349,6 +356,21 @@ class TestConfigFile:
         code, out, _ = run(capsys, "solve", "--config", str(cfg), "--l", "2")
         assert code == 0
         assert out.splitlines()[1].split(",")[4] == "2"
+
+    def test_missing_mass(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("potential=oscillator:k=1\nm1=1.31\n")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: --m1 and --m2 are required\n"
+
+    def test_line_without_equals_named(self, capsys, tmp_path):
+        # comments and blank lines are skipped but still counted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nnonrelativistic\n")
+        code, out, err = run(capsys, "solve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:3: expected key=value\n"
 
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

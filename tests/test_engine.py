@@ -59,9 +59,8 @@ def coulomb_r0_reference(m, alpha, n, l=0):
 
 class TestGeometry:
     def test_coulomb_closed_form_point(self, coulomb_pot, pair_145):
-        cf = coulomb_closed_form(1.45, 0.25, 0)
-        _, q, _ = geometry_at(coulomb_pot.derivatives(cf.r0, 2), pair_145,
-                              cf.r0)
+        _, r0, _ = coulomb_closed_form(1.45, 0.25, 0)
+        _, q, _ = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145, r0)
         assert q == pytest.approx(1.0, rel=1e-10)
 
     def test_nonrelativistic_limit_of_q(self):
@@ -81,7 +80,7 @@ class TestGeometry:
 
     def test_omega_near_coulomb_ratio(self, coulomb_pot, pair_145):
         # the scaled frequency sits within 1% of 2/m for alpha = 0.25
-        r0, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
+        (r0,), _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
         _, _, omega = geometry_at(coulomb_pot.derivatives(r0, 2), pair_145,
                                   r0)
         assert abs(omega / (2.0 / 1.45) - 1.0) < 0.01
@@ -92,8 +91,7 @@ class TestGeometry:
         geo = geometry_at(pot.derivatives(1.0, 2), pair_145, 1.0)
         assert [type(v) for v in geo] == [float] * 3
         assert all(math.isnan(v) for v in geo)
-        assert math.isnan(r0_residual(pot, pair_145, QuantumNumbers(0, 0),
-                                      1.0))
+        assert math.isnan(r0_residual(pot, pair_145, 0, 0, 1.0))
 
 
 ARRAY_POTENTIALS = {
@@ -116,11 +114,11 @@ class TestArrayForm:
         qn = QuantumNumbers(2, 1)
         radii = np.geomspace(1e-3, 1e4, 141)
         geo = geometry_at(pot.derivatives(radii, 2), pair, radii)
-        residual = r0_residual(pot, pair, qn, radii)
+        residual = r0_residual(pot, pair, qn.n, qn.l, radii)
         for i, r in enumerate(radii):
             one = geometry_at(pot.derivatives(float(r), 2), pair, float(r))
             got = (*(values[i] for values in geo), residual[i])
-            want = (*one, r0_residual(pot, pair, qn, float(r)))
+            want = (*one, r0_residual(pot, pair, qn.n, qn.l, float(r)))
             # bit for bit, NaN at the same radii
             assert np.array(got).tobytes() == np.array(want).tobytes()
         # all four are NaN exactly at the unusable radii: V' <= 0, or a
@@ -148,8 +146,7 @@ class TestArrayForm:
         assert [type(v) for v in geo] == [float] * 3
         stack = cornell_pot.derivatives(r, 6)
         assert [type(v) for v in stack] == [float] * 7
-        assert type(r0_residual(cornell_pot, pair_145,
-                                QuantumNumbers(1, 1), r)) is float
+        assert type(r0_residual(cornell_pot, pair_145, 1, 1, r)) is float
 
 
 class TestShift:
@@ -169,24 +166,24 @@ class TestShift:
                 assert abs(left) < 1e-15 * (n + 0.5) * omega
 
     def test_coulomb_ground_lbar(self, coulomb_pot, pair_145):
-        cf = coulomb_closed_form(1.45, 0.25, 0)
-        assert cf.Q == 1.0  # lbar = sqrt(Q) = 1 at the closed-form point
+        q, _, _ = coulomb_closed_form(1.45, 0.25, 0)
+        assert q == 1.0  # lbar = sqrt(Q) = 1 at the closed-form point
 
 
 class TestSolveR0:
     def test_coulomb_against_scalar_reduction(self, coulomb_pot, pair_145):
-        got, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
+        (got,), _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(0, 0))
         expect = coulomb_r0_reference(1.45, 0.25, 0)
         assert got == pytest.approx(expect, rel=1e-9)
         # the closed-form expansion point assumes the 2/m frequency and
         # differs from the self-consistent root at the percent level
-        cf = coulomb_closed_form(1.45, 0.25, 0)
-        assert cf.r0 == pytest.approx(5.47397, abs=1e-5)
-        assert abs(got - cf.r0) / cf.r0 < 0.01
-        assert got != pytest.approx(cf.r0, rel=1e-6)
+        _, r0, _ = coulomb_closed_form(1.45, 0.25, 0)
+        assert r0 == pytest.approx(5.47397, abs=1e-5)
+        assert abs(got - r0) / r0 < 0.01
+        assert got != pytest.approx(r0, rel=1e-6)
         # n + l + 1 >= 14 puts r0 above 1e3, which the bracket must follow
         for n, l in [(13, 0), (12, 4)]:
-            got, _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(n, l))
+            (got,), _ = solve_r0(coulomb_pot, pair_145, QuantumNumbers(n, l))
             expect = coulomb_r0_reference(1.45, 0.25, n, l)
             assert got == pytest.approx(expect, rel=1e-9)
 
@@ -197,11 +194,11 @@ class TestSolveR0:
         pair = ParticlePair.equal(m)
         for n, l in [(0, 0), (2, 1), (4, 2)]:
             qn = QuantumNumbers(n, l)
-            r0, _ = solve_r0(pot, pair, qn)
+            (r0,), _ = solve_r0(pot, pair, qn)
             _, q, omega = geometry_at(pot.derivatives(r0, 2), pair, r0)
             _, lbar = shift_and_lbar(pair, n, omega, l)
             assert abs(math.sqrt(q) - lbar) / lbar <= 1e-8
-            assert abs(r0_residual(pot, pair, qn, r0)) < 1e-9
+            assert abs(r0_residual(pot, pair, n, l, r0)) < 1e-9
 
     @pytest.mark.parametrize("spec, relativistic", [
         ("custom:1*r^200", True), ("coulomb:alpha=1e308", False)])
@@ -244,22 +241,42 @@ class TestSolveR0:
         assert math.isnan(geometry_at(pot.derivatives(x, 2), pair, x)[2])
 
     def test_multiple_roots_keep_lowest_leading_energy(self, pair_145):
-        # the r0 equation has a root near 0.958 and one near 3.126; the
-        # second has the lower leading energy and is kept, with a warning
+        # the r0 equation has a root near 0.958 and one near 3.126; solve
+        # keeps the second, which has the lower leading energy, and warns
         pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
         qn = QuantumNumbers(0, 0)
-        with pytest.warns(MultipleRootsWarning, match="2 expansion points"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             sol = solve(pot, pair_145, qn)
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            MultipleRootsWarning, "2 expansion points satisfy the root "
+            "equation; keeping the one with the lowest leading energy "
+            "(r0 = 3.12638)")]
         assert sol.diagnostics.r0_root_count == 2
         assert sol.r0 == pytest.approx(3.12638, abs=1e-5)
         assert sol.E0 == pytest.approx(2.61534, abs=1e-5)
-        other = brentq(lambda r: r0_residual(pot, pair_145, qn, r), 0.5, 1.0)
+        other = brentq(lambda r: r0_residual(pot, pair_145, 0, 0, r),
+                       0.5, 1.0)
         assert other == pytest.approx(0.95777, abs=1e-5)
         _, q, _ = geometry_at(pot.derivatives(other, 2), pair_145, other)
         e0_other = leading_energy(pot.evaluate(other), pair_145, other, q,
                                   energy_denominator(pair_145, other, q))
         assert e0_other == pytest.approx(2.77511, abs=1e-5)
         assert sol.E0 < e0_other
+
+    def test_every_root_returned_in_order(self, pair_145):
+        # solve_r0 chooses no root: both come back, ascending, each a root
+        # of the equation, and no warning is issued
+        pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, calls = solve_r0(pot, pair_145, QuantumNumbers(0, 0))
+        assert roots == sorted(roots)
+        assert roots == [pytest.approx(0.95777, abs=1e-5),
+                         pytest.approx(3.12638, abs=1e-5)]
+        assert all(abs(r0_residual(pot, pair_145, 0, 0, r)) < 1e-9
+                   for r in roots)
+        assert calls > R0_SCAN_PANELS + 1
 
 
 # (potential, mass, relativistic, levels): the Table 2 and 3 cells and
@@ -377,14 +394,14 @@ class TestBracketedRoot:
         # every sign change of the scan: the scan's end values are the
         # scalar ones, and the root lies within R0_TOLERANCE of brentq's
         # on the same panel
-        (r0, (calls, _)), polished = self.polish_solve_r0(
+        (roots, calls), polished = self.polish_solve_r0(
             monkeypatch, spec, m, relativistic, n, l)
         assert polished
         for (f, a, b, fa, fb, *_), (root, _) in polished:
             assert (fa, fb) == (f(float(a)), f(float(b)))
             exact = brentq_root(f, a, b)
             assert abs(root - exact) <= R0_TOLERANCE * abs(root)
-        assert r0 in [root for _, (root, _) in polished]
+        assert set(roots) <= {root for _, (root, _) in polished}
         assert calls == R0_SCAN_PANELS + 1 + sum(
             c for _, (_, c) in polished)
 
@@ -401,12 +418,11 @@ class TestBracketedRoot:
 class TestLeadingEnergy:
     def test_closed_form_inputs(self, coulomb_pot, pair_145):
         for n, printed in [(0, -0.02274), (3, -0.001415)]:
-            cf = coulomb_closed_form(1.45, 0.25, n)
-            e0 = leading_energy(coulomb_pot.evaluate(cf.r0), pair_145, cf.r0,
-                                cf.Q, energy_denominator(pair_145, cf.r0,
-                                                         cf.Q))
+            q, r0, closed = coulomb_closed_form(1.45, 0.25, n)
+            e0 = leading_energy(coulomb_pot.evaluate(r0), pair_145, r0, q,
+                                energy_denominator(pair_145, r0, q))
             assert e0 == pytest.approx(printed, abs=1e-5)
-            assert e0 == pytest.approx(cf.E0, rel=1e-10)
+            assert e0 == pytest.approx(closed, rel=1e-10)
 
     def test_degenerate_q(self, coulomb_pot, pair_145):
         r0 = 2.0
@@ -416,7 +432,7 @@ class TestLeadingEnergy:
 
     def test_denominator_identity(self, cornell_pot, pair_145):
         # sqrt(1 + Q/(mu eta r0^2)) equals 1 + (E0 - V(r0))/eta
-        r0, _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
+        (r0,), _ = solve_r0(cornell_pot, pair_145, QuantumNumbers(1, 1))
         _, q, _ = geometry_at(cornell_pot.derivatives(r0, 2), pair_145, r0)
         d1 = energy_denominator(pair_145, r0, q)
         e0 = leading_energy(cornell_pot.evaluate(r0), pair_145, r0, q, d1)
@@ -489,9 +505,9 @@ class TestClosedForms:
         printed = [-0.02274, -0.00566, -0.002516, -0.001415, -0.000906,
                    -0.000629]
         for n, value in enumerate(printed):
-            cf = coulomb_closed_form(1.45, 0.25, n)
-            assert cf.E0 == pytest.approx(value, abs=1e-5)
-            assert cf.Q == (2 * n + 2) ** 2 / 4.0
+            q, _, e0 = coulomb_closed_form(1.45, 0.25, n)
+            assert e0 == pytest.approx(value, abs=1e-5)
+            assert q == (2 * n + 2) ** 2 / 4.0
 
     def test_reference_row(self):
         printed = [-0.022394, -0.005648, -0.002514, -0.001415, -0.000906,
@@ -502,17 +518,18 @@ class TestClosedForms:
             exact_binding = 2.0 * 1.45 / math.sqrt(1.0 + a * a) - 2.0 * 1.45
             assert exact_binding == pytest.approx(value, abs=1e-6)
 
-    def test_bound_saturation(self):
+    def test_bound_saturation(self, pair_145):
         for n in range(6):
-            cf = coulomb_closed_form(1.45, 0.25, n)
+            _, _, e0 = coulomb_closed_form(1.45, 0.25, n)
             # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
             a = 0.25 / (2.0 * n + 2.0)
-            assert cf.M == 2.0 * 1.45 * math.sqrt(1.0 - a * a)
+            assert e0 + pair_145.total_mass == 2.0 * 1.45 * math.sqrt(
+                1.0 - a * a)
 
-    def test_free_limit(self):
-        cf = coulomb_closed_form(1.45, 1e-8, 0)
-        assert abs(cf.E0) < 1e-15
-        assert cf.M == pytest.approx(2.9, rel=1e-15)
+    def test_free_limit(self, pair_145):
+        _, _, e0 = coulomb_closed_form(1.45, 1e-8, 0)
+        assert abs(e0) < 1e-15
+        assert e0 + pair_145.total_mass == pytest.approx(2.9, rel=1e-15)
 
     def test_unphysical_coupling(self):
         with pytest.raises(UnphysicalCouplingError):
@@ -651,7 +668,7 @@ class TestFullSolve:
             def wrapper(*args):
                 counts[name] += 1
                 if name == "r0_residual":
-                    radii.append(args[3])
+                    radii.append(args[4])
                 return original(*args)
             return wrapper
         for name in counts:

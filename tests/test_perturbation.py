@@ -18,6 +18,14 @@ def make_problem(mu, omega, n, eps_bar=(0, 0, 0, 0)):
     return mu, omega, n, bars_to_raw(mu, omega, eps_bar), (0,) * 6
 
 
+def negate_odd_orders(eps, delta):
+    """eps and delta of h(-lambda): the odd-order coefficients eps1,
+    eps3, delta1, delta3 and delta5 negated."""
+    e1, e2, e3, e4 = eps
+    d1, d2, d3, d4, d5, d6 = delta
+    return (-e1, e2, -e3, e4), (-d1, d2, -d3, d4, -d5, d6)
+
+
 def random_problems():
     """Three problems at each of six levels, every coefficient set."""
     rng = np.random.default_rng(41)
@@ -78,11 +86,11 @@ class TestLadderAgainstDensePowers:
         off = m != n
         second = -e * e * np.sum(x4[off]**2 / ((m[off] - n) * omega))
         quartic = rspt_coefficients(mu, omega, n, (0, 0, 0, e), (0,) * 6)
-        sextic = rspt_coefficients(mu, omega, n, (0,) * 4,
-                                   (0, 0, 0, 0, 0, d))
-        assert quartic.c2 == pytest.approx(e * x4[n], rel=1e-13)
-        assert quartic.c4 == pytest.approx(second, rel=1e-12)
-        assert sextic.c4 == pytest.approx(d * x6, rel=1e-13)
+        _, sextic4 = rspt_coefficients(mu, omega, n, (0,) * 4,
+                                       (0, 0, 0, 0, 0, d))
+        assert quartic[0] == pytest.approx(e * x4[n], rel=1e-13)
+        assert quartic[1] == pytest.approx(second, rel=1e-12)
+        assert sextic4 == pytest.approx(d * x6, rel=1e-13)
 
 
 class TestExactlySolvable:
@@ -92,9 +100,9 @@ class TestExactlySolvable:
         # (n + 1/2) w - lam^2 e1^2/(2 mu w^2), so c2 = -ebar1^2/w, c4 = 0
         mu, omega, ebar1 = 0.9, 1.7, 0.63
         problem = make_problem(mu, omega, n, (ebar1, 0, 0, 0))
-        c = rspt_coefficients(*problem)
-        assert c.c2 == pytest.approx(-ebar1**2 / omega, rel=1e-10)
-        assert abs(c.c4) < 1e-12
+        c2, c4 = rspt_coefficients(*problem)
+        assert c2 == pytest.approx(-ebar1**2 / omega, rel=1e-10)
+        assert abs(c4) < 1e-12
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_quadratic_shift(self, n):
@@ -103,30 +111,37 @@ class TestExactlySolvable:
         mu, omega, e2 = 1.1, 0.8, 0.07
         c2_exact = (n + 0.5) * e2 / (mu * omega)
         c4_exact = -(n + 0.5) * e2**2 / (2.0 * mu**2 * omega**3)
-        c = rspt_coefficients(mu, omega, n, (0, e2, 0, 0), (0,) * 6)
-        assert c.c2 == pytest.approx(c2_exact, rel=1e-10)
-        assert c.c4 == pytest.approx(c4_exact, rel=1e-10)
+        c2, c4 = rspt_coefficients(mu, omega, n, (0, e2, 0, 0), (0,) * 6)
+        assert c2 == pytest.approx(c2_exact, rel=1e-10)
+        assert c4 == pytest.approx(c4_exact, rel=1e-10)
 
     @pytest.mark.parametrize("n,factor", [(0, 3.0), (1, 15.0)])
     def test_quartic_first_order(self, n, factor):
         # <n|x^4|n> identity: alpha1 = 3 (1 + 2n + 2n^2) ebar4
         mu, omega, ebar4 = 0.66, 2.1, 0.11
         problem = make_problem(mu, omega, n, (0, 0, 0, ebar4))
-        alpha1 = rspt_coefficients(*problem).c2
+        alpha1, _ = rspt_coefficients(*problem)
         assert alpha1 == pytest.approx(factor * ebar4, rel=1e-12)
 
 
 class TestSeriesStructure:
     def test_parity_zeros(self):
+        # c1 and c3 vanish: h(-lambda), every odd-order coefficient negated,
+        # has the same alpha1 and alpha2, and the 50-digit series of the
+        # same problem has zero odd-order coefficients
         rng = np.random.default_rng(11)
         for _ in range(25):
             mu, omega = rng.uniform(0.3, 3.0), rng.uniform(0.2, 4.0)
             eps = bars_to_raw(mu, omega, rng.uniform(-1, 1, 4))
             delta = rng.uniform(-1, 1, 6)
-            c = rspt_coefficients(mu, omega, int(rng.integers(0, 4)), eps,
-                                  tuple(delta))
-            assert abs(c.c1) <= 1e-10
-            assert abs(c.c3) <= 1e-10
+            problem = (mu, omega, int(rng.integers(0, 4)), eps, tuple(delta))
+            mirrored = problem[:3] + negate_odd_orders(*problem[3:])
+            got = rspt_coefficients(*problem)
+            assert rspt_coefficients(*mirrored) == pytest.approx(
+                got, rel=0.0, abs=1e-10)
+            c1, _, c3, _ = exact_series(problem, digits=30)
+            assert abs(c1) <= 1e-10
+            assert abs(c3) <= 1e-10
 
     def test_closed_form_alpha1_agreement(self):
         rng = np.random.default_rng(23)
@@ -134,21 +149,21 @@ class TestSeriesStructure:
             mu, omega = rng.uniform(0.3, 3.0), rng.uniform(0.2, 4.0)
             n = int(rng.integers(0, 5))
             eps_bar = rng.uniform(-1, 1, 4)
-            c = rspt_coefficients(*make_problem(mu, omega, n, eps_bar))
+            c2, _ = rspt_coefficients(*make_problem(mu, omega, n, eps_bar))
             closed = alpha1_closed_form(n, omega, eps_bar)
             if abs(closed) > 1e-12:
-                assert c.c2 == pytest.approx(closed, rel=1e-8)
+                assert c2 == pytest.approx(closed, rel=1e-8)
             else:
-                assert abs(c.c2 - closed) < 1e-10
+                assert abs(c2 - closed) < 1e-10
 
     def test_ground_level_second_order_not_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             mu, omega = rng.uniform(0.3, 3.0), rng.uniform(0.2, 4.0)
-            c = rspt_coefficients(*make_problem(mu, omega, 0,
-                                                (rng.uniform(-1, 1), 0,
-                                                 rng.uniform(-1, 1), 0)))
-            assert c.c2 <= 1e-15
+            c2, _ = rspt_coefficients(*make_problem(mu, omega, 0,
+                                                    (rng.uniform(-1, 1), 0,
+                                                     rng.uniform(-1, 1), 0)))
+            assert c2 <= 1e-15
 
 
 def exact_series(problem, digits=50):
@@ -216,10 +231,10 @@ class TestExactArithmeticReferee:
 
     @staticmethod
     def _check(problem, c4_bound=1e-9):
-        got = rspt_coefficients(*problem)
+        c2, c4 = rspt_coefficients(*problem)
         exact = exact_series(problem)
-        assert got.c2 == pytest.approx(float(exact[1]), rel=1e-12)
-        assert got.c4 == pytest.approx(float(exact[3]), rel=c4_bound)
+        assert c2 == pytest.approx(float(exact[1]), rel=1e-12)
+        assert c4 == pytest.approx(float(exact[3]), rel=c4_bound)
 
     def test_random_problems(self):
         for problem in random_problems():
