@@ -18,12 +18,17 @@ Families:
                l <= 1, as JSON
   closed-form  slet solve --method closed-form, Coulomb n 0..5, as JSON
   compare      the README's Cornell slet compare, as CSV
-  levels       every field of engine.solve on the benchmark's excited
-               levels and Coulomb levels with n <= 13, l in {0, 4}
+  levels       every field of engine.solve on the 22 levels of the
+               benchmark's excited workload (bench/workloads.py) and the
+               Coulomb levels with n <= 13, l in {0, 4}
   two-roots    engine.solve where the r0 equation has two roots, with
                the MultipleRootsWarning text
   sweep        engine.solve over the 1,008 solves of the extreme-input
-               sweep in tests/test_engine.py, with each one's warnings
+               sweep, as tests/test_engine.py's sweep_outcomes runs them,
+               with each one's warnings
+
+The excited levels and the sweep are read from this checkout's bench/
+and tests/, so both trees are digested on the same cases.
 """
 
 import os
@@ -36,10 +41,12 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import sys  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
 CORNELL = ("--potential", "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
            "--m2", "1.45")
 OSCILLATOR = ("--potential", "oscillator:k=1", "--m1", "1.31", "--m2",
@@ -59,16 +66,10 @@ COMMANDS = {
     "compare": [("compare", *CORNELL, "--n-range", "0:2", "--l-range",
                  "0:2", "--format", "csv")],
 }
-# (potential, equal mass, relativistic, levels)
-LEVELS = (
-    ("cornell:alpha=0.25,b=0.18", 1.45, True,
-     ((60, 2), (120, 2), (200, 2), (100, 10), (160, 10))),
-    ("oscillator:k=1", 1.31, True,
-     ((60, 0), (120, 0), (80, 5), (150, 5), (200, 8))),
-    ("oscillator:k=1", 1.31, False, ((80, 1), (150, 1), (100, 7))),
+# (potential, equal mass, relativistic, levels), beside the excited ones
+COULOMB_LEVELS = (
     ("coulomb:alpha=0.25", 1.45, True,
      tuple((n, l) for n in range(14) for l in (0, 4))),
-    ("coulomb:alpha=0.25", 1.45, False, ((4, 2), (9, 2), (10, 3))),
 )
 TWO_ROOTS = (
     ("custom:4*r^1-2*r^2+0.3*r^3", 1.45, True,
@@ -78,21 +79,17 @@ TWO_ROOTS = (
     ("custom:4*r^1-2*r^2+0.3*r^3", 10.0, True,
      ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))),
 )
-# the extreme-input sweep of tests/test_engine.py
-SWEEP_COEFFICIENTS = (1e-300, 1e-100, 1e-30, 1.0, 1e30, 1e100, 1e300)
-SWEEP_POWERS = (0.5, 1.0, 2.0, 3.0, 12.0)
-SWEEP_MASSES = (1e-100, 1e-30, 1e-5, 1.0, 1e5, 1e30, 1e100)
 
 
 def caught(call):
-    """(call's result or exception, [(warning class, text)])."""
+    """(call's result or exception, warnings it issued)."""
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         try:
             result = call()
         except Exception as exc:  # every outcome is part of the digest
             result = exc
-    return result, [(w.category.__name__, str(w.message)) for w in seen]
+    return result, seen
 
 
 def command_output(cli, argv):
@@ -100,46 +97,52 @@ def command_output(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code, seen = caught(lambda: cli.main(list(argv)))
-    return repr((argv, code, out.getvalue(), err.getvalue(), seen))
+    return repr((argv, code, out.getvalue(), err.getvalue(),
+                 warning_texts(seen)))
 
 
-def solve_outcome(engine, potential, pair, n, l):
+def warning_texts(seen):
+    return [(w.category.__name__, str(w.message)) for w in seen]
+
+
+def solve_outcome(case, sol, seen):
     """repr of every field of one solve, or of its failure, and warnings."""
-    sol, seen = caught(lambda: engine.solve(potential, pair,
-                                            engine.QuantumNumbers(n, l)))
     if isinstance(sol, Exception):
         sol = (type(sol).__name__, getattr(sol, "stage", None), str(sol))
     else:
         sol = dataclasses.astuple(sol)
-    return repr(((n, l), sol, seen))
+    return repr((case, sol, warning_texts(seen)))
 
 
-def level_outputs(slet, cases):
+def level_outputs(slet, systems):
+    """Solve outcomes of (label, potential, pair, levels) systems."""
+    engine = slet.engine
+    for label, potential, pair, levels in systems:
+        for n, l in levels:
+            sol, seen = caught(lambda: engine.solve(
+                potential, pair, engine.QuantumNumbers(n, l)))
+            yield solve_outcome((label, n, l), sol, seen)
+
+
+def spec_systems(cases):
     from slet.potentials import ParticlePair, parse_potential
     for spec, m, relativistic, levels in cases:
-        potential = parse_potential(spec)
-        pair = ParticlePair.equal(m, relativistic)
-        for n, l in levels:
-            yield repr((spec, m, relativistic)) + solve_outcome(
-                slet.engine, potential, pair, n, l)
+        yield ((spec, m, relativistic), parse_potential(spec),
+               ParticlePair.equal(m, relativistic), levels)
+
+
+def excited_systems(slet):
+    """The benchmark's excited levels, as bench/workloads.py lists them."""
+    from workloads import Excited
+    for system, levels in Excited.LEVELS:
+        yield (system.name, system.potential(slet), system.pair(slet),
+               levels)
 
 
 def sweep_outputs(slet):
-    from slet.potentials import ParticlePair, PotentialModel
-    for c in SWEEP_COEFFICIENTS:
-        shapes = [[(c, p)] for p in SWEEP_POWERS]
-        shapes.append([(-min(c, 0.4), -1.0), (1.0, 2.0)])
-        for terms in shapes:
-            potential = PotentialModel.custom(terms)
-            for m in SWEEP_MASSES:
-                for relativistic in (True, False):
-                    try:
-                        pair = ParticlePair.equal(m, relativistic)
-                    except ValueError:
-                        continue
-                    for n, l in ((0, 0), (3, 2)):
-                        yield repr((terms, m, relativistic)) + solve_outcome(
-                            slet.engine, potential, pair, n, l)
+    from test_engine import sweep_outcomes
+    for case, sol, _, seen in sweep_outcomes(slet.engine.solve):
+        yield solve_outcome(case, sol, seen)
 
 
 def digest(parts) -> str:
@@ -151,19 +154,19 @@ def digest(parts) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve()
-                                             .parents[1] / "src"),
+    parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the slet package "
                              "(default: this checkout's src)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, args.src)
+    sys.path[:0] = [args.src, str(ROOT / "bench"), str(ROOT / "tests")]
     import slet
     from slet import cli
     print(f"slet from {Path(slet.__file__).parent}", file=sys.stderr)
     families = {name: (command_output(cli, argv) for argv in commands)
                 for name, commands in COMMANDS.items()}
-    families["levels"] = level_outputs(slet, LEVELS)
-    families["two-roots"] = level_outputs(slet, TWO_ROOTS)
+    families["levels"] = level_outputs(slet, itertools.chain(
+        excited_systems(slet), spec_systems(COULOMB_LEVELS)))
+    families["two-roots"] = level_outputs(slet, spec_systems(TWO_ROOTS))
     families["sweep"] = sweep_outputs(slet)
     for name, parts in families.items():
         print(f"{name:12s} {digest(parts)}", flush=True)

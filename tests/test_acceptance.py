@@ -15,6 +15,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
+from slet import cli
 from slet import perturbation as pt
 from slet.engine import (
     QuantumNumbers,
@@ -69,10 +70,12 @@ def test_criterion_02_coulomb_exact_reference():
 
 def test_criterion_03_bound_saturation_identity():
     failures = []
-    total_mass = ParticlePair.equal(M_COULOMB).total_mass
-    for n in range(6):
-        _, _, e0 = coulomb_closed_form(M_COULOMB, ALPHA, n)
-        mass = e0 + total_mass  # as the closed-form record takes it
+    # the M_GeV of the closed-form records that `slet table 1` emits
+    records, _, _ = cli.run_table(1)
+    masses = {record.n: record.M_GeV for record in records}
+    if sorted(masses) != list(range(6)):
+        failures.append(f"table 1 emits levels n={sorted(masses)}")
+    for n, mass in sorted(masses.items()):
         # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
         a = ALPHA / (2.0 * n + 2.0)
         bound = 2.0 * M_COULOMB * math.sqrt(1.0 - a * a)

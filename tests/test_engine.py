@@ -518,18 +518,25 @@ class TestClosedForms:
             exact_binding = 2.0 * 1.45 / math.sqrt(1.0 + a * a) - 2.0 * 1.45
             assert exact_binding == pytest.approx(value, abs=1e-6)
 
-    def test_bound_saturation(self, pair_145):
+    @staticmethod
+    def closed_form_record(alpha, n):
+        """Record values of `slet solve --method closed-form` at one level."""
+        manifest = cli.RunManifest(
+            potential=parse_potential(f"coulomb:alpha={alpha!r}"), m1=1.45,
+            m2=1.45, levels=[(n, 0)], method="closed-form")
+        return cli.solve_level(manifest, n, 0, "closed-form")
+
+    def test_bound_saturation(self):
         for n in range(6):
-            _, _, e0 = coulomb_closed_form(1.45, 0.25, n)
+            mass = self.closed_form_record(0.25, n)["M_GeV"]
             # variational bound 2m sqrt(1 - a^2), a = alpha / (2n + 2)
             a = 0.25 / (2.0 * n + 2.0)
-            assert e0 + pair_145.total_mass == 2.0 * 1.45 * math.sqrt(
-                1.0 - a * a)
+            assert mass == 2.0 * 1.45 * math.sqrt(1.0 - a * a)
 
-    def test_free_limit(self, pair_145):
-        _, _, e0 = coulomb_closed_form(1.45, 1e-8, 0)
-        assert abs(e0) < 1e-15
-        assert e0 + pair_145.total_mass == pytest.approx(2.9, rel=1e-15)
+    def test_free_limit(self):
+        values = self.closed_form_record(1e-8, 0)
+        assert abs(values["E_binding_GeV"]) < 1e-15
+        assert values["M_GeV"] == pytest.approx(2.9, rel=1e-15)
 
     def test_unphysical_coupling(self):
         with pytest.raises(UnphysicalCouplingError):
