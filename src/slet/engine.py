@@ -3,9 +3,22 @@
 The radial equation carries the relativistically corrected potential
 gamma(r) = V - V^2/(2 eta) plus an energy-dependent coupling E V / eta.
 Expanding around the point r0 where the leading effective potential is
-extremal turns it into a perturbed oscillator in the shifted angular
-momentum lbar = l - beta, with the shift beta chosen so the first
-subleading energy term vanishes.  The pipeline is:
+extremal turns it into a perturbed oscillator h(lambda), lambda =
+lbar^(-1/2), in the shifted angular momentum lbar = l - beta, with the
+shift beta chosen so the first subleading energy term vanishes.  At
+order j = 1..4 of h(lambda), with V and gamma at r0, the coefficient of
+x^p is one of three families:
+
+    p = j + 2:  (-1)^j (j + 3)/(2 mu)
+                + r0^(j+4) [gamma^(j+2) + E0 V^(j+2)/eta] / ((j + 2)! Q)
+    p = j:      (-1)^j (j + 1)(2 beta + 1)/(2 mu)
+    p = j - 2:  (-1)^j (j - 1) beta (beta + 1)/(2 mu)
+                + r0^j V^(j-2) E2 / (eta (j - 2)! Q),  for j >= 3 only
+
+eps_p is the x^p coefficient of orders 1 and 2 and delta_p that of
+orders 3 and 4, an odd power at the odd order.  E2 = Q [alpha1 + beta
+(beta + 1)/(2 mu)] / (r0^2 D) takes the closed-form alpha1 of the eps,
+which also checks the series' alpha1.  The pipeline is:
 
     r0 scan -> polish (solve_r0) -> at each root: stack V^(0..6),
     geometry (xi, Q, omega), E0 -> the root of lowest E0 -> beta, lbar
@@ -24,12 +37,8 @@ equation makes sqrt(Q) = lbar hold automatically; :func:`solve` takes
 the root residual from its one geometry evaluation there, and the
 geometry, E0, the Taylor coefficients and the denominator check all read
 the one stack, and E0 and the Taylor coefficients the one denominator D.
-The reported correction coefficients alpha1 and alpha2 come from the
-perturbation module's moment recursion.  The closed form for alpha1,
-evaluated once, supplies the E2 that delta1 and delta2 need before the
-series can run, and checks the series' alpha1 afterwards.  Input beyond
-double precision ends in an UnphysicalRegimeError labelled solve_r0 or
-taylor_coefficients.
+Input beyond double precision ends in an UnphysicalRegimeError labelled
+solve_r0 or taylor_coefficients.
 """
 
 from __future__ import annotations
@@ -347,49 +356,39 @@ def taylor_coefficients(d, pair: ParticlePair, r0: float, Q: float,
                         n: int):
     """(eps, delta, eps_bar, delta_bar, alpha1) of level n at r0.
 
-    d is the stack V^(0..6)(r0), from which gamma^(3..6) come too; bars
-    divide eps_i and delta_j by (2 mu omega)^(i/2) and (2 mu omega)^(j/2).
-    delta1 and delta2 contain E2 = Q [alpha1 + beta (beta + 1)/(2 mu)] /
-    (r0^2 D), with D from :func:`energy_denominator`.  The series cannot
-    run before the deltas exist, so this alpha1 comes from
-    :func:`alpha1_closed_form` of the scaled eps, which are computed first.
+    The families of the module docstring over j = 1..4, from the stack d
+    = V^(0..6)(r0); the bars divide a coefficient of x^p by (2 mu
+    omega)^(p/2).  alpha1 is :func:`alpha1_closed_form` of eps_bar, and
+    D is :func:`energy_denominator`'s.
     """
-    mu, eta = pair.mu, pair.eta
-    inv_eta = 1.0 / eta
-    two_b1 = 2.0 * beta + 1.0
-    g = {k: gamma_from_stack(d, eta, k) for k in (3, 4, 5, 6)}
-    scale = 2.0 * mu * omega
+    inv_eta, two_mu = 1.0 / pair.eta, 2.0 * pair.mu
 
-    eps = (
-        -two_b1 / mu,
-        3.0 * two_b1 / (2.0 * mu),
-        -2.0 / mu + r0**5 / (6.0 * Q) * (g[3] + d[3] * E0 * inv_eta),
-        5.0 / (2.0 * mu) + r0**6 / (24.0 * Q) * (g[4] + d[4] * E0 * inv_eta),
-    )
-    eps_bar = tuple(e / scale ** ((i + 1) / 2.0) for i, e in enumerate(eps))
+    def by_power(orders, e2=None):
+        c = [0.0] * (orders[-1] + 3)  # c[p] multiplies x^p, p >= 1
+        for j in orders:
+            sign = (-1) ** j
+            c[j] = sign * (j + 1) * (2.0 * beta + 1.0) / two_mu
+            c[j + 2] = (sign * (j + 3) / two_mu
+                        + r0 ** (j + 4) / (math.factorial(j + 2) * Q)
+                        * (gamma_from_stack(d, pair.eta, j + 2)
+                           + d[j + 2] * E0 * inv_eta))
+            if j > 2:
+                c[j - 2] = (sign * (j - 1) * beta * (beta + 1.0) / two_mu
+                            + r0**j * d[j - 2] * e2 * inv_eta
+                            / (math.factorial(j - 2) * Q))
+        plain = tuple(c[1:])
+        return plain, tuple([v / (two_mu * omega) ** (p / 2.0)
+                             for p, v in enumerate(plain, 1)])
+
+    eps, eps_bar = by_power((1, 2))
     alpha1 = alpha1_closed_form(n, omega, eps_bar)
-    e2 = Q * (alpha1 + beta * (beta + 1.0) / (2.0 * mu)) / (r0**2 * D)
-    delta = (
-        -beta * (beta + 1.0) / mu + r0**3 * d[1] * e2 * inv_eta / Q,
-        3.0 * beta * (beta + 1.0) / (2.0 * mu)
-        + r0**4 * d[2] * e2 * inv_eta / (2.0 * Q),
-        -2.0 * two_b1 / mu,
-        5.0 * two_b1 / (2.0 * mu),
-        -3.0 / mu + r0**7 / (120.0 * Q) * (g[5] + d[5] * E0 * inv_eta),
-        7.0 / (2.0 * mu) + r0**8 / (720.0 * Q) * (g[6] + d[6] * E0 * inv_eta),
-    )
-    delta_bar = tuple(dj / scale ** ((j + 1) / 2.0)
-                      for j, dj in enumerate(delta))
+    e2 = Q * (alpha1 + beta * (beta + 1.0) / two_mu) / (r0**2 * D)
+    delta, delta_bar = by_power((3, 4), e2)
     return eps, delta, eps_bar, delta_bar, alpha1
 
 
 def alpha1_closed_form(n: int, omega: float, eps_bar) -> float:
-    """Closed form for the first correction coefficient.
-
-    Standard shifted-expansion result in the scaled coefficients.  It
-    seeds E2 inside delta1 and delta2 (see :func:`taylor_coefficients`)
-    and is the independent cross-check of the series' alpha1.
-    """
+    """alpha1 in the scaled eps, the standard shifted-expansion result."""
     e1, e2, e3, e4 = eps_bar
     return ((1 + 2 * n) * e2 + 3.0 * (1 + 2 * n + 2 * n * n) * e4
             - (e1 * e1 + 6.0 * (1 + 2 * n) * e1 * e3

@@ -3,16 +3,16 @@
 The shifted-l expansion reduces the radial problem to a one-dimensional
 harmonic oscillator (mass mu, scaled frequency omega) perturbed by
 polynomial terms that enter at four successive orders of the formal
-expansion parameter lambda:
+expansion parameter lambda, in three families of powers at order j:
 
     h(lambda) = p^2/(2 mu) + mu omega^2 x^2 / 2
-                + lambda   (eps1 x + eps3 x^3)
-                + lambda^2 (eps2 x^2 + eps4 x^4)
-                + lambda^3 (delta1 x + delta3 x^3 + delta5 x^5)
-                + lambda^4 (delta2 x^2 + delta4 x^4 + delta6 x^6)
+                + sum_{j=1..4} lambda^j (c_j,j-2 x^(j-2) + c_jj x^j
+                                         + c_j,j+2 x^(j+2)),
 
-The ten coefficients eps1..4 and delta1..6 are the whole input: this
-layout is fixed by the expansion, and this module alone knows it.  The
+the x^(j-2) family only at j >= 3 (:mod:`slet.engine` gives the three
+formulas).  The ten coefficients eps1..4 and delta1..6 are the whole
+input, placed by one rule: eps_p is c_jp at order j = 2 - (p mod 2) and
+delta_p at j = 4 - (p mod 2), an odd power at the odd order.  The
 energy corrections alpha1 and alpha2 consumed by the radial solver are
 the lambda^2 and lambda^4 coefficients of the eigenvalue series of a
 single level n.  They are computed here by the hypervirial-Hellmann-
@@ -77,12 +77,10 @@ def rspt_coefficients(mu: float, omega: float, level: int, eps, delta):
     The recursion of the module docstring in plain floats, order by
     order: E_q, then X_{m,q} for the powers m of the parity of q.
     """
-    e1, e2, e3, e4 = eps
-    d1, d2, d3, d4, d5, d6 = delta
     # (order, power, coefficient), in the order of h(lambda)
-    terms = ((1, 1, e1), (1, 3, e3), (2, 2, e2), (2, 4, e4),
-             (3, 1, d1), (3, 3, d3), (3, 5, d5), (4, 2, d2), (4, 4, d4),
-             (4, 6, d6))
+    terms = sorted((2 * half + 2 - p % 2, p, c)
+                   for half, coefficients in enumerate((eps, delta))
+                   for p, c in enumerate(coefficients, 1))
     # moments[q][m] = X_{m,q}, up to the power E_4 reads at order q
     moments = ([1.0] + [0.0] * 6, [0.0] * 6, [0.0] * 5, [0.0] * 4)
     energies = [(level + 0.5) * omega, 0.0, 0.0, 0.0, 0.0]

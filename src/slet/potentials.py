@@ -195,11 +195,8 @@ class PotentialModel:
     # -- introspection ---------------------------------------------------
 
     def coulomb_strength(self) -> float:
-        """alpha of an attractive -alpha/r term, 0.0 when absent."""
-        for c, p in self.terms:
-            if p == -1.0 and c < 0.0:
-                return -c
-        return 0.0
+        """alpha, minus the sum of the 1/r coefficients; < 0 if they repel."""
+        return 0.0 - sum(c for c, p in self.terms if p == -1.0)
 
     def length_scales(self, mu: float) -> tuple:
         """Length scale of each term alone, for reduced mass mu.
@@ -252,13 +249,14 @@ def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
                          l: int) -> float:
     """Margin s + 1/4 of the effective inverse-square core over the bound.
 
-    A -alpha/r potential squared inside gamma produces an attractive
-    -alpha^2/(2 eta r^2) core; the combined strength in units of
-    1/(2 mu r^2) is s = l(l+1) - mu alpha^2 / eta and must stay above
-    -1/4.  Potentials with explicit powers below -1 are refused outright
-    (their square is even more singular).  Below the bound the discrete
-    spectrum is not bounded below, so both solvers refuse such input:
-    SupercriticalCouplingError is raised unless the margin is positive.
+    The 1/r terms, of net coefficient -alpha of either sign, squared
+    inside gamma produce an attractive -alpha^2/(2 eta r^2) core; the
+    combined strength in units of 1/(2 mu r^2) is s = l(l+1) - mu
+    alpha^2 / eta and must stay above -1/4.  Potentials with explicit
+    powers below -1 are refused outright (their square is even more
+    singular).  Below the bound the discrete spectrum is not bounded
+    below, so both solvers refuse such input: SupercriticalCouplingError
+    is raised unless the margin is positive.
     """
     bad = potential.singular_powers()
     if bad:
@@ -266,8 +264,10 @@ def fall_to_center_check(potential: PotentialModel, pair: ParticlePair,
     else:
         alpha = potential.coulomb_strength()
         # alpha / eta before the second alpha: a coupling whose square
-        # overflows gives -inf here, or 0 with eta infinite
-        s = float(l * (l + 1)) - pair.mu * alpha / pair.eta * alpha
+        # overflows gives -inf here; with eta infinite there is no core,
+        # even where the sum of the 1/r coefficients overflows
+        s = float(l * (l + 1)) - (pair.mu * alpha / pair.eta * alpha
+                                  if pair.relativistic else 0.0)
     margin = s + 0.25
     if not margin > 0.0:
         raise SupercriticalCouplingError(

@@ -470,6 +470,67 @@ class TestTaylorCoefficients:
         assert delta[5] == pytest.approx(7.0 / (2.0 * pair_131.mu),
                                          rel=1e-14)
 
+    @pytest.mark.parametrize("spec, m, relativistic, n, l", [
+        ("cornell:alpha=0.25,b=0.18", 1.45, True, 1, 1),
+        ("oscillator:k=1", 1.31, True, 2, 2),
+        # every derivative V^(0..6) is nonzero
+        ("custom:-0.3*r^-1+0.2*r^1.5+0.01*r^3", 1.0, True, 3, 1),
+        ("cornell:alpha=0.25,b=0.18", 1.45, False, 4, 0),
+    ])
+    def test_families_from_the_reduced_equation(self, spec, m, relativistic,
+                                                n, l):
+        # The radial equation [p^2/(2 mu) + l(l+1)/(2 mu r^2) + gamma
+        # + E V/eta] u = (E + E^2/(2 eta)) u, times r0^2/lbar, with the
+        # potential scaled by lbar^2/Q, r = r0 (1 + lambda x), lbar =
+        # lambda^-2 = l - beta and E = E0 + lambda^4 E2.  sympy expands
+        # it to lambda^4; its x^p coefficients at order j = 1..4 must be
+        # what taylor_coefficients returns.  The x^0 terms and the
+        # right-hand side are the energy's and are left out.
+        import sympy as sp
+        lam, x, r0, mu, inv_eta, beta, q, e0, e2 = sp.symbols(
+            "lambda x r0 mu inv_eta beta Q E0 E2")
+        v = sp.symbols("v0:7")
+        potential = sum(v[k] * (r0 * lam * x) ** k / sp.factorial(k)
+                        for k in range(7))
+        gamma = potential - potential**2 * inv_eta / 2
+        lbar = lam**-2
+        centrifugal = sp.series((1 + lam * x) ** -2, lam, 0, 7).removeO()
+        equation = sp.expand(
+            lam**2 * (lbar + beta) * (lbar + beta + 1) / (2 * mu * lbar)
+            * centrifugal
+            + r0**2 * lbar / q * (gamma + (e0 + lam**4 * e2) * potential
+                                  * inv_eta) * lam**2)
+        args = (r0, mu, inv_eta, beta, q, e0, e2, *v)
+        coefficient = {}
+        for j in range(1, 5):
+            terms = sp.Poly(equation.coeff(lam, j + 2), x).as_dict()
+            powers = {p for (p,), c in terms.items() if p > 0}
+            assert powers == {j, j + 2} | ({j - 2} if j > 2 else set())
+            for p in powers:
+                coefficient[j, p] = sp.lambdify(args, terms[(p,)], "math")
+
+        pot = parse_potential(spec)
+        pair = ParticlePair.equal(m, relativistic)
+        sol = solve(pot, pair, QuantumNumbers(n, l))
+        d = energy_denominator(pair, sol.r0, sol.Q)
+        stack = pot.derivatives(sol.r0, 6)
+        energy2 = sol.Q * (sol.diagnostics.alpha1_closed_form + sol.beta
+                           * (sol.beta + 1.0) / (2.0 * pair.mu)) / (
+                               sol.r0**2 * d)
+        values = (sol.r0, pair.mu, 1.0 / pair.eta, sol.beta, sol.Q, sol.E0,
+                  energy2, *stack)
+        eps, delta, *_ = taylor_coefficients(
+            stack, pair, sol.r0, sol.Q, d, sol.beta, sol.E0, sol.omega, n)
+        # eps_p is the x^p coefficient of orders 1 and 2, delta_p that of
+        # orders 3 and 4
+        placed = {(2 * half + 2 - p % 2, p): c
+                  for half, row in enumerate((eps, delta))
+                  for p, c in enumerate(row, 1)}
+        assert placed.keys() == coefficient.keys()
+        for key, c in placed.items():
+            assert c == pytest.approx(coefficient[key](*values), rel=1e-14,
+                                      abs=0.0), key
+
     def test_one_derivative_stack(self, cornell_pot, pair_145, monkeypatch):
         # a solve samples the potential only through derivative stacks;
         # after the r0 search it takes one, V^(0..6) at r0, from which the

@@ -322,11 +322,31 @@ class TestFallToCenter:
     def test_overflowing_coupling(self):
         # alpha^2 overflows a float; the core is supercritical for a
         # relativistic pair and absent with eta infinite
-        pot = PotentialModel.coulomb(1e308)
-        with pytest.raises(SupercriticalCouplingError, match="-inf"):
-            fall_to_center_check(pot, ParticlePair.equal(1.45), 0)
         nonrelativistic = ParticlePair.equal(1.45, relativistic=False)
-        assert fall_to_center_check(pot, nonrelativistic, 1) == 2.25
+        # the second's two 1/r coefficients sum to -inf
+        for pot in (PotentialModel.coulomb(1e308),
+                    parse_potential("custom:-1e308*r^-1-1e308*r^-1")):
+            with pytest.raises(SupercriticalCouplingError, match="-inf"):
+                fall_to_center_check(pot, ParticlePair.equal(1.45), 0)
+            assert fall_to_center_check(pot, nonrelativistic, 1) == 2.25
+
+    @pytest.mark.parametrize("spec", [
+        "custom:-0.6*r^-1-0.6*r^-1",   # coulomb:alpha=1.2, split in two
+        "custom:1.2*r^-1+1*r^2",       # a repulsive 1/r squares alike
+    ])
+    def test_net_inverse_r_coefficient(self, spec):
+        # the core's strength is mu alpha^2/eta = 0.5 * 1.44 / 2 = 0.36
+        # for the net 1/r coefficient -alpha, whatever its sign
+        pot = parse_potential(spec)
+        pair = ParticlePair.equal(1.0)
+        message = ("effective inverse-square strength -0.36 is below the "
+                   "-1/4 bound (margin -0.11)")
+        with pytest.raises(SupercriticalCouplingError) as info:
+            fall_to_center_check(pot, pair, 0)
+        assert str(info.value) == message
+        with pytest.raises(SupercriticalCouplingError) as info:
+            solve_selfconsistent(pot, pair, QuantumNumbers(0, 0))
+        assert str(info.value) == message
 
     def test_inverse_square_term_refused(self, pair_145):
         pot = PotentialModel.custom([(-0.1, -2.0), (0.18, 1.0)])

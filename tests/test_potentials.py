@@ -252,6 +252,11 @@ class TestIntrospection:
     def test_coulomb_strength(self):
         assert PotentialModel.coulomb(0.3).coulomb_strength() == 0.3
         assert PotentialModel.oscillator(1.0).coulomb_strength() == 0.0
+        # minus the sum of the 1/r coefficients, negative when they repel
+        split = PotentialModel.custom([(-0.1, -1.0), (1.0, 2.0), (-0.2, -1.0)])
+        assert split.coulomb_strength() == 0.1 + 0.2
+        repulsive = PotentialModel.custom([(0.4, -1.0), (1.0, 2.0)])
+        assert repulsive.coulomb_strength() == -0.4
 
     def test_length_scales(self):
         cornell = PotentialModel.coulomb_plus_linear(0.25, 0.18)
