@@ -5,7 +5,8 @@ Subcommands
 solve    one or more (n, l) levels with a chosen method; ``--breakdown``
          adds every intermediate quantity of each SLET solve
 table    recompute a reference table and report per-cell divergence
-compare  run the expansion and the grid solver side by side
+compare  run the expansion and the grid solver side by side, a column per
+         :data:`COMPARE_COLUMNS` entry in each output format
 
 Options are defined once, in :func:`build_parser`.  ``--config FILE``
 gives their values as ``key=value`` lines, which the flags' own actions
@@ -24,6 +25,7 @@ file exactly).  A breakdown has no CSV form.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import io
@@ -209,39 +211,44 @@ def run_table(table_id: int):
 
 # -- comparison ------------------------------------------------------------
 
-def _matching_fixture(manifest: RunManifest):
-    for fix in fixtures.TABLES.values():
-        if (fix.potential == manifest.potential.label
-                and fix.m1 == manifest.m1 and fix.m2 == manifest.m2
-                and not manifest.nonrelativistic):
-            return fix
-    return None
+# One column of a compare report: its key, its text title and width (None
+# for a column that CSV and JSON alone carry) and its cell for one level
+# from t, the rows the run's reference table prints (or {}), and e and g,
+# the level's expansion and grid records.  A sparse column is in a row
+# only where its cell is set, and in CSV and text only if a row has it.
+_Column = collections.namedtuple("_Column", "key title width value sparse",
+                                 defaults=(False,))
+COMPARE_COLUMNS = (
+    _Column("n", "n", 2, lambda t, e, g: e.n),
+    _Column("l", "l", 2, lambda t, e, g: e.l),
+    _Column("E_slet_GeV", "E_slet", 12, lambda t, e, g: e.E_binding_GeV),
+    _Column("E_oracle_GeV", "E_oracle", 12, lambda t, e, g: g.E_binding_GeV),
+    _Column("difference_GeV", "diff", 12, lambda t, e, g: e.E_binding_GeV
+            - g.E_binding_GeV if e.status == g.status == "ok" else None),
+    *(_Column(key, None, None, lambda t, e, g, key=key: getattr(g, key))
+      for key in ("oracle_iterations", "oracle_residual",
+                  "oracle_bisections")),
+    *(_Column(f"fixture_{label}_GeV", label, 15, lambda t, e, g, label=label:
+              t.get(label, {}).get((e.n, e.l)), sparse=True)
+      for label in sorted(("slet", *fixtures.COMPARISON_ROWS))),
+    _Column("status", "status", 12, lambda t, e, g: next(
+        (r.status for r in (e, g) if r.status != "ok"), "ok")),
+)
 
 
 def run_compare(manifest: RunManifest):
-    """(rows, summary) built from each level's pair of :func:`run_solve`
-    records.  A row's status is the first that is not ok, the expansion's
-    before the grid solver's; its difference is set when both succeed."""
-    fix = _matching_fixture(manifest)
+    """(rows, summary): per level, a cell per :data:`COMPARE_COLUMNS` entry
+    from its pair of :func:`run_solve` records and the table printed for
+    the run's potential, masses and relativistic pair, if there is one."""
+    printed = next((fix.rows for fix in fixtures.TABLES.values()
+                    if fix.potential == manifest.potential.label
+                    and fix.m1 == manifest.m1 and fix.m2 == manifest.m2
+                    and not manifest.nonrelativistic), {})
     records, _, _ = run_solve(dataclasses.replace(manifest, method="both"))
-    rows = []
-    for expansion, grid in zip(records[::2], records[1::2]):
-        n, l = expansion.n, expansion.l
-        status = next((r.status for r in (expansion, grid)
-                       if r.status != "ok"), "ok")
-        row = {"n": n, "l": l, "E_slet_GeV": expansion.E_binding_GeV,
-               "E_oracle_GeV": grid.E_binding_GeV,
-               "difference_GeV": (expansion.E_binding_GeV - grid.E_binding_GeV
-                                  if status == "ok" else None),
-               "oracle_iterations": grid.oracle_iterations,
-               "oracle_residual": grid.oracle_residual,
-               "oracle_bisections": grid.oracle_bisections, "status": status}
-        if fix is not None:
-            for label in ("slet", *fixtures.COMPARISON_ROWS):
-                cells = fix.rows.get(label, {})
-                if (n, l) in cells:
-                    row[f"fixture_{label}_GeV"] = cells[(n, l)]
-        rows.append(row)
+    rows = [{column.key: cell for column in COMPARE_COLUMNS
+             if (cell := column.value(printed, expansion, grid)) is not None
+             or not column.sparse}
+            for expansion, grid in zip(records[::2], records[1::2])]
     diffs = [abs(r["difference_GeV"]) for r in rows
              if r["difference_GeV"] is not None]
     summary = {
@@ -280,6 +287,8 @@ def render_json(payload) -> str:
 def _fmt(value, width=12):
     if value is None:
         return "-".rjust(width)
+    if isinstance(value, (int, str)):
+        return f"{value:>{width}}"
     return f"{value:.6g}".rjust(width)
 
 
@@ -334,18 +343,11 @@ def render_table_text(table_id, records, divergences, offending) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_compare_text(rows, summary, keys) -> str:
-    """The comparison table, with one column per fixture key in keys."""
-    header = (f"{'n':>2s} {'l':>2s} {'E_slet':>12s} {'E_oracle':>12s} "
-              f"{'diff':>12s}")
-    header += "".join(f"{k.replace('fixture_', '').replace('_GeV', ''):>16s}"
-                      for k in keys)
-    lines = [header + f" {'status':>12s}"]
-    for row in rows:
-        line = (f"{row['n']:2d} {row['l']:2d} {_fmt(row['E_slet_GeV'])} "
-                f"{_fmt(row['E_oracle_GeV'])} {_fmt(row['difference_GeV'])}")
-        line += "".join(_fmt(row.get(k), 16) for k in keys)
-        lines.append(line + f" {row['status']:>12s}")
+def render_compare_text(rows, summary, columns) -> str:
+    """The comparison table, one column per titled entry of ``columns``."""
+    columns = [c for c in columns if c.title]
+    lines = [" ".join(_fmt(row.get(c.key), c.width) for c in columns)
+             for row in ({c.key: c.title for c in columns}, *rows)]
     lines.append(f"levels {summary['levels']}, failed {summary['failed']}, "
                  f"max |diff| {_fmt(summary['max_abs_difference_GeV'], 1)}, "
                  f"mean |diff| {_fmt(summary['mean_abs_difference_GeV'], 1)}")
@@ -552,14 +554,11 @@ def cmd_table(args) -> int:
 
 def cmd_compare(args) -> int:
     rows, summary = run_compare(manifest_from_args(args, "both"))
-    fixture_keys = sorted({k for row in rows for k in row
-                           if k.startswith("fixture")})
-    keys = ["n", "l", "E_slet_GeV", "E_oracle_GeV", "difference_GeV",
-            "oracle_iterations", "oracle_residual", "oracle_bisections",
-            *fixture_keys, "status"]
+    columns = [c for c in COMPARE_COLUMNS if any(c.key in row for row in rows)]
     _write_report(args, {"rows": rows, "summary": summary},
-                  render_compare_text(rows, summary, fixture_keys),
-                  (keys, [[row.get(k) for k in keys] for row in rows]))
+                  render_compare_text(rows, summary, columns),
+                  ([c.key for c in columns],
+                   [[row.get(c.key) for c in columns] for row in rows]))
     failed = summary["failed"]
     return EXIT_NO_CONVERGENCE if failed == summary["levels"] and failed \
         else EXIT_OK

@@ -551,6 +551,48 @@ class TestCompareCommand:
         assert "sqrt_method" in out
         assert "max |diff|" in out
 
+    def test_fixture_columns_in_every_format(self, capsys):
+        # Table 1 prints Coulomb n <= 5: n = 6 has no fixture cell, which
+        # JSON leaves out, CSV leaves empty and text shows as "-"; the
+        # columns sort by key and precede status.  Table 3 prints Cornell
+        # n <= 4, so at n = 5..6 no row fills a fixture column and CSV
+        # and text leave every one out.
+        coulomb = ("compare", "--potential", "coulomb:alpha=0.25", "--m1",
+                   "1.45", "--m2", "1.45", "--n-range", "5:6")
+        fixture_keys = ["fixture_integral_method_GeV", "fixture_slet_GeV",
+                        "fixture_sqrt_method_GeV"]
+        _, out, _ = run(capsys, *coulomb, "--format", "json")
+        printed, beyond = json.loads(out)["rows"]
+        assert [k for k in printed if k.startswith("fixture")] == \
+            fixture_keys
+        assert not any(k.startswith("fixture") for k in beyond)
+        _, out, _ = run(capsys, *coulomb, "--format", "csv")
+        header, printed, beyond = (line.split(",")
+                                   for line in out.splitlines())
+        assert header[-4:] == [*fixture_keys, "status"]
+        assert printed[-4:] == ["-0.00065", "-0.000629", "-0.000635", "ok"]
+        assert beyond[-4:] == ["", "", "", "ok"]
+        _, out, _ = run(capsys, *coulomb)
+        header, printed, beyond = (line.split()
+                                   for line in out.splitlines()[:3])
+        assert header[-4:] == ["integral_method", "slet", "sqrt_method",
+                               "status"]
+        assert printed[-4:] == ["-0.00065", "-0.000629", "-0.000635", "ok"]
+        assert beyond[-4:] == ["-", "-", "-", "ok"]
+
+        cornell = ("compare", "--potential", "cornell:alpha=0.25,b=0.18",
+                   "--m1", "1.45", "--m2", "1.45", "--n-range", "5:6")
+        _, out, _ = run(capsys, *cornell, "--format", "json")
+        assert not any(k.startswith("fixture")
+                       for row in json.loads(out)["rows"] for k in row)
+        _, out, _ = run(capsys, *cornell, "--format", "csv")
+        assert out.splitlines()[0] == (
+            "n,l,E_slet_GeV,E_oracle_GeV,difference_GeV,oracle_iterations,"
+            "oracle_residual,oracle_bisections,status")
+        _, out, _ = run(capsys, *cornell)
+        assert out.splitlines()[0].split() == [
+            "n", "l", "E_slet", "E_oracle", "diff", "status"]
+
     def test_cornell_reports_no_bisection(self, capsys):
         # every eigensolve of the level refines a start vector
         code, out, _ = run(capsys, "compare", "--potential",
