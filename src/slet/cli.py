@@ -5,8 +5,8 @@ Subcommands
 solve    one or more (n, l) levels with a chosen method; ``--breakdown``
          adds every intermediate quantity of each SLET solve
 table    recompute a reference table and report per-cell divergence
-compare  run the expansion and the grid solver side by side, a column per
-         :data:`COMPARE_COLUMNS` entry in each output format
+compare  run the expansion and the grid solver side by side; each column
+         is one :data:`COMPARE_COLUMNS` entry, for CSV, JSON and text
 
 Options are defined once, in :func:`build_parser`.  ``--config FILE``
 gives their values as ``key=value`` lines, which the flags' own actions
