@@ -11,15 +11,15 @@ trees then run with the same numpy, one BLAS thread (as in the
 benchmark) and the same machine state, which timing them in two
 processes minutes apart does not give.
 
-The ``tables`` and ``compare`` workloads of ``bench/workloads.py`` run in
-blocks.  In each block every tree runs REPEATS passes over the
-workload's operations, the order of the trees alternating from block to
-block; only the calls into the program are timed, as in
-``bench/run.py``.  A tree's figure for a block is its fastest pass in
-microseconds per level.  Per workload and tree the script prints the
-best and the median figure over the blocks and the blocks the tree won
-(a tie counts for neither), then this tree's best and median divided by
-the other's.
+The ``tables``, ``excited`` and ``compare`` workloads of
+``bench/workloads.py`` run in blocks.  In each block every tree runs
+REPEATS passes over the workload's operations, the order of the trees
+alternating from block to block; only the calls into the program are
+timed, as in ``bench/run.py``.  A tree's figure for a block is its
+fastest pass in microseconds per level.  Per workload and tree the
+script prints the best and the median figure over the blocks and the
+blocks the tree won (a tie counts for neither), then this tree's best
+and median divided by the other's.
 
 It measures in-process time per level only.  Start-up time and memory
 are the benchmark's, and no figure here replaces a bound of
@@ -39,7 +39,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("tables", "compare")
+WORKLOADS = ("tables", "excited", "compare")
 REPEATS = 5
 
 

@@ -17,13 +17,16 @@ Families:
   breakdown    slet solve --breakdown --method both, oscillator n <= 2,
                l <= 1, as JSON
   closed-form  slet solve --method closed-form, Coulomb n 0..5, as JSON
-  compare      slet compare as CSV, JSON and text: the README's Cornell
+  compare      slet compare as CSV and JSON: the README's Cornell
                levels; Cornell n 3..6 and n 5..6 at l = 0, past Table 3's
                grid and beside none of it; Coulomb n 0..2 (Table 1's
                context rows); oscillator n 0..1, l 0..1 (Table 2's);
                oscillator at m = 0.3 GeV, n 0..2 (grid-solver
                failures); coulomb:alpha=3.0, n 0..1 (every level fails);
                nonrelativistic Cornell (no fixture)
+  text         every text report: slet table 1, 2 and 3; slet solve
+               --method both, Cornell n 0..2, l 0..1; the breakdown
+               run above; the eight compare cases above
   levels       every field of engine.solve on the 22 levels of the
                benchmark's excited workload (bench/workloads.py) and the
                Coulomb levels with n <= 13, l in {0, 4}
@@ -59,6 +62,18 @@ OSCILLATOR = ("--potential", "oscillator:k=1", "--m1", "1.31", "--m2",
               "1.31")
 COULOMB = ("--potential", "coulomb:alpha=0.25", "--m1", "1.45", "--m2",
            "1.45")
+COMPARE = (
+    (*CORNELL, "--n-range", "0:2", "--l-range", "0:2"),
+    (*CORNELL, "--n-range", "3:6", "--l-range", "0:0"),
+    (*CORNELL, "--n-range", "5:6", "--l-range", "0:0"),
+    (*COULOMB, "--n-range", "0:2"),
+    (*OSCILLATOR, "--n-range", "0:1", "--l-range", "0:1"),
+    ("--potential", "oscillator:k=1", "--m1", "0.3", "--m2", "0.3",
+     "--n-range", "0:2"),
+    ("--potential", "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",
+     "--n-range", "0:1"),
+    (*CORNELL, "--nonrelativistic", "--n-range", "0:1", "--l-range", "0:1"),
+)
 COMMANDS = {
     "table": [("table", str(t), "--format", f) for t in (1, 2, 3)
               for f in ("csv", "json")],
@@ -69,19 +84,14 @@ COMMANDS = {
                    "json")],
     "closed-form": [("solve", "--method", "closed-form", *COULOMB,
                      "--n-range", "0:5", "--format", "json")],
-    "compare": [("compare", *case, "--format", f) for case in (
-        (*CORNELL, "--n-range", "0:2", "--l-range", "0:2"),
-        (*CORNELL, "--n-range", "3:6", "--l-range", "0:0"),
-        (*CORNELL, "--n-range", "5:6", "--l-range", "0:0"),
-        (*COULOMB, "--n-range", "0:2"),
-        (*OSCILLATOR, "--n-range", "0:1", "--l-range", "0:1"),
-        ("--potential", "oscillator:k=1", "--m1", "0.3", "--m2", "0.3",
-         "--n-range", "0:2"),
-        ("--potential", "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",
-         "--n-range", "0:1"),
-        (*CORNELL, "--nonrelativistic", "--n-range", "0:1", "--l-range",
-         "0:1"),
-    ) for f in ("csv", "json", "text")],
+    "compare": [("compare", *case, "--format", f) for case in COMPARE
+                for f in ("csv", "json")],
+    "text": [*(("table", str(t), "--format", "text") for t in (1, 2, 3)),
+             ("solve", "--method", "both", *CORNELL, "--n-range", "0:2",
+              "--l-range", "0:1", "--format", "text"),
+             ("solve", "--breakdown", "--method", "both", *OSCILLATOR,
+              "--n-range", "0:2", "--l-range", "0:1", "--format", "text"),
+             *(("compare", *case, "--format", "text") for case in COMPARE)],
 }
 # (potential, equal mass, relativistic, levels), beside the excited ones
 COULOMB_LEVELS = (

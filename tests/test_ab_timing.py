@@ -52,13 +52,12 @@ def test_each_tree_runs_from_its_own_files(tmp_path):
          "1"], capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:6]] == [
-        ["tables", "this"], ["tables", "against"], ["tables", "this/against"],
-        ["compare", "this"], ["compare", "against"],
-        ["compare", "this/against"]]
+    assert [line.split()[:2] for line in lines[:9]] == [
+        [name, label] for name in ("tables", "excited", "compare")
+        for label in ("this", "against", "this/against")]
     assert all(line.endswith("won 0 of 1 blocks")
                or line.endswith("won 1 of 1 blocks")
-               for line in lines[:6] if "us/level" in line)
-    assert lines[6:] == [
+               for line in lines[:9] if "us/level" in line)
+    assert lines[9:] == [
         f"this     slet_this from {ROOT / 'src' / 'slet'}",
         f"against  slet_against from {copy / 'slet'}"]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ["table", "solve", "breakdown", "closed-form", "compare",
-            "levels", "two-roots", "sweep"]
+            "text", "levels", "two-roots", "sweep"]
 
 
 def test_one_digest_per_family():
