@@ -16,10 +16,11 @@ Exit codes of solve and table: 0 success, 2 invalid input, 3 convergence
 failure, 4 unphysical regime, 5 table divergence beyond tolerance.
 compare exits 3 when every level fails, whatever the error, else 0.
 
-Output formats are ``text`` (default, energies at 6 significant digits),
-``csv`` (full float precision, stable byte-for-byte across runs) and
-``json`` (canonical form: re-serializing a parsed report reproduces the
-file exactly).  A breakdown has no CSV form.
+Output formats are ``text`` (default: columns as wide as their cells,
+floats at 6 significant digits), ``csv`` (full float precision, stable
+byte-for-byte across runs) and ``json`` (canonical form: re-serializing
+a parsed report reproduces the file exactly).  A breakdown has no CSV
+form.
 """
 
 from __future__ import annotations
@@ -211,27 +212,27 @@ def run_table(table_id: int):
 
 # -- comparison ------------------------------------------------------------
 
-# One column of a compare report: its key, its text title and width (None
-# for a column that CSV and JSON alone carry) and its cell for one level
-# from t, the rows the run's reference table prints (or {}), and e and g,
-# the level's expansion and grid records.  A sparse column is in a row
-# only where its cell is set, and in CSV and text only if a row has it.
-_Column = collections.namedtuple("_Column", "key title width value sparse",
+# One column of a compare report: its key, its text title (None for a
+# column that CSV and JSON alone carry) and its cell for one level from t,
+# the rows the run's reference table prints (or {}), and e and g, the
+# level's expansion and grid records.  A sparse column is in a row only
+# where its cell is set, and in CSV and text only if a row has it.
+_Column = collections.namedtuple("_Column", "key title value sparse",
                                  defaults=(False,))
 COMPARE_COLUMNS = (
-    _Column("n", "n", 2, lambda t, e, g: e.n),
-    _Column("l", "l", 2, lambda t, e, g: e.l),
-    _Column("E_slet_GeV", "E_slet", 12, lambda t, e, g: e.E_binding_GeV),
-    _Column("E_oracle_GeV", "E_oracle", 12, lambda t, e, g: g.E_binding_GeV),
-    _Column("difference_GeV", "diff", 12, lambda t, e, g: e.E_binding_GeV
+    _Column("n", "n", lambda t, e, g: e.n),
+    _Column("l", "l", lambda t, e, g: e.l),
+    _Column("E_slet_GeV", "E_slet", lambda t, e, g: e.E_binding_GeV),
+    _Column("E_oracle_GeV", "E_oracle", lambda t, e, g: g.E_binding_GeV),
+    _Column("difference_GeV", "diff", lambda t, e, g: e.E_binding_GeV
             - g.E_binding_GeV if e.status == g.status == "ok" else None),
-    *(_Column(key, None, None, lambda t, e, g, key=key: getattr(g, key))
+    *(_Column(key, None, lambda t, e, g, key=key: getattr(g, key))
       for key in ("oracle_iterations", "oracle_residual",
                   "oracle_bisections")),
-    *(_Column(f"fixture_{label}_GeV", label, 15, lambda t, e, g, label=label:
+    *(_Column(f"fixture_{label}_GeV", label, lambda t, e, g, label=label:
               t.get(label, {}).get((e.n, e.l)), sparse=True)
       for label in sorted(("slet", *fixtures.COMPARISON_ROWS))),
-    _Column("status", "status", 12, lambda t, e, g: next(
+    _Column("status", "status", lambda t, e, g: next(
         (r.status for r in (e, g) if r.status != "ok"), "ok")),
 )
 
@@ -262,11 +263,12 @@ def run_compare(manifest: RunManifest):
 
 # -- rendering -------------------------------------------------------------
 
-def _csv_cell(value) -> str:
-    """One CSV cell: empty for None, repr for a float (exact round trip)."""
+def _cell(value, none="-", spec=".6g") -> str:
+    """One cell: ``none`` for None, a float formatted by ``spec``, else str;
+    a text cell by default, with floats at 6 significant digits."""
     if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+        return none
+    return format(value, spec) if isinstance(value, float) else str(value)
 
 
 def render_csv(header, rows) -> str:
@@ -275,7 +277,8 @@ def render_csv(header, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_csv_cell(value) for value in row])
+        # spec "" writes a float as its repr, an exact round trip
+        writer.writerow([_cell(value, "", "") for value in row])
     return buf.getvalue()
 
 
@@ -284,59 +287,55 @@ def render_json(payload) -> str:
                       allow_nan=False) + "\n"
 
 
-def _fmt(value, width=12):
-    if value is None:
-        return "-".rjust(width)
-    if isinstance(value, (int, str)):
-        return f"{value:>{width}}"
-    return f"{value:.6g}".rjust(width)
+def text_table(header, rows) -> list:
+    """Lines of a text table: each column right-aligned, as wide as its
+    title or its widest cell, one space between columns."""
+    lines = [[_cell(value) for value in row] for row in (header, *rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return [" ".join(cell.rjust(width) for cell, width in zip(line, widths))
+            for line in lines]
 
 
 def render_text(records) -> str:
-    lines = [f"{'potential':28s} {'m1':>7s} {'m2':>7s} {'n':>2s} {'l':>2s} "
-             f"{'method':>11s} {'E_binding':>12s} {'M':>12s} {'status':>12s}"]
-    for rec in records:
-        lines.append(
-            f"{rec.potential:28s} {rec.m1:7.4g} {rec.m2:7.4g} {rec.n:2d} "
-            f"{rec.l:2d} {rec.method:>11s} {_fmt(rec.E_binding_GeV)} "
-            f"{_fmt(rec.M_GeV)} {rec.status:>12s}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(text_table(
+        ("potential", "m1", "m2", "n", "l", "method", "E_binding", "M",
+         "status"),
+        [(r.potential, r.m1, r.m2, r.n, r.l, r.method, r.E_binding_GeV,
+          r.M_GeV, r.status) for r in records])) + "\n"
 
 
 def render_breakdown_text(info) -> str:
-    lines = [f"breakdown n={info['n']} l={info['l']}"]
-    for key in ("r0", "omega", "xi", "Q", "beta", "lbar", "E0", "alpha1",
-                "alpha2", "E2_term", "E3_term", "binding_energy", "mass"):
-        lines.append(f"  {key:16s} {_fmt(info[key])}")
-    for key in ("eps", "eps_bar", "delta", "delta_bar"):
-        parts = ", ".join(f"{v:.6g}" for v in info[key])
-        lines.append(f"  {key:16s} [{parts}]")
-    diag = info["diagnostics"]
-    lines.append("  diagnostics:")
-    for key, value in diag.items():
-        lines.append(f"    {key:22s} {value}")
-    return "\n".join(lines) + "\n"
+    """One solve's breakdown in record order: a scalar per line, a sequence
+    as a bracketed list and a mapping's entries indented under its key."""
+    def walk(mapping, indent):
+        width = max(map(len, mapping))
+        for key, value in mapping.items():
+            if isinstance(value, dict):
+                yield f"{indent}{key}:"
+                yield from walk(value, indent + "  ")
+                continue
+            if isinstance(value, (list, tuple)):
+                value = f"[{', '.join(map(_cell, value))}]"
+            yield f"{indent}{key:{width}s} {_cell(value)}"
+    return "\n".join(["breakdown", *walk(info, "  ")]) + "\n"
 
 
 def render_table_text(table_id, records, divergences, offending) -> str:
     fix = fixtures.TABLES[table_id]
-    target = fix.rows["slet"]
-    ns = sorted({n for n, _ in target})
-    ls = sorted({l for _, l in target})
-    computed = {(r.n, r.l): r.E_binding_GeV for r in records}
+    ns, ls = (sorted(set(k)) for k in zip(*fix.grid()))
+
+    def matrix(cells):
+        return text_table(("", *(f"n={n}" for n in ns)),
+                          [(f"l={l}", *(cells.get((n, l)) for n in ns))
+                           for l in ls])
+
     lines = [f"table {table_id}: {fix.potential}  m1=m2={fix.m1:g} GeV",
              "computed target row:",
-             "      " + "".join(f"{'n=' + str(n):>12s}" for n in ns)]
-    for l in ls:
-        lines.append(f"l={l}   " + "".join(
-            f"{computed[(n, l)]:12.6g}" for n in ns if (n, l) in computed))
-    lines.append("divergence (computed - printed):")
-    for l in ls:
-        lines.append(f"l={l}   " + "".join(
-            f"{divergences[(n, l)]:12.2e}" for n in ns
-            if (n, l) in divergences))
-    lines.append(f"tolerance {fixtures.SLET_TOLERANCES[table_id]:g} GeV; "
-                 f"{len(offending)} cell(s) beyond tolerance")
+             *matrix({(r.n, r.l): r.E_binding_GeV for r in records}),
+             "divergence (computed - printed):",
+             *matrix({key: f"{gap:.2e}" for key, gap in divergences.items()}),
+             f"tolerance {fixtures.SLET_TOLERANCES[table_id]:g} GeV; "
+             f"{len(offending)} cell(s) beyond tolerance"]
     for n, l, got, ref, gap in offending:
         lines.append(f"  OFFENDING n={n} l={l}: computed {got:.6g}, "
                      f"printed {ref:.6g}, divergence {gap:+.2e}")
@@ -346,11 +345,11 @@ def render_table_text(table_id, records, divergences, offending) -> str:
 def render_compare_text(rows, summary, columns) -> str:
     """The comparison table, one column per titled entry of ``columns``."""
     columns = [c for c in columns if c.title]
-    lines = [" ".join(_fmt(row.get(c.key), c.width) for c in columns)
-             for row in ({c.key: c.title for c in columns}, *rows)]
+    lines = text_table([c.title for c in columns],
+                       [[row.get(c.key) for c in columns] for row in rows])
     lines.append(f"levels {summary['levels']}, failed {summary['failed']}, "
-                 f"max |diff| {_fmt(summary['max_abs_difference_GeV'], 1)}, "
-                 f"mean |diff| {_fmt(summary['mean_abs_difference_GeV'], 1)}")
+                 f"max |diff| {_cell(summary['max_abs_difference_GeV'])}, "
+                 f"mean |diff| {_cell(summary['mean_abs_difference_GeV'])}")
     return "\n".join(lines) + "\n"
 
 

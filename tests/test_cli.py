@@ -348,6 +348,27 @@ def test_bad_input_refused_without_traceback(capsys, argv, code, message):
         assert message in err
 
 
+def test_failed_solve_row_ends_under_status(capsys):
+    code, out, _ = run(capsys, "solve", "--potential", "coulomb:alpha=3.0",
+                       "--m1", "1", "--m2", "1", "--n-range", "0:1")
+    assert code == 4
+    header, *rows = out.splitlines()
+    assert header.endswith(" status")
+    assert all(row.endswith(
+        " error:SupercriticalCouplingError@fall_to_center") for row in rows)
+    assert {len(row) for row in rows} == {len(header)}
+
+
+def test_text_table_sizes_columns_from_cells():
+    # right-aligned, as wide as the title or the widest cell, one space
+    # apart; - for None, 6 significant digits for a float
+    assert cli.text_table(("a", "value", "c"),
+                          [(None, 1 / 3, "ok"), ("long", 12, None)]) == [
+        "   a    value  c",
+        "   - 0.333333 ok",
+        "long       12  -"]
+
+
 class TestConfigFile:
     def test_cli_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -666,6 +687,18 @@ class TestCompareCommand:
         assert row["E_slet_GeV"] is None and row["E_oracle_GeV"] is None
         assert code == 3
 
+    @pytest.mark.parametrize("potential, mass, levels", [
+        ("coulomb:alpha=3.0", "1", "0:1"), ("oscillator:k=1", "0.3", "0:2")])
+    def test_text_rows_end_under_status(self, capsys, potential, mass,
+                                        levels):
+        # a status longer than its title widens the column
+        _, out, _ = run(capsys, "compare", "--potential", potential, "--m1",
+                        mass, "--m2", mass, "--n-range", levels)
+        header, *rows, summary = out.splitlines()
+        assert header.endswith(" status") and summary.startswith("levels ")
+        assert any(" error:" in row for row in rows)
+        assert {len(row) for row in rows} == {len(header)}
+
     def test_partial_failure_keeps_rows(self, capsys):
         code, out, _ = run(capsys, "compare", "--potential",
                            "coulomb:alpha=3.0", "--m1", "1", "--m2", "1",
@@ -689,6 +722,30 @@ class TestBreakdownCommand:
         for key in ("r0", "omega", "lbar", "alpha1", "alpha2", "E2_term",
                     "eps_bar", "delta_bar", "q_lbar_gap"):
             assert key in out
+
+    def test_text_walks_the_record(self, capsys):
+        # every key of the breakdown in record order: scalars one per
+        # line, sequences as bracketed lists, the diagnostics indented
+        code, out, _ = run(capsys, "solve", "--breakdown", "--potential",
+                           "cornell:alpha=0.25,b=0.18", "--m1", "1.45",
+                           "--m2", "1.45", "--n", "1", "--l", "1")
+        assert code == 0
+        lines = out.splitlines()
+        block = lines[lines.index("breakdown") + 1:]
+        fields = [f.name for f in dataclasses.fields(engine.SletSolution)]
+        diagnostics = [f.name
+                       for f in dataclasses.fields(engine.SolveDiagnostics)]
+        assert fields[-1] == "diagnostics"
+        assert [line.split()[0] for line in block] == [
+            *fields[:-1], "diagnostics:", *diagnostics]
+        assert all(line.startswith("  ") and line[2] != " "
+                   for line in block[:len(fields)])
+        assert all(line.startswith("    ") and line[4] != " "
+                   for line in block[len(fields):])
+        by_key = {line.split()[0]: line.split(None, 1)[-1] for line in block}
+        assert by_key["n"] == "1" and by_key["l"] == "1"
+        for key in ("eps", "delta", "eps_bar", "delta_bar"):
+            assert by_key[key].startswith("[") and by_key[key].endswith("]")
 
     def test_json_with_sentinel_xi(self, capsys):
         # xi is infinite in nonrelativistic mode and must serialize as null
