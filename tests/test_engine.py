@@ -264,6 +264,40 @@ class TestSolveR0:
         assert e0_other == pytest.approx(2.77511, abs=1e-5)
         assert sol.E0 < e0_other
 
+    def test_root_beside_unusable_stretch(self, monkeypatch):
+        # V' <= 0 for r in about [1.52, 2.93]; above it F runs from -inf
+        # (omega -> inf as V' -> 0+) through a root near 3.057 to +1.22 at
+        # the scan point 3.077, whose lower neighbour is unusable, so no
+        # two finite scan values change sign around the root
+        pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
+        pair, qn = ParticlePair.equal(10.0), QuantumNumbers(0, 2)
+        sizes = []
+
+        def counted(*args):
+            sizes.append(np.size(args[-1]))
+            return r0_residual(*args)
+
+        monkeypatch.setattr(engine, "r0_residual", counted)
+        roots, calls = solve_r0(pot, pair, qn)
+        assert roots == [pytest.approx(3.05720, abs=1e-5)]
+        assert abs(r0_residual(pot, pair, 0, 2, roots[0])) < 1e-9
+        # the bisection to the stretch's edge and the polish are counted
+        assert calls == sum(sizes) > R0_SCAN_PANELS + 1 + 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(pot, pair, qn)
+        assert sol.binding_energy == pytest.approx(2.41420, abs=1e-5)
+        assert sol.diagnostics.r0_function_calls == calls
+
+    def test_closing_frequency_edge_is_no_bracket_end(self, pair_145):
+        # below r = 1.04 the frequency bracket closes (omega -> 0) and F
+        # stays finite there, +0.75, against -0.74 at the next scan point
+        # of level (1,0); a root between them expands to about -1e8 GeV,
+        # so only the root the scan brackets is kept
+        pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
+        roots, _ = solve_r0(pot, pair_145, QuantumNumbers(1, 0))
+        assert roots == [pytest.approx(3.37395, abs=1e-5)]
+
     def test_every_root_returned_in_order(self, pair_145):
         # solve_r0 chooses no root: both come back, ascending, each a root
         # of the equation, and no warning is issued
