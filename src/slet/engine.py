@@ -300,42 +300,30 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     R0_SCAN_PANELS logarithmic panels from 1e-3 times the smallest to
     10 (2n + l + 2)^2 times the largest of the potential's length scales;
     the upper end stays above the Coulomb orbit radius, which grows as
-    (n + l + 1)^2 Bohr radii.  A bracket that is not finite raises UnphysicalRegimeError.
-    scan, when given, is the (radii, residuals) that scan gives, made by
-    :func:`solve_levels` together with other levels.  Scan points where the
-    residual is NaN, at radii :func:`geometry_at` finds unusable or where
-    the arithmetic overflows, are skipped.  Every sign change is polished by
+    (n + l + 1)^2 Bohr radii.  A bracket that is not finite raises
+    UnphysicalRegimeError.  scan, when given, is the (radii, residuals)
+    that scan gives, made by :func:`solve_levels` together with other
+    levels.  Scan points where the residual is NaN, at
+    radii :func:`geometry_at` finds unusable or where the arithmetic
+    overflows, are skipped.  Every sign change is polished by
     :func:`bracketed_root` from the two scan values around it, to
-    R0_TOLERANCE relative in at most R0_MAX_ITERATIONS iterations.  A panel
-    with one NaN end, where F > 0 at the other, is bisected on finiteness to
-    R0_TOLERANCE relative of the unusable stretch's edge; if F is negative
-    there, as it is beside a stretch where V' <= 0 (F -> -inf as V' -> 0+
-    and omega diverges), that bracket is polished too.  An edge where the
-    frequency bracket closes (omega -> 0) leaves F finite, of either sign,
-    and is no bracket end.  A polish that fails, also by an iterate landing
-    on an unusable radius, raises BracketingError naming the panel and that
-    radius, as does a scan without a root.  The roots ascend, each more than
-    1e-9 relative above the one before, so two panels give a root once;
-    :func:`solve` chooses among them.  ``function_calls`` counts every
-    evaluation of the root function: the scan points, the bisection calls
-    and the polish calls, which do not evaluate the ends of their brackets
-    again.
+    R0_TOLERANCE relative in at most R0_MAX_ITERATIONS iterations.
+    A panel with one NaN end and F > 0 at the other is bisected on
+    finiteness to R0_TOLERANCE relative of the unusable stretch's edge;
+    if F is negative there, as beside a stretch where V' <= 0 (F -> -inf
+    as V' -> 0+, where omega diverges), that bracket is polished too.  An
+    edge where the frequency bracket closes (omega -> 0) leaves F finite,
+    of either sign, and is no bracket end.  A polish that fails, also by
+    an iterate landing on an unusable radius, raises BracketingError
+    naming the panel and that radius, as does a scan without a root.  The
+    roots ascend, each more than 1e-9 relative above the one before, so
+    two panels give a root once; :func:`solve` chooses among them.
+    ``function_calls`` counts every evaluation of the root function: the
+    scan points, the bisection steps and the polish calls, which do not
+    evaluate the ends of their brackets again.
     """
     def residual(r):
         return r0_residual(potential, pair, qn.n, qn.l, r)
-
-    def polish(i, a, b, fa, fb):
-        """Calls of the polish of [a, b] in panel i, whose root it keeps."""
-        try:
-            root, polish_calls = bracketed_root(
-                residual, a, b, fa, fb, 1e-300, R0_TOLERANCE,
-                R0_MAX_ITERATIONS)
-        except ConvergenceError as exc:
-            raise BracketingError(
-                f"root polish failed in panel [{grid[i]:g}, "
-                f"{grid[i + 1]:g}]: {exc}") from None
-        roots.append(root)
-        return polish_calls
 
     lo, hi = _r0_scan_range(potential, pair, qn)
     if scan is None:
@@ -344,10 +332,11 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
 
     roots = [float(r) for r in grid[values == 0.0]]
     calls = grid.size
-    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
-        calls += polish(i, grid[i], grid[i + 1], values[i], values[i + 1])
+    # (panel, a, F(a), b, F(b)) of every bracket to polish
+    brackets = [(i, grid[i], values[i], grid[i + 1], values[i + 1])
+                for i in np.flatnonzero(values[:-1] * values[1:] < 0.0)]
     unusable = np.isnan(values)
-    if unusable.any():
+    if np.count_nonzero(unusable):
         for i in np.flatnonzero(unusable[:-1] != unusable[1:]):
             j = i + unusable[i]  # the panel's finite end
             if values[j] <= 0.0:
@@ -363,7 +352,18 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
                     else:
                         edge = mid
             if f_usable < 0.0:
-                calls += polish(i, usable, grid[j], f_usable, values[j])
+                brackets.append((i, usable, f_usable, grid[j], values[j]))
+    for i, a, fa, b, fb in brackets:
+        try:
+            root, polish_calls = bracketed_root(
+                residual, a, b, fa, fb, 1e-300, R0_TOLERANCE,
+                R0_MAX_ITERATIONS)
+        except ConvergenceError as exc:
+            raise BracketingError(
+                f"root polish failed in panel [{grid[i]:g}, "
+                f"{grid[i + 1]:g}]: {exc}") from None
+        calls += polish_calls
+        roots.append(root)
 
     # collapse near-duplicates from adjacent panels
     unique = []
