@@ -290,10 +290,11 @@ class TestSolveR0:
         assert sol.diagnostics.r0_function_calls == calls
 
     def test_closing_frequency_edge_is_no_bracket_end(self, pair_145):
-        # below r = 1.04 the frequency bracket closes (omega -> 0) and F
-        # stays finite there, +0.75, against -0.74 at the next scan point
-        # of level (1,0); a root between them expands to about -1e8 GeV,
-        # so only the root the scan brackets is kept
+        # from r = 1.044 up to the stretch where V' <= 0 the frequency
+        # bracket is negative; at its lower edge omega -> 0 and F of level
+        # (1,0) stays finite, +0.75, against -0.74 at the scan point below;
+        # a root between them expands to about -1e8 GeV, so only the root
+        # the scan brackets is kept
         pot = PotentialModel.custom([(4.0, 1.0), (-2.0, 2.0), (0.3, 3.0)])
         roots, _ = solve_r0(pot, pair_145, QuantumNumbers(1, 0))
         assert roots == [pytest.approx(3.37395, abs=1e-5)]
