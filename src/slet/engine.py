@@ -338,10 +338,11 @@ def solve_r0(potential: PotentialModel, pair: ParticlePair,
     unusable = np.isnan(values)
     if np.count_nonzero(unusable):
         for i in np.flatnonzero(unusable[:-1] != unusable[1:]):
-            j = i + unusable[i]  # the panel's finite end
+            # j the panel's finite end, k its unusable one
+            j, k = (i + 1, i) if unusable[i] else (i, i + 1)
             if values[j] <= 0.0:
                 continue
-            usable, edge, f_usable = grid[j], grid[2 * i + 1 - j], values[j]
+            usable, edge, f_usable = grid[j], grid[k], values[j]
             with np.errstate(all="ignore"):
                 while abs(edge - usable) > R0_TOLERANCE * usable:
                     mid = 0.5 * (usable + edge)
